@@ -25,7 +25,7 @@ from .discretization import build_mesh
 from .errors import NumericalError, ParseError, ValidationError
 from .geometry import make_star, sharp_configuration, spherical_design_check
 from .optimizer import OptSettings, optimize, verify_sharp_local_max
-from .spectral import count_bound_states, principal_eigenvalue, solve_energy
+from .spectral import bound_states
 
 COMMANDS = ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds", "design-check")
 
@@ -97,14 +97,17 @@ def _require_keys(obj: dict, allowed: set, context: str) -> None:
         raise ParseError(f"unknown keys in {context}: {sorted(unknown)}")
 
 
-def _number(obj: dict, key: str, context: str, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ParseError(f"missing required field '{key}' in {context}")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"field '{key}' in {context} must be a number, got {v!r}")
+def _finite(v) -> bool:
+    """A number in the float range: json.loads accepts NaN and Infinity, and
+    bools are ints."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    return number and abs(v) <= sys.float_info.max
+
+
+def _number(doc: dict, key: str):
+    v = doc.get(key)
+    if key in doc and not _finite(v):
+        raise ParseError(f"'{key}' must be a finite number, got {v!r}")
     return v
 
 
@@ -121,9 +124,11 @@ def _group(doc: dict, name: str, allowed: dict, context_defaults=True) -> dict:
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise ParseError(f"'{name}.{key}' must be an integer, got {v!r}")
             elif kind is float:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ParseError(f"'{name}.{key}' must be a number, got {v!r}")
+                if not _finite(v):
+                    raise ParseError(f"'{name}.{key}' must be a finite number, got {v!r}")
                 v = float(v)
+            elif v is not None and not isinstance(v, str):  # null: not given
+                raise ParseError(f"'{name}.{key}' must be a string, got {v!r}")
             out[key] = v
         elif default is not None or context_defaults:
             out[key] = default
@@ -168,12 +173,15 @@ def parse_job(document: str) -> JobSpec:
                 not isinstance(dirs, list)
                 or not dirs
                 or any(not isinstance(d, list) or len(d) != 3 for d in dirs)
+                or not all(_finite(x) for d in dirs for x in d)
             ):
-                raise ParseError("'star.directions' must be a nonempty list of 3-vectors")
+                raise ParseError(
+                    "'star.directions' must be a nonempty list of 3-vectors of finite numbers"
+                )
             star_dirs = [[float(x) for x in d] for d in dirs]
 
-    alpha = _number(doc, "alpha", "the job document")
-    arm_length = _number(doc, "arm_length", "the job document")
+    alpha = _number(doc, "alpha")
+    arm_length = _number(doc, "arm_length")
     if arm_length is not None and arm_length <= 0:
         raise ParseError(f"'arm_length' must be positive, got {arm_length}")
 
@@ -341,27 +349,20 @@ def _job_mesh(job: JobSpec, L: float):
 def _run_spectrum(job: JobSpec) -> tuple[dict, dict]:
     config = _job_star(job)
     mesh = _job_mesh(job, config.arm_length)
-    floor = job.solver["kappa_floor"]
-    tol = job.solver["kappa_tol"]
-    n_states = count_bound_states(config, mesh, job.alpha, kappa_floor=floor)
-    levels = []
+    n_states, res = bound_states(
+        config, mesh, job.alpha, job.solver["levels"],
+        kappa_floor=job.solver["kappa_floor"], kappa_tol=job.solver["kappa_tol"],
+    )
     diagnostics = {"bound_states_at_floor": n_states, "mesh": mesh.metadata()}
-    wanted = min(job.solver["levels"], n_states)
-    if wanted >= 1:
-        res = principal_eigenvalue(config, mesh, job.alpha, kappa_floor=floor, kappa_tol=tol)
-        lv = res.levels[0]
-        levels.append({"j": 1, "kappa": lv.kappa, "energy": lv.energy})
-        diagnostics.update(
-            ground_vector_positivity=res.ground_vector_positivity,
-            arm_symmetry_residual=res.arm_symmetry_residual,
-            parity=res.parity,
-            residual=res.residual,
-        )
-        for j in range(2, wanted + 1):
-            kappa_j, energy_j = solve_energy(
-                config, mesh, job.alpha, j, kappa_floor=floor, kappa_tol=tol
-            )
-            levels.append({"j": j, "kappa": kappa_j, "energy": energy_j})
+    if res is None:
+        return {"levels": []}, diagnostics
+    diagnostics.update(
+        ground_vector_positivity=res.ground_vector_positivity,
+        arm_symmetry_residual=res.arm_symmetry_residual,
+        parity=res.parity,
+        residual=res.residual,
+    )
+    levels = [{"j": lv.index, "kappa": lv.kappa, "energy": lv.energy} for lv in res.levels]
     return {"levels": levels}, diagnostics
 
 
@@ -374,16 +375,11 @@ def _run_sweep(job: JobSpec) -> list[tuple[float, float | None, float]]:
         config = make_star(dirs, job.arm_length, job.alpha)
         mesh = _job_mesh(job, config.arm_length)
         upper = small_angle_bounds(job.alpha, job.arm_length, phi, 1, 1.0).upper
-        n = count_bound_states(config, mesh, job.alpha, kappa_floor=job.solver["kappa_floor"])
-        if n >= 1:
-            _, energy = solve_energy(
-                config, mesh, job.alpha, 1,
-                kappa_floor=job.solver["kappa_floor"],
-                kappa_tol=job.solver["kappa_tol"],
-            )
-        else:
-            energy = None
-        rows.append((float(phi), energy, upper))
+        _, res = bound_states(
+            config, mesh, job.alpha, 1,
+            kappa_floor=job.solver["kappa_floor"], kappa_tol=job.solver["kappa_tol"],
+        )
+        rows.append((float(phi), None if res is None else res.ground_energy, upper))
     return rows
 
 

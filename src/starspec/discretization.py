@@ -220,13 +220,9 @@ class BlockAssembler:
     value selects the arm-pair kernel with that squared chord.
     """
 
-    def __init__(self, mesh: Mesh, chord_sq: float | None = None,
-                 corrections: bool = True):
+    def __init__(self, mesh: Mesh, chord_sq: float | None = None):
         self.mesh = mesh
         self.chord_sq = chord_sq
-        # plain weighted kernel samples when disabled (diagonal blocks always
-        # need the corrected self panel, so the flag only applies off-diagonal)
-        self.corrections = corrections or chord_sq is None
         q = mesh.order
         P = mesh.panels
         self._pn = mesh.nodes.reshape(P, q)
@@ -432,8 +428,6 @@ class BlockAssembler:
         K = np.exp(-kappa * self._dist) / self._dist
         if self.chord_sq is None:
             np.fill_diagonal(K, 0.0)
-        if not self.corrections:
-            return K
         batch = self._batch(kappa)
         if batch.flat_idx.size:
             vals = batch.S @ (np.exp(-kappa * batch.rho) / batch.rho)
@@ -483,52 +477,53 @@ class BsMatrix:
         return self.matrix[i * M : (i + 1) * M, j * M : (j + 1) * M]
 
 
+def chord_groups(directions: np.ndarray):
+    """Distinct squared chords of a star's arm pairs, rounded to 12 decimals
+    (pairs with one key share a block), and the pairs as (I, J, group):
+    pair k joins arms I[k] < J[k] and has chord ``chords[group[k]]``."""
+    I, J = np.triu_indices(directions.shape[0], k=1)
+    keys = [round(_chord_sq(directions[i], directions[j]), 12) for i, j in zip(I, J)]
+    chords, group = np.unique(keys, return_inverse=True)
+    return chords, (I, J, group)
+
+
+def star_matrix(N: int, T: np.ndarray, pair_blocks, I, J, group) -> np.ndarray:
+    """The N*M x N*M matrix with T on every diagonal block and, for pair k,
+    ``pair_blocks[group[k]]`` at block (I[k], J[k]) and its transpose at
+    (J[k], I[k])."""
+    M = T.shape[0]
+    A = np.zeros((N * M, N * M))
+    blocks = A.reshape(N, M, N, M)
+    blocks[range(N), :, range(N), :] = T
+    for g, B in enumerate(pair_blocks):
+        k = group == g
+        blocks[I[k], :, J[k], :] = B
+        blocks[J[k], :, I[k], :] = B.T
+    return A
+
+
 class StarAssembler:
     """Cached-geometry assembler for the full N-arm matrix at any kappa.
 
     The diagonal block is shared by all arms; off-diagonal blocks are shared
-    across arm pairs with the same squared chord (rounded to 12 decimals).
+    across arm pairs with the same squared chord (``chord_groups``).
     """
 
-    def __init__(self, config: StarConfig, mesh: Mesh, diag: BlockAssembler | None = None,
-                 offdiag_corrections: bool = True):
+    def __init__(self, config: StarConfig, mesh: Mesh):
         if abs(mesh.length - config.arm_length) > 1e-12 * max(1.0, config.arm_length):
             raise BadParameters(
                 f"mesh covers [0, {mesh.length}] but arms have length "
                 f"{config.arm_length}"
             )
         self.config = config
-        self.mesh = mesh
-        # mesh-only geometry: reusable across configurations on the same mesh
-        self.diag = diag if diag is not None else BlockAssembler(mesh, chord_sq=None)
-        self._pair_groups: dict[float, tuple[BlockAssembler, list[tuple[int, int]]]] = {}
-        n = config.n_arms
-        for i in range(n):
-            for j in range(i + 1, n):
-                key = round(_chord_sq(config.directions[i], config.directions[j]), 12)
-                if key not in self._pair_groups:
-                    self._pair_groups[key] = (
-                        BlockAssembler(mesh, chord_sq=key, corrections=offdiag_corrections),
-                        [],
-                    )
-                self._pair_groups[key][1].append((i, j))
-
-    @property
-    def dimension(self) -> int:
-        return self.config.n_arms * self.mesh.size
+        self.diag = BlockAssembler(mesh, chord_sq=None)
+        chords, self._pairs = chord_groups(config.directions)
+        self._offdiag = [BlockAssembler(mesh, chord_sq=c) for c in chords.tolist()]
 
     def matrix(self, kappa: float) -> np.ndarray:
-        N, M = self.config.n_arms, self.mesh.size
-        A = np.zeros((N * M, N * M))
         T = self.diag.weighted_block(kappa)
-        for i in range(N):
-            A[i * M : (i + 1) * M, i * M : (i + 1) * M] = T
-        for asm, pairs in self._pair_groups.values():
-            B = asm.weighted_block(kappa)
-            for (i, j) in pairs:
-                A[i * M : (i + 1) * M, j * M : (j + 1) * M] = B
-                A[j * M : (j + 1) * M, i * M : (i + 1) * M] = B.T
-        return A
+        pair_blocks = [asm.weighted_block(kappa) for asm in self._offdiag]
+        return star_matrix(self.config.n_arms, T, pair_blocks, *self._pairs)
 
 
 def assemble_bs_matrix(config: StarConfig, kappa: float, mesh: Mesh) -> BsMatrix:

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .discretization import BlockAssembler, Mesh, build_mesh
+from .discretization import (
+    FOUR_PI, BlockAssembler, Mesh, StarAssembler, build_mesh, chord_groups, star_matrix,
+)
 from .errors import AllStartsFailed, BracketFailure, NoCrossing
 from .geometry import congruent, make_star, sharp_configuration
 from .spectral import (
@@ -107,7 +109,6 @@ def objective(
     mesh: Mesh,
     kappa_floor: float = DEFAULT_KAPPA_FLOOR,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
-    _hint: float | None = None,
 ) -> float:
     """Ground-state energy of the embedded star, or -inf.
 
@@ -119,11 +120,9 @@ def objective(
     if _min_pair_angle(dirs) < MIN_PAIR_ANGLE:
         return SENTINEL
     config = make_star(dirs, L, alpha)
-    solver = _CurveSolver(config, mesh)
+    solver = _CurveSolver(StarAssembler(config, mesh).matrix)
     try:
-        _, energy, _ = _solve_level(
-            solver, alpha, 1, kappa_floor, kappa_tol, hint=_hint
-        )
+        _, energy, _ = _solve_level(solver, alpha, 1, kappa_floor, kappa_tol)
     except (NoCrossing, BracketFailure):
         return SENTINEL
     return energy
@@ -143,30 +142,45 @@ def _draw_start(rng: np.random.Generator, N: int) -> np.ndarray:
 
 class _WarmObjective:
     """Objective wrapper for the search: reuses the previous crossing as a
-    bracket hint and the mesh-only diagonal-block geometry across calls.
+    bracket hint and the mesh-only geometry across calls.
 
-    Off-diagonal blocks use plain Nystrom sampling: the pointwise kernel-sum
-    inequality holds entrywise at the quadrature nodes, so the discrete
-    optimum is the sharp configuration with or without the product-
-    integration corrections; the search only needs the argmax.
+    Off-diagonal blocks are plain Nystrom samples sqrt(w_s w_t) e^{-kappa D}
+    / (4 pi D), D = sqrt((s-t)^2 + s t c), symmetric as sampled: the
+    pointwise kernel-sum inequality holds entrywise at the quadrature nodes,
+    so the discrete optimum is the sharp configuration with or without the
+    product-integration corrections; the search only needs the argmax.
     """
 
     def __init__(self, N, L, alpha, mesh, kappa_floor, kappa_tol):
-        self.args = (N, L, alpha, mesh)
+        self.args = (N, L, alpha)
         self.kappa_floor = kappa_floor
         self.kappa_tol = kappa_tol
         self.hint: float | None = None
         self._diag = BlockAssembler(mesh, chord_sq=None)
+        s = mesh.nodes
+        self._diff_sq = (s[:, None] - s[None, :]) ** 2
+        self._st = np.outer(s, s)
+
+    def matrix(self, directions: np.ndarray):
+        """``kappa -> matrix`` of one star; one broadcast gives the blocks of
+        all its distinct chords."""
+        chords, pairs = chord_groups(directions)
+        D = np.sqrt(self._diff_sq + self._st * chords[:, None, None])
+
+        def matrix(kappa: float) -> np.ndarray:
+            B = self._diag._fold * (np.exp(-kappa * D) / D) / FOUR_PI
+            T = self._diag.weighted_block(kappa)
+            return star_matrix(directions.shape[0], T, B, *pairs)
+
+        return matrix
 
     def negative(self, params) -> float:
-        N, L, alpha, mesh = self.args
+        N, L, alpha = self.args
         dirs = gauge_embed(params, N)
         if _min_pair_angle(dirs) < MIN_PAIR_ANGLE:
             return float("inf")
         config = make_star(dirs, L, alpha)
-        solver = _CurveSolver(
-            config, mesh, diag=self._diag, offdiag_corrections=False
-        )
+        solver = _CurveSolver(self.matrix(config.directions))
         try:
             kappa, energy, _ = _solve_level(
                 solver, alpha, 1, self.kappa_floor, self.kappa_tol, hint=self.hint
@@ -329,7 +343,7 @@ def verify_sharp_local_max(
         mesh = build_mesh(L, 12, 8, 2.0)
     sharp = sharp_configuration(N)
     config = make_star(sharp, L, alpha)
-    solver = _CurveSolver(config, mesh)
+    solver = _CurveSolver(StarAssembler(config, mesh).matrix)
     kappa, e_sharp, _ = _solve_level(
         solver, alpha, 1, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL
     )
@@ -354,7 +368,7 @@ def verify_sharp_local_max(
             d[i] /= np.linalg.norm(d[i])
         d = _gauge_fix(d)
         cfg = make_star(d, L, alpha)
-        sol = _CurveSolver(cfg, mesh)
+        sol = _CurveSolver(StarAssembler(cfg, mesh).matrix)
         try:
             _, e_pert, _ = _solve_level(
                 sol, alpha, 1, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL, hint=kappa

@@ -10,7 +10,7 @@ E_j = -kappa_j^2.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -70,77 +70,51 @@ class SpectralResult:
 
 
 class _CurveSolver:
-    """Caches assembly geometry and eigen warm starts across kappa sweeps."""
+    """Eigenvalue curves of one star: ``matrix`` maps kappa to its symmetric
+    Birman-Schwinger matrix; ARPACK solves warm-start from the last top
+    eigenvector."""
 
-    def __init__(self, config: StarConfig, mesh: Mesh, diag=None,
-                 offdiag_corrections: bool = True):
-        self.assembler = StarAssembler(
-            config, mesh, diag=diag, offdiag_corrections=offdiag_corrections
-        )
+    def __init__(self, matrix):
+        self.matrix = matrix
         self._warm: np.ndarray | None = None
+
+    def _eigh(self, kappa: float, first: int = 1, last: int | None = 1,
+              vectors: bool = False):
+        """The ``first``-th to ``last``-th largest eigenvalues (all for
+        ``last=None``), ascending, with eigenvectors if asked.  ARPACK gives
+        the top one alone above ``_DENSE_MAX``, LAPACK everything else."""
+        A = self.matrix(kappa)
+        n = A.shape[0]
+        try:
+            if n > _DENSE_MAX and first == last == 1:
+                vals, vecs = spla.eigsh(A, k=1, which="LA", v0=self._warm, tol=1e-12)
+                self._warm = vecs[:, 0]
+                return (vals, vecs) if vectors else vals
+            return sla.eigh(
+                A,
+                eigvals_only=not vectors,
+                subset_by_index=None if last is None else [n - last, n - first],
+                overwrite_a=True,
+                check_finite=False,
+            )
+        except (sla.LinAlgError, spla.ArpackError) as exc:
+            raise EigensolveFailure(str(exc)) from exc
 
     def lam(self, kappa: float, j: int = 1) -> float:
         """j-th largest eigenvalue of Q_kappa (j = 1 is the top)."""
-        A = self.assembler.matrix(kappa)
-        n = A.shape[0]
-        try:
-            if n <= _DENSE_MAX or j > 1:
-                vals = sla.eigh(
-                    A,
-                    eigvals_only=True,
-                    subset_by_index=[n - j, n - j],
-                    overwrite_a=True,
-                    check_finite=False,
-                )
-                return float(vals[0])
-            v0 = self._warm if self._warm is not None and self._warm.size == n else None
-            vals, vecs = spla.eigsh(A, k=1, which="LA", v0=v0, tol=1e-12)
-            self._warm = vecs[:, 0]
-            return float(vals[0])
-        except (sla.LinAlgError, spla.ArpackError) as exc:
-            raise EigensolveFailure(str(exc)) from exc
+        return float(self._eigh(kappa, j, j)[0])
 
     def top_pair(self, kappa: float) -> tuple[float, np.ndarray]:
-        A = self.assembler.matrix(kappa)
-        n = A.shape[0]
-        try:
-            if n <= _DENSE_MAX:
-                vals, vecs = sla.eigh(
-                    A, subset_by_index=[n - 1, n - 1], check_finite=False
-                )
-            else:
-                v0 = self._warm if self._warm is not None and self._warm.size == n else None
-                vals, vecs = spla.eigsh(A, k=1, which="LA", v0=v0, tol=1e-12)
-        except (sla.LinAlgError, spla.ArpackError) as exc:
-            raise EigensolveFailure(str(exc)) from exc
+        vals, vecs = self._eigh(kappa, vectors=True)
         return float(vals[0]), vecs[:, 0]
-
-    def spectrum(self, kappa: float) -> np.ndarray:
-        A = self.assembler.matrix(kappa)
-        try:
-            return sla.eigvalsh(A, overwrite_a=True, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise EigensolveFailure(str(exc)) from exc
 
 
 def lambda_curve(
     config: StarConfig, mesh: Mesh, kappa: float, count: int = 1
 ) -> np.ndarray:
     """Top ``count`` eigenvalues of the assembled operator, descending."""
-    solver = _CurveSolver(config, mesh)
-    A = solver.assembler.matrix(kappa)
-    n = A.shape[0]
-    try:
-        vals = sla.eigh(
-            A,
-            eigvals_only=True,
-            subset_by_index=[n - count, n - 1],
-            overwrite_a=True,
-            check_finite=False,
-        )
-    except sla.LinAlgError as exc:
-        raise EigensolveFailure(str(exc)) from exc
-    return vals[::-1]
+    solver = _CurveSolver(StarAssembler(config, mesh).matrix)
+    return solver._eigh(kappa, 1, count)[::-1]
 
 
 def count_bound_states(
@@ -155,8 +129,7 @@ def count_bound_states(
     kappa > kappa_floor, so this is a lower-bound estimator of the number
     of bound states, accurate up to states within the floor of threshold.
     """
-    solver = _CurveSolver(config, mesh)
-    return int(np.sum(solver.spectrum(kappa_floor) > alpha))
+    return bound_states(config, mesh, alpha, 0, kappa_floor)[0]
 
 
 def _solve_level(
@@ -214,7 +187,7 @@ def solve_energy(
     kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> tuple[float, float]:
     """Solve lambda_j(kappa) = alpha for level j; returns (kappa_j, E_j)."""
-    solver = _CurveSolver(config, mesh)
+    solver = _CurveSolver(StarAssembler(config, mesh).matrix)
     kappa_j, energy, _ = _solve_level(solver, alpha, j, kappa_floor, kappa_tol)
     return kappa_j, energy
 
@@ -262,9 +235,13 @@ def principal_eigenvalue(
     """
     if alpha is None:
         alpha = config.coupling
-    solver = _CurveSolver(config, mesh)
+    solver = _CurveSolver(StarAssembler(config, mesh).matrix)
+    return _ground(solver, config, mesh, alpha, kappa_floor, kappa_tol, _hint)
+
+
+def _ground(solver, config, mesh, alpha, kappa_floor, kappa_tol, hint=None):
     kappa_1, energy, residual = _solve_level(
-        solver, alpha, 1, kappa_floor, kappa_tol, hint=_hint
+        solver, alpha, 1, kappa_floor, kappa_tol, hint=hint
     )
     _, vec = solver.top_pair(kappa_1)
     positivity, symmetry, parity = _diagnostics(config, vec)
@@ -276,6 +253,31 @@ def principal_eigenvalue(
         mesh_metadata=mesh.metadata(),
         residual=residual,
     )
+
+
+def bound_states(
+    config: StarConfig,
+    mesh: Mesh,
+    alpha: float,
+    levels: int = 1,
+    kappa_floor: float = DEFAULT_KAPPA_FLOOR,
+    kappa_tol: float = DEFAULT_KAPPA_TOL,
+) -> tuple[int, SpectralResult | None]:
+    """On one solver: the level count at the floor (``count_bound_states``)
+    and, if ``levels`` >= 1 and a level crosses, the ground state with its
+    diagnostics (``principal_eigenvalue``) followed by levels 2..``levels``
+    (``solve_energy``); else None in its place."""
+    solver = _CurveSolver(StarAssembler(config, mesh).matrix)
+    count = int(np.sum(solver._eigh(kappa_floor, last=None) > alpha))
+    wanted = min(levels, count)
+    if wanted < 1:
+        return count, None
+    res = _ground(solver, config, mesh, alpha, kappa_floor, kappa_tol)
+    excited = []
+    for j in range(2, wanted + 1):
+        kappa_j, energy_j, _ = _solve_level(solver, alpha, j, kappa_floor, kappa_tol)
+        excited.append(Level(index=j, kappa=kappa_j, energy=energy_j))
+    return count, replace(res, levels=res.levels + tuple(excited))
 
 
 def refine_until(
@@ -322,14 +324,7 @@ def refine_until(
         observed_order=order,
         converged=converged,
     )
-    final = SpectralResult(
-        levels=results[-1].levels,
-        ground_vector_positivity=results[-1].ground_vector_positivity,
-        arm_symmetry_residual=results[-1].arm_symmetry_residual,
-        parity=results[-1].parity,
-        mesh_metadata=meta,
-        residual=results[-1].residual,
-    )
+    final = replace(results[-1], mesh_metadata=meta)
     if converged:
         return final
     if len(mesh_ladder) == 1:

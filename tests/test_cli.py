@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from starspec import discretization
 from starspec.cli import main, parse_job, render_json, run
 from starspec.errors import ParseError
 
@@ -166,7 +167,92 @@ class TestRun:
         assert not out.exists()
 
 
+def count_star_assemblers(monkeypatch):
+    calls = []
+    init = discretization.StarAssembler.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(discretization.StarAssembler, "__init__", counting_init)
+    return calls
+
+
+class TestOneSolverPerStar:
+    def test_spectrum_two_levels(self, tmp_path, monkeypatch):
+        calls = count_star_assemblers(monkeypatch)
+        out = tmp_path / "res.json"
+        job = parse_job(job_text(
+            command="spectrum", star={"sharp": 4}, alpha=0.0, arm_length=5.0,
+            mesh={"panels": 6, "order": 8}, solver={"levels": 2},
+            output={"path": str(out)},
+        ))
+        assert run(job) == 0
+        assert len(calls) == 1
+        doc = json.loads(out.read_text())
+        # 17-digit output of the solver that built one assembler per call
+        assert doc["results"]["levels"] == [
+            {"j": 1, "kappa": 4.087130620703606, "energy": -16.704636710693045},
+            {"j": 2, "kappa": 1.006534953240386, "energy": -1.0131126120946261},
+        ]
+        assert doc["diagnostics"]["bound_states_at_floor"] == 6
+
+    def test_sweep_one_per_angle(self, tmp_path, monkeypatch):
+        calls = count_star_assemblers(monkeypatch)
+        job = parse_job(job_text(
+            command="sweep-angle", alpha=0.0, arm_length=6.0,
+            sweep={"phi_min": 1.5, "phi_max": 3.0, "count": 3},
+            mesh={"panels": 6, "order": 8},
+            output={"path": str(tmp_path / "sweep.csv")},
+        ))
+        assert run(job) == 0
+        assert len(calls) == 3
+
+
+#: job documents that must be rejected with exit status 2, one per input
+BAD_INPUTS = {
+    "alpha NaN": dict(MINIMAL_SPECTRUM, alpha=float("nan")),
+    "arm_length Infinity": dict(MINIMAL_SPECTRUM, arm_length=float("inf")),
+    "alpha -Infinity": dict(MINIMAL_SPECTRUM, alpha=float("-inf")),
+    "mesh.grading NaN": dict(MINIMAL_SPECTRUM, mesh={"grading": float("nan")}),
+    "solver.kappa_floor NaN": dict(MINIMAL_SPECTRUM, solver={"kappa_floor": float("nan")}),
+    "solver.kappa_tol Infinity": dict(MINIMAL_SPECTRUM, solver={"kappa_tol": float("inf")}),
+    "optimize.simplex_tol Infinity": dict(
+        MINIMAL_SPECTRUM, command="optimize", optimize={"simplex_tol": float("inf")}),
+    "sweep.phi_max NaN": {
+        "command": "sweep-angle", "alpha": 0.0, "arm_length": 1.0,
+        "sweep": {"phi_min": 0.5, "phi_max": float("nan"), "count": 3}},
+    "verify.scale NaN": dict(
+        MINIMAL_SPECTRUM, command="verify-sharp", verify={"scale": float("nan")}),
+    "bounds.constant Infinity": dict(
+        MINIMAL_SPECTRUM, command="bounds", bounds={"constant": float("inf")}),
+    "bounds.phi NaN": dict(
+        MINIMAL_SPECTRUM, command="bounds", bounds={"phi": float("nan")}),
+    "direction coordinate string": dict(
+        MINIMAL_SPECTRUM, star={"directions": [[0, 0, 1], ["x", 0, 0]]}),
+    "direction coordinate true": dict(
+        MINIMAL_SPECTRUM, star={"directions": [[0, 0, 1], [True, 0, 0]]}),
+    "direction coordinate NaN": dict(
+        MINIMAL_SPECTRUM, star={"directions": [[0, 0, 1], [float("nan"), 0, 0]]}),
+    "output.path integer": dict(MINIMAL_SPECTRUM, output={"path": 7}),
+    "output.format integer": dict(MINIMAL_SPECTRUM, output={"format": 7}),
+}
+
+
 class TestMain:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exit_2(self, case, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(BAD_INPUTS[case]))
+        assert main(["--job", str(bad), "--out", str(tmp_path / "out.json")]) == 2
+        assert "parse error" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_output_path_null_means_not_given(self):
+        job = parse_job(job_text(**MINIMAL_SPECTRUM, output={"path": None}))
+        assert job.output_path is None
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(job_text(command="spectrum", star={"sharp": 4},

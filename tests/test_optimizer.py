@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import starspec as ss
+from starspec.discretization import BlockAssembler
 from starspec.errors import AllStartsFailed, SizeMismatch
+from starspec.kernels import arm_distance, green_kernel
 from starspec.optimizer import (
     OptSettings,
+    _WarmObjective,
     gauge_embed,
     kernel_sum_compare,
     objective,
@@ -82,6 +85,37 @@ class TestObjective:
         a = objective(params, 4, 5.0, 0.0, mesh)
         b = objective(swapped, 4, 5.0, 0.0, mesh)
         assert abs(a - b) < 1e-9
+
+
+class TestSearchAssembly:
+    """The search's matrix against the closed-form kernel, entry by entry."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 6])
+    @pytest.mark.parametrize("kappa", [0.05, 1.0, 7.5])
+    def test_blocks_match_closed_form(self, N, kappa):
+        L = 4.0
+        mesh = search_mesh(L)
+        M = mesh.size
+        dirs = ss.sharp_configuration(N) if N == 6 else gauge_embed(
+            np.random.default_rng(N).uniform(0.3, 2.8, 2 * N - 3), N
+        )
+        warm = _WarmObjective(N, L, 0.0, mesh, 1e-4, 1e-10)
+        A = warm.matrix(dirs)(kappa)
+        assert A.shape == (N * M, N * M)
+        assert np.array_equal(A, A.T)
+        T = BlockAssembler(mesh, None).weighted_block(kappa)
+        s, w = mesh.nodes, mesh.weights
+        for i in range(N):
+            assert np.array_equal(A[i * M:(i + 1) * M, i * M:(i + 1) * M], T)
+            for j in range(i + 1, N):
+                c = round(ss.chord_sq(dirs[i], dirs[j]), 12)
+                expected = np.array([
+                    [green_kernel(kappa, arm_distance(s[a], s[b], c))
+                     * math.sqrt(w[a] * w[b]) for b in range(M)]
+                    for a in range(M)
+                ])
+                block = A[i * M:(i + 1) * M, j * M:(j + 1) * M]
+                assert np.allclose(block, expected, rtol=1e-13, atol=0.0)
 
 
 class TestOptimize:
