@@ -23,7 +23,7 @@ from . import __version__
 from .bounds import nonexistence_threshold, segment_existence_length, small_angle_bounds
 from .discretization import build_mesh
 from .errors import NumericalError, ParseError, ValidationError
-from .geometry import make_star, sharp_configuration, spherical_design_check
+from .geometry import make_star, sharp_configuration, spherical_design_check, unit_directions
 from .optimizer import OptSettings, optimize, verify_sharp_local_max
 from .spectral import bound_states
 
@@ -240,6 +240,9 @@ def parse_job(document: str) -> JobSpec:
         })
         if bounds_grp["constant"] <= 0:
             raise ParseError("'bounds.constant' must be positive")
+        phi = bounds_grp["phi"]
+        if phi is not None and not 0 < phi <= math.pi:
+            raise ParseError(f"'bounds.phi' must lie in (0, pi], got {phi}")
     elif "bounds" in doc:
         raise ParseError(f"'bounds' is only valid for the bounds command, not {command}")
 
@@ -450,7 +453,7 @@ def _run_design(job: JobSpec) -> tuple[dict, dict]:
     dirs = (
         sharp_configuration(job.star_sharp)
         if job.star_sharp is not None
-        else job.star_directions
+        else unit_directions(job.star_directions)
     )
     ok, dev = spherical_design_check(dirs, job.design["order"])
     return (

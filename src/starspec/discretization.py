@@ -22,15 +22,17 @@ with [a, b] the panel containing x.  Every block is symmetrized; the
 asymmetry removed this way is the difference between row-based and
 column-based product integration.
 
-For speed, all correction rules sharing the same refinement profile are
-batched: one vector of kernel distances, one sparse matrix mapping kernel
-samples to corrected entries, applied per kappa with a single exp.
+Which panels are corrected, and how deeply their subrules are refined,
+depends on the geometry only (closest approach against panel width), never
+on kappa.  So each block builds its correction rules once, as one batch:
+one vector of kernel distances and one sparse matrix mapping kernel samples
+to corrected entries.  At each kappa the block costs one exp over the dense
+distances and one over the batch's distances.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,16 +47,14 @@ FOUR_PI = 4.0 * math.pi
 #: panels are corrected when the kernel's closest approach is below
 #: NEAR_RATIO times the panel width
 NEAR_RATIO = 1.0
-#: exponential tail cutoff: skip corrections where kappa * distance exceeds
-#: this (the whole contribution is below e^-18 there)
-EXP_CUTOFF = 18.0
-#: resolve the exponential when kappa * width exceeds this (Gauss-Legendre
-#: of the panel order handles e^{-z} accurately up to z of this size)
-EXP_RESOLVE = 8.0
+#: layout decisions count ratios within this relative distance of a
+#: threshold as on it, so that a mesh and its scaled copy, which differ by
+#: rounding, get one layout (odd orders put nodes at panel midpoints, where
+#: the ratios of a grading-2 mesh hit the thresholds exactly)
+_TIE_TOL = 1e-14
 
 _SUB_ORDER = 16
 _MAX_SEG = 60
-_PROFILE_CACHE = 4
 
 
 @lru_cache(maxsize=64)
@@ -132,11 +132,17 @@ def build_mesh(L: float, panels: int, order: int, grading: float) -> Mesh:
     """Build the composite quadrature mesh for one arm of length L."""
     if not (np.isfinite(L) and L > 0):
         raise BadParameters(f"arm length must be positive, got {L}")
+    if not np.isfinite(4.0 * L * L):
+        # (s + t)^2 for antipodal arms reaches 4 L^2
+        raise BadParameters(f"arm length {L} is too large: squared distances overflow")
     if panels < 2 or order < 2:
         raise BadParameters(f"need panels >= 2 and order >= 2, got {panels}, {order}")
     if not (np.isfinite(grading) and grading >= 1.0):
         raise BadParameters(f"grading ratio must be >= 1, got {grading}")
-    widths = _panel_widths(L, panels, float(grading))
+    try:
+        widths = _panel_widths(L, panels, float(grading))
+    except OverflowError:
+        raise BadParameters(f"grading ratio {grading} overflows the panel widths") from None
     edges = np.concatenate([[0.0], np.cumsum(widths)])
     edges[-1] = L
     x, w = _leggauss(order)
@@ -191,7 +197,6 @@ def _stack_fractions(n_seg: int, toward_lo: bool) -> np.ndarray:
 
 def _geom_stack(lo: float, hi: float, toward_lo: bool, n_seg: int):
     """Composite GL rule on [lo, hi], segment widths halving toward one end."""
-    n_seg = max(1, min(n_seg, _MAX_SEG))
     frac = _stack_fractions(n_seg, toward_lo)
     edges = lo * (1.0 - frac) + hi * frac
     keep = np.diff(edges) > 0.0
@@ -203,235 +208,116 @@ def _geom_stack(lo: float, hi: float, toward_lo: bool, n_seg: int):
     return ts, ws
 
 
-@dataclass
-class _Batch:
-    """All correction rules for one refinement profile, batched."""
-
-    rho: np.ndarray  # kernel distances at every subrule point
-    S: sparse.csr_matrix  # maps kernel samples to corrected kernel entries
-    flat_idx: np.ndarray  # destination entries in the M x M kernel matrix
-    base: np.ndarray  # kappa-free additive part (regularizer terms)
-
-
 class BlockAssembler:
     """Assembles one M x M block of the Birman-Schwinger matrix at any kappa.
 
     ``chord_sq=None`` selects the regularized diagonal kernel; a positive
-    value selects the arm-pair kernel with that squared chord.
+    value selects the arm-pair kernel with that squared chord.  The diagonal
+    kernel is the pair kernel at chord 0, except on the self panel, where
+    the regularizer replaces it.  The near-field corrections depend on the
+    mesh and the chord only, so they are built here, once.
     """
 
     def __init__(self, mesh: Mesh, chord_sq: float | None = None):
         self.mesh = mesh
         self.chord_sq = chord_sq
-        q = mesh.order
-        P = mesh.panels
-        self._pn = mesh.nodes.reshape(P, q)
-        self._pw = mesh.weights.reshape(P, q)
-        self._bw = np.array([_bary_weights(self._pn[p]) for p in range(P)])
-        self._widths = np.diff(mesh.edges)
-        s = mesh.nodes
+        self._c = 0.0 if chord_sq is None else chord_sq
+        q, P, M = mesh.order, mesh.panels, mesh.size
+        s, w, edges = mesh.nodes, mesh.weights, mesh.edges
+        self._pn = s.reshape(P, q)
+        self._bw = [_bary_weights(nodes) for nodes in self._pn]
+        D = self._rho_of(s[:, None], s[None, :])
         if chord_sq is None:
-            D = np.abs(s[:, None] - s[None, :])
-            np.fill_diagonal(D, 1.0)
-        else:
-            D = np.sqrt((s[:, None] - s[None, :]) ** 2 + np.outer(s, s) * chord_sq)
+            np.fill_diagonal(D, 1.0)  # self-panel entries come from the batch
         self._dist = D
-        sw = np.sqrt(mesh.weights)
+        sw = np.sqrt(w)
         self._fold = sw[:, None] * sw[None, :]
-        # closest kernel approach of every (target, panel) pair, kappa-free
-        lo = mesh.edges[:-1][None, :]
-        hi = mesh.edges[1:][None, :]
-        x = s[:, None]
+
+        # closest kernel approach of every (target, panel) pair
+        t_hat = np.clip(s[:, None] * (1.0 - 0.5 * self._c), edges[:-1], edges[1:])
+        rho_min = self._rho_of(s[:, None], t_hat)
+        widths = np.diff(edges)
+        owner = np.repeat(np.arange(P), q)
+        near = rho_min < NEAR_RATIO * widths * (1.0 - _TIE_TOL)
         if chord_sq is None:
-            t_hat = np.clip(x, lo, hi)
-            rho_min = np.abs(x - t_hat)
-        else:
-            t_hat = np.clip(x * (1.0 - 0.5 * chord_sq), lo, hi)
-            rho_min = np.sqrt((x - t_hat) ** 2 + x * t_hat * chord_sq)
-        self._t_hat = t_hat
-        self._rho_min = rho_min
+            near[np.arange(M), owner] = False
+        targets, panels = np.nonzero(near)
+        # subrule depth: 3 segments, plus one per halving from the panel
+        # width down to the closest approach
         with np.errstate(divide="ignore"):
-            ratio = self._widths[None, :] / np.maximum(rho_min, 1e-300)
-        self._nseg_res = np.where(
-            ratio <= 1.0, 0, np.ceil(np.log2(np.maximum(ratio, 1.0)))
-        ).astype(np.int64)
-        self._geo_near = rho_min < NEAR_RATIO * self._widths[None, :]
+            ratio = widths[panels] / rho_min[targets, panels]
+        depth = np.minimum(3 + np.ceil(np.log2(ratio) - _TIE_TOL), _MAX_SEG).astype(int)
+        pieces = [
+            self._piece(m, p, t_hat[m, p], d)
+            for m, p, d in zip(targets.tolist(), panels.tolist(), depth.tolist())
+        ]
+        base = np.zeros((len(pieces), q))
         if chord_sq is None:
-            owner = np.repeat(np.arange(P), q)
-            self._geo_near[np.arange(mesh.size), owner] = False
-            self._owner = owner
-        self._piece_cache: dict[tuple, tuple] = {}
-        self._batches: OrderedDict[bytes, _Batch] = OrderedDict()
+            # self panel: sum_j W_j f(t_j)/|x-t_j| integrates the kernel;
+            # f(x) (ln(4 (x-a)(b-x)) - sum_j W_j/|x-t_j|) is the regularizer
+            targets = np.concatenate([targets, np.arange(M)])
+            panels = np.concatenate([panels, owner])
+            regular = np.zeros((M, q))
+            for m in range(M):
+                rho, w_sub, W = self._piece(m, owner[m], s[m], 3)
+                lo, hi = edges[owner[m]], edges[owner[m] + 1]
+                log_term = math.log(4.0 * (s[m] - lo) * (hi - s[m]))
+                regular[m, m % q] = (log_term - float(np.sum(w_sub / rho))) / w[m]
+                pieces.append((rho, w_sub, W))
+            base = np.concatenate([base, regular])
 
-    # -- kernel geometry -----------------------------------------------------
-
-    def _rho_of(self, x: float, t: np.ndarray) -> np.ndarray:
-        if self.chord_sq is None:
-            return np.abs(x - t)
-        return np.sqrt((x - t) ** 2 + x * t * self.chord_sq)
-
-    def _profile(self, kq: float):
-        """Correction layout at quantized kappa: triggered panels and depths."""
-        widths = self._widths[None, :]
-        z = kq * widths
-        exp_seg = np.where(
-            z > 1.0, np.ceil(np.log2(np.maximum(z, 1.0))), 0.0
-        ).astype(np.int64)
-        trigger = self._geo_near | (
-            (kq * widths > EXP_RESOLVE) & (kq * self._rho_min < EXP_CUTOFF)
+        # one sparse batch: S maps the kernel samples at the subrule
+        # distances rho to the corrected entries flat_idx, base adds the
+        # regularizer.  S is block diagonal, one q x (subrule size) block
+        # per piece, written straight in CSR form: the row of entry j of
+        # piece k holds W[:, j] / w_j on that piece's subrule columns.
+        cols = panels[:, None] * q + np.arange(q)
+        self._rho = np.concatenate([rho for rho, _, _ in pieces])
+        data = np.concatenate(
+            [(W / w[c][None, :]).T.ravel() for (_, _, W), c in zip(pieces, cols)]
         )
-        if self.chord_sq is None:
-            trigger[np.arange(self.mesh.size), self._owner] = False
-        nseg = np.minimum(3 + self._nseg_res + exp_seg, _MAX_SEG)
-        return trigger, nseg
+        sizes = np.array([rho.size for rho, _, _ in pieces])
+        row_len = np.repeat(sizes, q)
+        indptr = np.concatenate([[0], np.cumsum(row_len)])
+        first_col = np.repeat(np.cumsum(sizes) - sizes, q)
+        indices = np.arange(data.size) - np.repeat(indptr[:-1] - first_col, row_len)
+        self._S = sparse.csr_matrix(
+            (data, indices, indptr), shape=(row_len.size, self._rho.size)
+        )
+        self._flat_idx = (targets[:, None] * M + cols).ravel()
+        self._base = base.ravel()
 
-    # -- piece geometry (cached across profiles) ------------------------------
+    def _rho_of(self, x, t):
+        """Kernel distance between points x and t on the two arms."""
+        return np.sqrt((x - t) ** 2 + x * t * self._c)
 
-    def _near_piece(self, m: int, p: int, nseg: int):
-        key = (m, p, nseg)
-        piece = self._piece_cache.get(key)
-        if piece is None:
-            q = self.mesh.order
-            lo, hi = self.mesh.edges[p], self.mesh.edges[p + 1]
-            x = self.mesh.nodes[m]
-            t_hat = self._t_hat[m, p]
-            if lo < t_hat < hi:
-                tl, wl = _geom_stack(lo, t_hat, False, nseg)
-                tr, wr = _geom_stack(t_hat, hi, True, nseg)
-                t = np.concatenate([tl, tr])
-                w = np.concatenate([wl, wr])
-            else:
-                t, w = _geom_stack(lo, hi, t_hat <= lo, nseg)
-            rho = self._rho_of(x, t)
-            keep = rho > 0.0
-            rho, t, w = rho[keep], t[keep], w[keep]
-            B = _lagrange_matrix(self._pn[p], self._bw[p], t)
-            piece = (rho, w[:, None] * B)
-            self._piece_cache[key] = piece
-        return piece
-
-    def _self_piece(self, m: int, nseg_l: int, nseg_r: int):
-        key = (m, -1, nseg_l, nseg_r)
-        piece = self._piece_cache.get(key)
-        if piece is None:
-            q = self.mesh.order
-            p = m // q
-            lo, hi = self.mesh.edges[p], self.mesh.edges[p + 1]
-            x = self.mesh.nodes[m]
-            tl, wl = _geom_stack(lo, x, False, nseg_l)
-            tr, wr = _geom_stack(x, hi, True, nseg_r)
+    def _piece(self, m: int, p: int, t_split: float, nseg: int):
+        """Subrule on panel p for target node m, refined toward t_split from
+        both sides (or toward the nearer panel end if t_split is outside):
+        kernel distances, subrule weights, and the weights times the panel's
+        Lagrange basis."""
+        lo, hi = self.mesh.edges[p], self.mesh.edges[p + 1]
+        if lo < t_split < hi:
+            tl, wl = _geom_stack(lo, t_split, False, nseg)
+            tr, wr = _geom_stack(t_split, hi, True, nseg)
             t = np.concatenate([tl, tr])
             w = np.concatenate([wl, wr])
-            rho = np.abs(x - t)
-            keep = rho > 0.0
-            rho, t, w = rho[keep], t[keep], w[keep]
-            B = _lagrange_matrix(self._pn[p], self._bw[p], t)
-            recip = float(np.sum(w / rho))
-            log_term = math.log(4.0 * (x - lo) * (hi - x))
-            piece = (rho, w[:, None] * B, log_term - recip)
-            self._piece_cache[key] = piece
-        return piece
-
-    # -- batched corrections ---------------------------------------------------
-
-    def _batch(self, kappa: float) -> _Batch:
-        # depth decisions use kappa rounded up to a power of two, so the
-        # batched rules stay stable across the root-finder's kappa sweep
-        # (and scale exactly under the L -> 2L covariance map)
-        kq = 2.0 ** math.ceil(math.log2(kappa)) if kappa > 0 else 0.0
-        trigger, nseg = self._profile(kq)
-        M = self.mesh.size
-        q = self.mesh.order
-        if self.chord_sq is None:
-            x = self.mesh.nodes
-            p_own = self._owner
-            left = x - self.mesh.edges[p_own]
-            right = self.mesh.edges[p_own + 1] - x
-            nl = 3 + np.where(kq * left > 1.0,
-                              np.ceil(np.log2(np.maximum(kq * left, 1.0))), 0.0
-                              ).astype(np.int64)
-            nr = 3 + np.where(kq * right > 1.0,
-                              np.ceil(np.log2(np.maximum(kq * right, 1.0))), 0.0
-                              ).astype(np.int64)
-            key = trigger.tobytes() + nseg.tobytes() + nl.tobytes() + nr.tobytes()
         else:
-            key = trigger.tobytes() + nseg.tobytes()
-        batch = self._batches.get(key)
-        if batch is not None:
-            self._batches.move_to_end(key)
-            return batch
-
-        rhos = []
-        rows = []
-        cols = []
-        vals = []
-        flat_idx = []
-        base = []
-        offset = 0
-        n_entries = 0
-        w = self.mesh.weights
-
-        def add_piece(m, p, rho, W, extra):
-            nonlocal offset, n_entries
-            nq = rho.size
-            rhos.append(rho)
-            c0 = p * q
-            for jloc in range(q):
-                flat_idx.append(m * M + c0 + jloc)
-                base.append(extra / w[m] if (extra and c0 + jloc == m) else 0.0)
-            # S rows: entry index; cols: quad point index; value: W / w_col
-            Wn = W / w[c0 : c0 + q][None, :]
-            rows.append(
-                np.repeat(np.arange(n_entries, n_entries + q), nq)
-            )
-            cols.append(np.tile(np.arange(offset, offset + nq), q))
-            vals.append(Wn.T.ravel())
-            offset += nq
-            n_entries += q
-
-        for m in range(M):
-            if self.chord_sq is None:
-                rho, W, extra = self._self_piece(m, int(nl[m]), int(nr[m]))
-                add_piece(m, int(p_own[m]), rho, W, extra)
-            tp = np.nonzero(trigger[m])[0]
-            for p in tp:
-                rho, W = self._near_piece(m, int(p), int(nseg[m, p]))
-                add_piece(m, int(p), rho, W, 0.0)
-
-        if n_entries == 0:
-            batch = _Batch(
-                rho=np.empty(0),
-                S=sparse.csr_matrix((0, 0)),
-                flat_idx=np.empty(0, dtype=np.int64),
-                base=np.empty(0),
-            )
-        else:
-            S = sparse.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n_entries, offset),
-            )
-            batch = _Batch(
-                rho=np.concatenate(rhos),
-                S=S,
-                flat_idx=np.array(flat_idx, dtype=np.int64),
-                base=np.array(base),
-            )
-        self._batches[key] = batch
-        if len(self._batches) > _PROFILE_CACHE:
-            self._batches.popitem(last=False)
-        return batch
+            t, w = _geom_stack(lo, hi, t_split <= lo, nseg)
+        rho = self._rho_of(self.mesh.nodes[m], t)
+        keep = rho > 0.0
+        rho, t, w = rho[keep], t[keep], w[keep]
+        B = _lagrange_matrix(self._pn[p], self._bw[p], t)
+        return rho, w, w[:, None] * B
 
     # -- assembly ---------------------------------------------------------------
 
     def kernel_matrix(self, kappa: float) -> np.ndarray:
         """Corrected kernel sample matrix (without weight folding or 1/4pi)."""
         K = np.exp(-kappa * self._dist) / self._dist
-        if self.chord_sq is None:
-            np.fill_diagonal(K, 0.0)
-        batch = self._batch(kappa)
-        if batch.flat_idx.size:
-            vals = batch.S @ (np.exp(-kappa * batch.rho) / batch.rho)
-            K.flat[batch.flat_idx] = vals + batch.base
+        K.flat[self._flat_idx] = (
+            self._S @ (np.exp(-kappa * self._rho) / self._rho) + self._base
+        )
         return K
 
     def weighted_block(self, kappa: float) -> np.ndarray:

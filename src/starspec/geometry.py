@@ -64,11 +64,11 @@ class StarConfig:
         return np.arccos(np.clip(g[iu], -1.0, 1.0))
 
 
-def make_star(directions, L: float, alpha: float) -> StarConfig:
-    """Validate and build a star configuration.
+def unit_directions(directions) -> np.ndarray:
+    """Validate a nonempty list of 3-vectors as unit directions.
 
     Directions within 1e-9 of unit norm are renormalized; anything farther
-    is rejected.  Coincident arms (closer than 1e-9) are rejected.
+    is rejected.
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if dirs.ndim != 2 or dirs.shape[1] != 3 or dirs.shape[0] < 1:
@@ -80,7 +80,16 @@ def make_star(directions, L: float, alpha: float) -> StarConfig:
         raise NonUnitDirection(
             f"direction {i} has norm {norms[i]:.12g} (allowed deviation {UNIT_NORM_TOL})"
         )
-    dirs = dirs / norms[:, None]
+    return dirs / norms[:, None]
+
+
+def make_star(directions, L: float, alpha: float) -> StarConfig:
+    """Validate and build a star configuration.
+
+    Directions are checked by ``unit_directions``.  Coincident arms (closer
+    than 1e-9) are rejected.
+    """
+    dirs = unit_directions(directions)
     n = dirs.shape[0]
     for i in range(n):
         for j in range(i + 1, n):

@@ -31,6 +31,9 @@ SENTINEL = float("-inf")
 MIN_PAIR_ANGLE = 1e-3
 CONGRUENCE_TOL = 5e-3
 SHARP_SIZES = (2, 3, 4, 6, 12)
+#: root tolerance inside the multi-start sweep; the final polish and the
+#: public objective use ``OptSettings.kappa_tol``
+SEARCH_KAPPA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -42,9 +45,6 @@ class OptSettings:
     kappa_floor: float = DEFAULT_KAPPA_FLOOR
     kappa_tol: float = DEFAULT_KAPPA_TOL
     maxfev_per_start: int | None = None
-    #: root tolerance inside the multi-start sweep; the final polish and the
-    #: public objective use kappa_tol
-    search_kappa_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
         rng = np.random.default_rng([settings.seed, start])
         x0 = _draw_start(rng, N)
         warm = _WarmObjective(
-            N, L, alpha, mesh, settings.kappa_floor, settings.search_kappa_tol
+            N, L, alpha, mesh, settings.kappa_floor, SEARCH_KAPPA_TOL
         )
         with np.errstate(invalid="ignore"):  # inf sentinels inside the simplex
             res = minimize(

@@ -224,7 +224,6 @@ def principal_eigenvalue(
     alpha: float | None = None,
     kappa_floor: float = DEFAULT_KAPPA_FLOOR,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
-    _hint: float | None = None,
 ) -> SpectralResult:
     """Ground-state energy with eigenvector diagnostics.
 
@@ -236,7 +235,7 @@ def principal_eigenvalue(
     if alpha is None:
         alpha = config.coupling
     solver = _CurveSolver(StarAssembler(config, mesh).matrix)
-    return _ground(solver, config, mesh, alpha, kappa_floor, kappa_tol, _hint)
+    return _ground(solver, config, mesh, alpha, kappa_floor, kappa_tol)
 
 
 def _ground(solver, config, mesh, alpha, kappa_floor, kappa_tol, hint=None):
@@ -303,8 +302,9 @@ def refine_until(
     hint = None
     converged = False
     for mesh in mesh_ladder:
-        res = principal_eigenvalue(
-            config, mesh, alpha, _hint=hint
+        solver = _CurveSolver(StarAssembler(config, mesh).matrix)
+        res = _ground(
+            solver, config, mesh, alpha, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL, hint
         )
         hint = res.levels[0].kappa
         energies.append(res.ground_energy)

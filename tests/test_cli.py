@@ -3,9 +3,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starspec import discretization
-from starspec.cli import main, parse_job, render_json, run
+from starspec.cli import COMMANDS, main, parse_job, render_json, run
 from starspec.errors import ParseError
 
 
@@ -193,8 +194,8 @@ class TestOneSolverPerStar:
         doc = json.loads(out.read_text())
         # 17-digit output of the solver that built one assembler per call
         assert doc["results"]["levels"] == [
-            {"j": 1, "kappa": 4.087130620703606, "energy": -16.704636710693045},
-            {"j": 2, "kappa": 1.006534953240386, "energy": -1.0131126120946261},
+            {"j": 1, "kappa": 4.087130620703613, "energy": -16.7046367106931},
+            {"j": 2, "kappa": 1.0065349532403873, "energy": -1.0131126120946288},
         ]
         assert doc["diagnostics"]["bound_states_at_floor"] == 6
 
@@ -237,6 +238,16 @@ BAD_INPUTS = {
         MINIMAL_SPECTRUM, star={"directions": [[0, 0, 1], [float("nan"), 0, 0]]}),
     "output.path integer": dict(MINIMAL_SPECTRUM, output={"path": 7}),
     "output.format integer": dict(MINIMAL_SPECTRUM, output={"format": 7}),
+    "bounds.phi 0": dict(MINIMAL_SPECTRUM, command="bounds", bounds={"phi": 0.0}),
+    "bounds.phi above pi": dict(MINIMAL_SPECTRUM, command="bounds", bounds={"phi": 3.2}),
+}
+
+#: job documents that parse but must be rejected with exit status 2 when run
+INVALID_JOBS = {
+    "mesh.grading 1e300": dict(MINIMAL_SPECTRUM, mesh={"grading": 1e300}),
+    "arm_length 1e308": dict(MINIMAL_SPECTRUM, arm_length=1e308),
+    "design-check non-unit directions": {
+        "command": "design-check", "star": {"directions": [[0, 0, 0], [0, 0, 2]]}},
 }
 
 
@@ -247,6 +258,14 @@ class TestMain:
         bad.write_text(json.dumps(BAD_INPUTS[case]))
         assert main(["--job", str(bad), "--out", str(tmp_path / "out.json")]) == 2
         assert "parse error" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(INVALID_JOBS))
+    def test_invalid_job_exit_2(self, case, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(INVALID_JOBS[case]))
+        assert main(["--job", str(bad), "--out", str(tmp_path / "out.json")]) == 2
+        assert "validation error" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
     def test_output_path_null_means_not_given(self):
@@ -275,3 +294,58 @@ class TestMain:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["results"]["is_design"] is True
+
+
+#: JSON values of every kind, NaN and the infinities included (json.loads
+#: accepts them)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+NUMBERS = st.integers() | st.floats()
+
+
+def _group(*keys):
+    return st.dictionaries(st.sampled_from(keys), NUMBERS | JSON_VALUES, max_size=3)
+
+
+#: job documents near the valid ones: known keys, plausible and arbitrary values
+JOB_DOCUMENTS = st.fixed_dictionaries({}, optional={
+    "command": st.sampled_from(COMMANDS) | JSON_VALUES,
+    "star": st.fixed_dictionaries({}, optional={
+        "sharp": st.sampled_from([2, 3, 4, 6, 12]) | JSON_VALUES,
+        "directions": st.lists(st.lists(NUMBERS, min_size=3, max_size=3), max_size=3)
+        | JSON_VALUES,
+    }) | JSON_VALUES,
+    "alpha": NUMBERS | JSON_VALUES,
+    "arm_length": NUMBERS | JSON_VALUES,
+    "mesh": _group("panels", "order", "grading", "extra"),
+    "solver": _group("kappa_floor", "kappa_tol", "levels"),
+    "optimize": _group("starts", "seed", "simplex_tol"),
+    "sweep": _group("phi_min", "phi_max", "count"),
+    "verify": _group("scale", "trials"),
+    "bounds": _group("constant", "phi", "k"),
+    "design": _group("order"),
+    "output": _group("format", "path"),
+    "extra": JSON_VALUES,
+})
+
+
+class TestParseJobFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(JOB_DOCUMENTS)
+    def test_documents_raise_only_parse_error(self, doc):
+        try:
+            parse_job(json.dumps(doc))
+        except ParseError:
+            pass
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.text(max_size=40) | JSON_VALUES.map(json.dumps))
+    def test_any_text_raises_only_parse_error(self, text):
+        try:
+            parse_job(text)
+        except ParseError:
+            pass

@@ -1,0 +1,93 @@
+"""Exact invariants of the discretized Birman-Schwinger operator.
+
+The top eigenvalue lambda(kappa) of one star on one mesh must be unchanged
+by a rotation of the whole star and by a relabelling of its arms, and it
+must be covariant under length scaling:
+
+    lambda(zeta L, kappa / zeta) = lambda(L, kappa) + ln(zeta) / (2 pi).
+
+Scaling multiplies every distance by zeta and divides kappa by zeta, so the
+kernel samples e^{-kappa rho} / rho and the quadrature weights scale as
+1/zeta and zeta and the plain entries are unchanged; only the self-panel
+regularizer f(x) ln(4 (x-a)(b-x)) / (4 pi) gains ln(zeta^2) / (4 pi).  The
+correction layout depends on the ratios of distances to panel widths only,
+so it holds for every zeta, not only powers of two.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from starspec.discretization import build_mesh
+from starspec.geometry import make_star
+from starspec.spectral import lambda_curve
+
+TOL = 1e-12
+
+
+@st.composite
+def stars(draw):
+    """N unit directions, N in {2, 3, 4, 12}, every pair at least 0.1 rad apart."""
+    n = draw(st.sampled_from([2, 3, 4, 12]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    while True:
+        d = rng.standard_normal((n, 3))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        g = (d @ d.T)[np.triu_indices(n, k=1)]
+        if np.arccos(np.clip(g, -1.0, 1.0)).min() > 0.1:
+            return d
+
+
+def mesh_params():
+    return st.tuples(st.integers(2, 4), st.integers(3, 6), st.sampled_from([1.0, 2.0, 3.0]))
+
+
+def top(directions, L, kappa, params):
+    return lambda_curve(make_star(directions, L, 0.0), build_mesh(L, *params), kappa)[0]
+
+
+def close(a, b):
+    return abs(a - b) <= TOL * max(1.0, abs(a))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    stars(),
+    st.floats(0.5, 5.0),
+    st.floats(0.1, 10.0),
+    st.floats(0.25, 4.0),
+    mesh_params(),
+)
+# order 3 puts a node at each panel midpoint, where the layout ratios of a
+# grading-2 mesh hit their thresholds exactly
+@example(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), 1.0, 1.0, 3.0, (3, 3, 2.0))
+def test_scaling_covariance(directions, L, kappa, zeta, params):
+    base = top(directions, L, kappa, params)
+    scaled = top(directions, zeta * L, kappa / zeta, params)
+    assert close(scaled, base + math.log(zeta) / (2.0 * math.pi))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(stars(), st.floats(0.5, 5.0), st.floats(0.1, 10.0), mesh_params(), st.data())
+def test_rotation_invariance(directions, L, kappa, params, data):
+    q = np.array(data.draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+        .filter(lambda v: np.linalg.norm(v) > 0.1)
+    ))
+    w, x, y, z = q / np.linalg.norm(q)
+    R = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+    assert close(top(directions @ R.T, L, kappa, params), top(directions, L, kappa, params))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(stars(), st.floats(0.5, 5.0), st.floats(0.1, 10.0), mesh_params(), st.randoms())
+def test_arm_permutation_invariance(directions, L, kappa, params, rnd):
+    order = list(range(directions.shape[0]))
+    rnd.shuffle(order)
+    assert close(top(directions[order], L, kappa, params), top(directions, L, kappa, params))
