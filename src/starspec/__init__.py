@@ -25,11 +25,9 @@ from .kernels import (
     point_eigenvalue,
 )
 from .discretization import (
-    BsMatrix,
+    BlockAssembler,
     Mesh,
-    assemble_bs_matrix,
-    assemble_diag_block,
-    assemble_offdiag_block,
+    StarAssembler,
     build_mesh,
 )
 from .spectral import (
@@ -62,7 +60,7 @@ from .optimizer import (
 
 __all__ = [
     "PSI_ONE",
-    "BsMatrix",
+    "BlockAssembler",
     "Mesh",
     "OptResult",
     "OptSettings",
@@ -70,11 +68,9 @@ __all__ = [
     "SharpFamily",
     "SmallAngleBound",
     "SpectralResult",
+    "StarAssembler",
     "StarConfig",
     "arm_distance",
-    "assemble_bs_matrix",
-    "assemble_diag_block",
-    "assemble_offdiag_block",
     "build_mesh",
     "chord_sq",
     "check_small_angle_scaling",

@@ -9,12 +9,12 @@ of the computed ground state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, exp, log, pi, sqrt
+from math import cos, exp, inf, isfinite, log, pi, sqrt
 
 import numpy as np
 
 from .discretization import Mesh, build_mesh
-from .errors import DegenerateAngle
+from .errors import DegenerateAngle, DomainError
 from .geometry import StarConfig, make_star
 from .kernels import PSI_ONE
 from .spectral import refine_until
@@ -42,7 +42,13 @@ def segment_existence_length(alpha: float) -> float:
     2 pi e^{2 pi alpha - psi(1)}; a straight segment longer than this has at
     least one bound state.
     """
-    return 2.0 * pi * exp(2.0 * pi * alpha - PSI_ONE)
+    try:
+        length = 2.0 * pi * exp(2.0 * pi * alpha - PSI_ONE)
+    except OverflowError:
+        length = inf
+    if not isfinite(length):
+        raise DomainError(f"the segment existence length overflows at alpha = {alpha}")
+    return length
 
 
 def nonexistence_threshold(
@@ -97,12 +103,17 @@ def small_angle_bounds(
             + (pi k / L)^2,
     E_k^- = -4 e^{2(-2 pi C - 2 pi alpha + psi(1))} (1-cos phi)^{-1}
             + (pi k / L)^2,
-    with o(phi) terms dropped.
+    with o(phi) terms dropped.  Raises DomainError if either overflows.
     """
     gap = 1.0 - cos(phi)
     shift = (pi * k / L) ** 2
-    upper = -(2.0 * sqrt(2.0) * exp(-2.0 * pi * alpha + 2.0 * PSI_ONE) / L) / sqrt(gap) + shift
-    lower = -4.0 * exp(2.0 * (-2.0 * pi * C - 2.0 * pi * alpha + PSI_ONE)) / gap + shift
+    try:
+        upper = -(2.0 * sqrt(2.0) * exp(-2.0 * pi * alpha + 2.0 * PSI_ONE) / L) / sqrt(gap) + shift
+        lower = -4.0 * exp(2.0 * (-2.0 * pi * C - 2.0 * pi * alpha + PSI_ONE)) / gap + shift
+    except OverflowError:
+        upper = lower = -inf
+    if not (isfinite(upper) and isfinite(lower)):
+        raise DomainError(f"the small-angle bounds overflow at alpha = {alpha}")
     return SmallAngleBound(lower=lower, upper=upper, k=k, phi=phi, C=C)
 
 

@@ -29,6 +29,16 @@ from .spectral import bound_states
 
 COMMANDS = ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds", "design-check")
 
+#: job size bounds, checked before anything is allocated.  A star of N arms
+#: has a dense N * panels * order square matrix; 16,384 rows take 2 GiB.  At
+#: 128 panels of order 16 one block's correction batch holds 4e7 to 7e7
+#: entries (0.5 to 0.8 GiB); it grows about as the square of the order.
+MAX_ROWS = 16_384
+MAX_PANELS = 128
+MAX_ORDER = 16
+MAX_DESIGN_ORDER = 64
+MAX_SWEEP_COUNT = 10_000
+
 _DEFAULTS = {
     "panels": 8,
     "order": 12,
@@ -190,8 +200,10 @@ def parse_job(document: str) -> JobSpec:
         "order": (int, _DEFAULTS["order"]),
         "grading": (float, _DEFAULTS["grading"]),
     })
-    if mesh["panels"] < 2 or mesh["order"] < 2 or mesh["grading"] < 1:
-        raise ParseError(f"invalid mesh parameters: {mesh}")
+    if not (2 <= mesh["panels"] <= MAX_PANELS and 2 <= mesh["order"] <= MAX_ORDER
+            and mesh["grading"] >= 1):
+        raise ParseError(f"invalid mesh parameters: {mesh} (panels and order from 2 "
+                         f"to {MAX_PANELS} and {MAX_ORDER}, grading >= 1)")
     solver = _group(doc, "solver", {
         "kappa_floor": (float, _DEFAULTS["kappa_floor"]),
         "kappa_tol": (float, _DEFAULTS["kappa_tol"]),
@@ -218,8 +230,9 @@ def parse_job(document: str) -> JobSpec:
         })
         if any(sweep[k] is None for k in ("phi_min", "phi_max", "count")):
             raise ParseError("'sweep' needs phi_min, phi_max and count")
-        if not (0 < sweep["phi_min"] <= sweep["phi_max"] <= math.pi) or sweep["count"] < 1:
-            raise ParseError(f"invalid sweep grid: {sweep}")
+        if not (0 < sweep["phi_min"] <= sweep["phi_max"] <= math.pi
+                and 1 <= sweep["count"] <= MAX_SWEEP_COUNT):
+            raise ParseError(f"invalid sweep grid: {sweep} (at most {MAX_SWEEP_COUNT} angles)")
     elif "sweep" in doc:
         raise ParseError(f"'sweep' is only valid for sweep-angle, not {command}")
 
@@ -248,8 +261,8 @@ def parse_job(document: str) -> JobSpec:
 
     if command == "design-check":
         design = _group(doc, "design", {"order": (int, 3)})
-        if design["order"] < 1:
-            raise ParseError("'design.order' must be >= 1")
+        if not 1 <= design["order"] <= MAX_DESIGN_ORDER:
+            raise ParseError(f"'design.order' must lie in [1, {MAX_DESIGN_ORDER}]")
     elif "design" in doc:
         raise ParseError(f"'design' is only valid for design-check, not {command}")
 
@@ -268,6 +281,10 @@ def parse_job(document: str) -> JobSpec:
     needs_physics = command in ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds")
     if needs_physics and (alpha is None or arm_length is None):
         raise ParseError(f"{command} requires 'alpha' and 'arm_length'")
+    if command in ("spectrum", "sweep-angle", "optimize", "verify-sharp"):
+        rows = (2 if sweep else star_sharp or len(star_dirs)) * mesh["panels"] * mesh["order"]
+        if rows > MAX_ROWS:
+            raise ParseError(f"the job's matrix has {rows} rows; at most {MAX_ROWS}")
 
     return JobSpec(
         command=command,

@@ -26,8 +26,11 @@ Which panels are corrected, and how deeply their subrules are refined,
 depends on the geometry only (closest approach against panel width), never
 on kappa.  So each block builds its correction rules once, as one batch:
 one vector of kernel distances and one sparse matrix mapping kernel samples
-to corrected entries.  At each kappa the block costs one exp over the dense
-distances and one over the batch's distances.
+to corrected entries.  Every piece of the batch (one target node against
+one panel, near or self) has the same shape, two geometric half-stacks
+meeting at a split point, so one array pass per subrule depth builds all
+pieces of that depth, in chunks of bounded size.  At each kappa the block
+costs one exp over the dense distances and one over the batch's distances.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ _TIE_TOL = 1e-14
 
 _SUB_ORDER = 16
 _MAX_SEG = 60
+#: the builder's transient arrays hold at most about this many values
+_CHUNK = 2**18
 
 
 @lru_cache(maxsize=64)
@@ -166,46 +171,24 @@ def build_mesh(L: float, panels: int, order: int, grading: float) -> Mesh:
     )
 
 
-def _bary_weights(nodes: np.ndarray) -> np.ndarray:
-    d = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(d, 1.0)
-    return 1.0 / d.prod(axis=1)
+def _bary_weights(panel_nodes: np.ndarray) -> np.ndarray:
+    """Barycentric weights of the nodes of every panel (rows: panels)."""
+    q = panel_nodes.shape[1]
+    d = panel_nodes[:, :, None] - panel_nodes[:, None, :]
+    d[:, range(q), range(q)] = 1.0
+    return 1.0 / d.prod(axis=2)
 
 
-def _lagrange_matrix(panel_nodes: np.ndarray, bw: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Values of the panel's Lagrange basis at points t (rows: t, cols: basis)."""
-    diff = t[:, None] - panel_nodes[None, :]
-    hit = diff == 0.0
-    diff = np.where(hit, 1.0, diff)
-    terms = bw[None, :] / diff
-    P = terms / terms.sum(axis=1)[:, None]
-    rows = hit.any(axis=1)
-    if rows.any():
-        P[rows] = hit[rows].astype(float)
-    return P
-
-
-@lru_cache(maxsize=2 * _MAX_SEG)
-def _stack_fractions(n_seg: int, toward_lo: bool) -> np.ndarray:
+@lru_cache(maxsize=_MAX_SEG)
+def _stack_fractions(n_seg: int) -> np.ndarray:
+    """Segment edges of a geometric stack, as fractions of its width; the
+    widths halve toward the upper end in row 0, toward the lower in row 1."""
     r = 2.0 ** -np.arange(n_seg)
     r /= r.sum()
-    widths = r[::-1] if toward_lo else r
-    frac = np.concatenate([[0.0], np.cumsum(widths)])
-    frac[-1] = 1.0
+    frac = np.zeros((2, n_seg + 1))
+    frac[:, 1:] = np.cumsum([r, r[::-1]], axis=1)
+    frac[:, -1] = 1.0
     return frac
-
-
-def _geom_stack(lo: float, hi: float, toward_lo: bool, n_seg: int):
-    """Composite GL rule on [lo, hi], segment widths halving toward one end."""
-    frac = _stack_fractions(n_seg, toward_lo)
-    edges = lo * (1.0 - frac) + hi * frac
-    keep = np.diff(edges) > 0.0
-    x, w = _leggauss(_SUB_ORDER)
-    h = 0.5 * np.diff(edges)[keep]
-    mid = edges[:-1][keep] + h
-    ts = (mid[:, None] + h[:, None] * x[None, :]).ravel()
-    ws = (h[:, None] * w[None, :]).ravel()
-    return ts, ws
 
 
 class BlockAssembler:
@@ -219,13 +202,13 @@ class BlockAssembler:
     """
 
     def __init__(self, mesh: Mesh, chord_sq: float | None = None):
+        if chord_sq is not None and not chord_sq > 0.0:
+            raise BadParameters(f"squared chord must be positive, got {chord_sq}")
         self.mesh = mesh
         self.chord_sq = chord_sq
         self._c = 0.0 if chord_sq is None else chord_sq
         q, P, M = mesh.order, mesh.panels, mesh.size
         s, w, edges = mesh.nodes, mesh.weights, mesh.edges
-        self._pn = s.reshape(P, q)
-        self._bw = [_bary_weights(nodes) for nodes in self._pn]
         D = self._rho_of(s[:, None], s[None, :])
         if chord_sq is None:
             np.fill_diagonal(D, 1.0)  # self-panel entries come from the batch
@@ -239,44 +222,31 @@ class BlockAssembler:
         widths = np.diff(edges)
         owner = np.repeat(np.arange(P), q)
         near = rho_min < NEAR_RATIO * widths * (1.0 - _TIE_TOL)
-        if chord_sq is None:
-            near[np.arange(M), owner] = False
         targets, panels = np.nonzero(near)
         # subrule depth: 3 segments, plus one per halving from the panel
-        # width down to the closest approach
+        # width down to the closest approach; the self pieces of the
+        # diagonal block (closest approach 0) take 3 on either side
         with np.errstate(divide="ignore"):
             ratio = widths[panels] / rho_min[targets, panels]
         depth = np.minimum(3 + np.ceil(np.log2(ratio) - _TIE_TOL), _MAX_SEG).astype(int)
-        pieces = [
-            self._piece(m, p, t_hat[m, p], d)
-            for m, p, d in zip(targets.tolist(), panels.tolist(), depth.tolist())
-        ]
-        base = np.zeros((len(pieces), q))
-        if chord_sq is None:
-            # self panel: sum_j W_j f(t_j)/|x-t_j| integrates the kernel;
-            # f(x) (ln(4 (x-a)(b-x)) - sum_j W_j/|x-t_j|) is the regularizer
-            targets = np.concatenate([targets, np.arange(M)])
-            panels = np.concatenate([panels, owner])
-            regular = np.zeros((M, q))
-            for m in range(M):
-                rho, w_sub, W = self._piece(m, owner[m], s[m], 3)
-                lo, hi = edges[owner[m]], edges[owner[m] + 1]
-                log_term = math.log(4.0 * (s[m] - lo) * (hi - s[m]))
-                regular[m, m % q] = (log_term - float(np.sum(w_sub / rho))) / w[m]
-                pieces.append((rho, w_sub, W))
-            base = np.concatenate([base, regular])
+        is_self = (panels == owner[targets]) & (chord_sq is None)
+        depth[is_self] = 3
+        order, self._rho, data, sizes, w_over_rho = self._subrules(
+            targets, panels, t_hat[targets, panels], depth
+        )
+        targets, panels, is_self = targets[order], panels[order], is_self[order]
+        # self panel: sum_j W_j f(t_j)/|x-t_j| integrates the kernel;
+        # f(x) (ln(4 (x-a)(b-x)) - sum_j W_j/|x-t_j|) is the regularizer
+        base = np.zeros((order.size, q))
+        m, p = targets[is_self], panels[is_self]
+        log_term = np.log(4.0 * (s[m] - edges[p]) * (edges[p + 1] - s[m]))
+        base[is_self, m % q] = (log_term - w_over_rho[is_self]) / w[m]
 
         # one sparse batch: S maps the kernel samples at the subrule
         # distances rho to the corrected entries flat_idx, base adds the
         # regularizer.  S is block diagonal, one q x (subrule size) block
-        # per piece, written straight in CSR form: the row of entry j of
-        # piece k holds W[:, j] / w_j on that piece's subrule columns.
+        # per piece, written straight in CSR form.
         cols = panels[:, None] * q + np.arange(q)
-        self._rho = np.concatenate([rho for rho, _, _ in pieces])
-        data = np.concatenate(
-            [(W / w[c][None, :]).T.ravel() for (_, _, W), c in zip(pieces, cols)]
-        )
-        sizes = np.array([rho.size for rho, _, _ in pieces])
         row_len = np.repeat(sizes, q)
         indptr = np.concatenate([[0], np.cumsum(row_len)])
         first_col = np.repeat(np.cumsum(sizes) - sizes, q)
@@ -291,24 +261,67 @@ class BlockAssembler:
         """Kernel distance between points x and t on the two arms."""
         return np.sqrt((x - t) ** 2 + x * t * self._c)
 
-    def _piece(self, m: int, p: int, t_split: float, nseg: int):
-        """Subrule on panel p for target node m, refined toward t_split from
-        both sides (or toward the nearer panel end if t_split is outside):
-        kernel distances, subrule weights, and the weights times the panel's
-        Lagrange basis."""
-        lo, hi = self.mesh.edges[p], self.mesh.edges[p + 1]
-        if lo < t_split < hi:
-            tl, wl = _geom_stack(lo, t_split, False, nseg)
-            tr, wr = _geom_stack(t_split, hi, True, nseg)
-            t = np.concatenate([tl, tr])
-            w = np.concatenate([wl, wr])
-        else:
-            t, w = _geom_stack(lo, hi, t_split <= lo, nseg)
-        rho = self._rho_of(self.mesh.nodes[m], t)
-        keep = rho > 0.0
-        rho, t, w = rho[keep], t[keep], w[keep]
-        B = _lagrange_matrix(self._pn[p], self._bw[p], t)
-        return rho, w, w[:, None] * B
+    def _subrules(self, targets, panels, split, depth):
+        """Subrules of all pieces, one array pass per (depth, halves) group.
+
+        Piece k integrates the Lagrange basis of panel panels[k] for target
+        node targets[k], with two geometric half-stacks of depth[k] segments
+        on [lo, t] and [t, hi], halving toward t = split[k] (in the panel); a
+        half of zero width is left out.  Returns the piece order and, in that
+        order: the subrule points' kernel distances rho, the CSR data (per
+        piece and basis function j: subrule weights times basis j over node
+        weight j), the subrule sizes and each piece's sum of weight / rho.
+        """
+        mesh = self.mesh
+        q = mesh.order
+        panel_nodes = mesh.nodes.reshape(-1, q)
+        bw = _bary_weights(panel_nodes)
+        node_w = mesh.weights.reshape(-1, q)
+        x_gl, w_gl = _leggauss(_SUB_ORDER)
+        a = np.stack([mesh.edges[panels], split], axis=1)
+        b = np.stack([split, mesh.edges[panels + 1]], axis=1)
+        present = a < b
+        halves = present.sum(axis=1)
+        order, parts = [], []
+        for d, k in sorted(set(zip(depth.tolist(), halves.tolist()))):
+            frac = _stack_fractions(d)
+            group = np.nonzero((depth == d) & (halves == k))[0]
+            step = max(1, _CHUNK // (k * d * _SUB_ORDER * q))
+            for i in range(0, group.size, step):
+                idx = group[i : i + step]
+                n = idx.size
+                keep = present[idx]
+                lo = a[idx][keep].reshape(n, k, 1)
+                hi = b[idx][keep].reshape(n, k, 1)
+                f = frac[np.nonzero(keep)[1]].reshape(n, k, d + 1)
+                edges = lo * (1.0 - f) + hi * f
+                seg = np.diff(edges, axis=2)
+                h = 0.5 * seg
+                mid = edges[:, :, :-1] + h
+                t = (mid[..., None] + h[..., None] * x_gl).reshape(n, -1)
+                w_sub = (h[..., None] * w_gl).reshape(n, -1)
+                rho = self._rho_of(mesh.nodes[targets[idx], None], t)
+                live = np.repeat(seg.reshape(n, -1) > 0.0, _SUB_ORDER, axis=1) & (rho > 0.0)
+                # Lagrange basis of the piece's panel at its subrule points
+                p = panels[idx]
+                diff = t[:, :, None] - panel_nodes[p, None, :]
+                hit = diff == 0.0
+                diff[hit] = 1.0
+                terms = bw[p, None, :] / diff
+                basis = terms / terms.sum(axis=2, keepdims=True)
+                on_node = hit.any(axis=2)
+                if on_node.any():
+                    basis[on_node] = hit[on_node]
+                vals = (w_sub[:, :, None] * basis / node_w[p, None, :]).transpose(0, 2, 1)
+                parts.append((
+                    rho[live],
+                    vals[np.broadcast_to(live[:, None, :], vals.shape)],
+                    live.sum(axis=1),
+                    np.divide(w_sub, rho, out=np.zeros_like(rho), where=live).sum(axis=1),
+                ))
+                order.append(idx)
+        rho, data, sizes, w_over_rho = (np.concatenate(x) for x in zip(*parts))
+        return np.concatenate(order), rho, data, sizes, w_over_rho
 
     # -- assembly ---------------------------------------------------------------
 
@@ -326,49 +339,14 @@ class BlockAssembler:
         return 0.5 * (B + B.T)
 
 
-def assemble_diag_block(kappa: float, L: float, mesh: Mesh) -> np.ndarray:
-    """Regularized self-interaction block T^{ii} at the given kappa.
-
-    The mesh must cover [0, L].
-    """
-    if abs(mesh.length - L) > 1e-12 * max(1.0, L):
-        raise BadParameters(
-            f"mesh covers [0, {mesh.length}], expected arm length {L}"
-        )
-    return BlockAssembler(mesh, chord_sq=None).weighted_block(kappa)
-
-
-def assemble_offdiag_block(kappa: float, chord_sq: float, mesh: Mesh) -> np.ndarray:
-    """Arm-pair interaction block for arms with the given squared chord."""
-    if not chord_sq > 0.0:
-        raise BadParameters(f"squared chord must be positive, got {chord_sq}")
-    return BlockAssembler(mesh, chord_sq=chord_sq).weighted_block(kappa)
-
-
-@dataclass(frozen=True)
-class BsMatrix:
-    """Dense symmetric discretization of the Birman-Schwinger operator."""
-
-    matrix: np.ndarray
-    kappa: float
-    n_arms: int
-    mesh: Mesh
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        M = self.mesh.size
-        return self.matrix[i * M : (i + 1) * M, j * M : (j + 1) * M]
-
-
 def chord_groups(directions: np.ndarray):
-    """Distinct squared chords of a star's arm pairs, rounded to 12 decimals
-    (pairs with one key share a block), and the pairs as (I, J, group):
-    pair k joins arms I[k] < J[k] and has chord ``chords[group[k]]``."""
+    """Distinct squared chords of a star's arm pairs, rounded to 13
+    significant digits (pairs with one key share a block), and the pairs as
+    (I, J, group): pair k joins arms I[k] < J[k] and has chord
+    ``chords[group[k]]``.  Rounding to significant digits, not decimals,
+    keeps the chord of near-coincident arms positive."""
     I, J = np.triu_indices(directions.shape[0], k=1)
-    keys = [round(_chord_sq(directions[i], directions[j]), 12) for i, j in zip(I, J)]
+    keys = [float(f"{_chord_sq(directions[i], directions[j]):.12e}") for i, j in zip(I, J)]
     chords, group = np.unique(keys, return_inverse=True)
     return chords, (I, J, group)
 
@@ -411,8 +389,3 @@ class StarAssembler:
         pair_blocks = [asm.weighted_block(kappa) for asm in self._offdiag]
         return star_matrix(self.config.n_arms, T, pair_blocks, *self._pairs)
 
-
-def assemble_bs_matrix(config: StarConfig, kappa: float, mesh: Mesh) -> BsMatrix:
-    """Assemble the full symmetric N*M x N*M Birman-Schwinger matrix."""
-    A = StarAssembler(config, mesh).matrix(kappa)
-    return BsMatrix(matrix=A, kappa=float(kappa), n_arms=config.n_arms, mesh=mesh)

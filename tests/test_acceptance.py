@@ -170,7 +170,7 @@ def test_05_diagonal_block_bound():
             ) / (4.0 * math.pi)
             for panels in (8, 16):
                 mesh = ss.build_mesh(L, panels, 12, 2.0)
-                top = float(sla.eigvalsh(ss.assemble_diag_block(kappa, L, mesh))[-1])
+                top = float(sla.eigvalsh(ss.BlockAssembler(mesh).weighted_block(kappa))[-1])
                 if not lower <= top < upper:
                     violations.append((L, kappa, panels, lower, top, upper))
     elapsed = time.time() - t0

@@ -240,6 +240,18 @@ BAD_INPUTS = {
     "output.format integer": dict(MINIMAL_SPECTRUM, output={"format": 7}),
     "bounds.phi 0": dict(MINIMAL_SPECTRUM, command="bounds", bounds={"phi": 0.0}),
     "bounds.phi above pi": dict(MINIMAL_SPECTRUM, command="bounds", bounds={"phi": 3.2}),
+    "mesh.panels above the cap": dict(MINIMAL_SPECTRUM, mesh={"panels": 129}),
+    "mesh.order above the cap": dict(MINIMAL_SPECTRUM, mesh={"order": 17}),
+    "matrix rows above the cap": dict(
+        MINIMAL_SPECTRUM, star={"sharp": 12}, mesh={"panels": 128, "order": 11}),
+    "optimize directions above the row cap": dict(
+        MINIMAL_SPECTRUM, command="optimize",
+        star={"directions": [[0, 0, 1]] * 171}),
+    "design.order above the cap": {
+        "command": "design-check", "star": {"sharp": 4}, "design": {"order": 65}},
+    "sweep.count above the cap": {
+        "command": "sweep-angle", "alpha": 0.0, "arm_length": 1.0,
+        "sweep": {"phi_min": 0.5, "phi_max": 1.0, "count": 10_001}},
 }
 
 #: job documents that parse but must be rejected with exit status 2 when run
@@ -248,6 +260,13 @@ INVALID_JOBS = {
     "arm_length 1e308": dict(MINIMAL_SPECTRUM, arm_length=1e308),
     "design-check non-unit directions": {
         "command": "design-check", "star": {"directions": [[0, 0, 0], [0, 0, 2]]}},
+    "bounds with phi, small-angle lower bound overflows": dict(
+        MINIMAL_SPECTRUM, command="bounds", alpha=-58.0, bounds={"phi": 0.5}),
+    "bounds, segment existence length overflows": dict(
+        MINIMAL_SPECTRUM, command="bounds", alpha=113.0),
+    "sweep-angle, small-angle bound overflows": {
+        "command": "sweep-angle", "alpha": -200.0, "arm_length": 1.0,
+        "sweep": {"phi_min": 0.5, "phi_max": 0.5, "count": 1}},
 }
 
 

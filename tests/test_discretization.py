@@ -5,15 +5,9 @@ import pytest
 import scipy.linalg as sla
 from scipy.integrate import quad
 
-from starspec.discretization import (
-    BlockAssembler,
-    assemble_bs_matrix,
-    assemble_diag_block,
-    assemble_offdiag_block,
-    build_mesh,
-)
+from starspec.discretization import BlockAssembler, StarAssembler, build_mesh, chord_groups
 from starspec.errors import BadParameters
-from starspec.geometry import make_star, sharp_configuration
+from starspec.geometry import chord_sq, make_star, sharp_configuration
 
 FOUR_PI = 4.0 * math.pi
 
@@ -89,7 +83,7 @@ class TestDiagBlock:
         # quadrature to near machine precision
         L, kappa = 1.0, 1.3
         mesh = build_mesh(L, 16, 12, 2.0)
-        T = assemble_diag_block(kappa, L, mesh)
+        T = BlockAssembler(mesh).weighted_block(kappa)
         f = lambda s: s * (L - s) * np.exp(-s)
         got = quadratic_form(T, mesh, f)
         want = diag_form_oracle(kappa, L, lambda s: s * (L - s) * math.exp(-s))
@@ -97,14 +91,14 @@ class TestDiagBlock:
 
     def test_symmetric(self):
         mesh = build_mesh(2.0, 8, 10, 2.0)
-        T = assemble_diag_block(0.5, 2.0, mesh)
+        T = BlockAssembler(mesh).weighted_block(0.5)
         assert np.abs(T - T.T).max() == 0.0
 
     def test_top_eigenvalue_self_convergence(self):
         tops = []
         for panels in (8, 16, 32):
             mesh = build_mesh(1.0, panels, 12, 2.0)
-            T = assemble_diag_block(1.0, 1.0, mesh)
+            T = BlockAssembler(mesh).weighted_block(1.0)
             tops.append(sla.eigvalsh(T)[-1])
         assert abs(tops[1] - tops[0]) < 1e-5
         assert abs(tops[2] - tops[1]) < 1e-6
@@ -112,7 +106,7 @@ class TestDiagBlock:
     def test_mesh_mismatch(self):
         mesh = build_mesh(1.0, 8, 12, 2.0)
         with pytest.raises(BadParameters):
-            assemble_diag_block(1.0, 2.0, mesh)
+            StarAssembler(make_star([(0, 0, 1)], 2.0, 0.0), mesh)
 
 
 class TestOffdiagBlock:
@@ -121,7 +115,7 @@ class TestOffdiagBlock:
 
         L, kappa, c2 = 1.0, 0.8, 1.0
         mesh = build_mesh(L, 16, 12, 2.0)
-        B = assemble_offdiag_block(kappa, c2, mesh)
+        B = BlockAssembler(mesh, c2).weighted_block(kappa)
         f = lambda s: s * (L - s) * np.exp(-s)
         got = quadratic_form(B, mesh, f)
         want, _ = dblquad(
@@ -135,7 +129,7 @@ class TestOffdiagBlock:
     def test_antipodal_entries_match_kernel_away_from_vertex(self):
         mesh = build_mesh(1.0, 8, 12, 2.0)
         kappa = 1.0
-        B = assemble_offdiag_block(kappa, 4.0, mesh)
+        B = BlockAssembler(mesh, 4.0).weighted_block(kappa)
         s = mesh.nodes
         w = mesh.weights
         # far from the vertex no correction applies: plain weighted samples
@@ -150,51 +144,61 @@ class TestOffdiagBlock:
     def test_entries_positive(self):
         mesh = build_mesh(1.0, 8, 12, 2.0)
         for c2 in (4.0, 2.0, 8.0 / 3.0, 0.05):
-            B = assemble_offdiag_block(1.0, c2, mesh)
+            B = BlockAssembler(mesh, c2).weighted_block(1.0)
             assert B.min() > 0.0
 
     def test_entries_decrease_with_kappa(self):
         mesh = build_mesh(1.0, 6, 8, 2.0)
-        B1 = assemble_offdiag_block(1.0, 2.0, mesh)
-        B2 = assemble_offdiag_block(2.0, 2.0, mesh)
+        B1 = BlockAssembler(mesh, 2.0).weighted_block(1.0)
+        B2 = BlockAssembler(mesh, 2.0).weighted_block(2.0)
         assert np.all(B2 <= B1 + 1e-15)
 
     def test_chord_must_be_positive(self):
         mesh = build_mesh(1.0, 4, 4, 2.0)
-        with pytest.raises(BadParameters):
-            assemble_offdiag_block(1.0, 0.0, mesh)
+        for c2 in (0.0, -1.0, float("nan")):
+            with pytest.raises(BadParameters):
+                BlockAssembler(mesh, c2)
+
+
+def star_blocks(cfg, kappa, mesh):
+    """The full matrix and a view of it as (arm, node, arm, node)."""
+    A = StarAssembler(cfg, mesh).matrix(kappa)
+    M = mesh.size
+    return A, A.reshape(cfg.n_arms, M, cfg.n_arms, M)
 
 
 class TestBsMatrix:
+    """The full Birman-Schwinger matrix, from ``StarAssembler.matrix``."""
+
     def test_single_arm_equals_diag_block(self):
         mesh = build_mesh(1.0, 6, 8, 2.0)
         cfg = make_star([(0, 0, 1)], 1.0, 0.0)
-        bs = assemble_bs_matrix(cfg, 1.0, mesh)
-        T = assemble_diag_block(1.0, 1.0, mesh)
-        assert np.abs(bs.matrix - T).max() < 1e-15
+        A = StarAssembler(cfg, mesh).matrix(1.0)
+        T = BlockAssembler(mesh).weighted_block(1.0)
+        assert np.abs(A - T).max() < 1e-15
 
     def test_symmetry_and_block_transpose(self):
         mesh = build_mesh(1.0, 6, 8, 2.0)
         cfg = make_star(sharp_configuration(4), 1.0, 0.0)
-        bs = assemble_bs_matrix(cfg, 0.7, mesh)
-        assert np.abs(bs.matrix - bs.matrix.T).max() == 0.0
-        assert np.abs(bs.block(0, 1) - bs.block(1, 0).T).max() == 0.0
-        assert bs.dimension == 4 * mesh.size
+        A, blocks = star_blocks(cfg, 0.7, mesh)
+        assert np.abs(A - A.T).max() == 0.0
+        assert np.abs(blocks[0, :, 1] - blocks[1, :, 0].T).max() == 0.0
+        assert A.shape == (4 * mesh.size, 4 * mesh.size)
 
     def test_offdiag_blocks_positive(self):
         mesh = build_mesh(1.0, 6, 8, 2.0)
         cfg = make_star(sharp_configuration(6), 1.0, 0.0)
-        bs = assemble_bs_matrix(cfg, 1.0, mesh)
+        _, blocks = star_blocks(cfg, 1.0, mesh)
         for i in range(6):
             for j in range(i + 1, 6):
-                assert bs.block(i, j).min() > 0.0
+                assert blocks[i, :, j].min() > 0.0
 
     def test_top_eigenvalue_decreasing_in_kappa(self):
         mesh = build_mesh(1.0, 6, 8, 2.0)
         cfg = make_star(sharp_configuration(3), 1.0, 0.0)
         tops = []
         for kappa in np.geomspace(0.1, 10.0, 10):
-            A = assemble_bs_matrix(cfg, kappa, mesh).matrix
+            A = StarAssembler(cfg, mesh).matrix(kappa)
             tops.append(sla.eigvalsh(A)[-1])
         assert all(a > b for a, b in zip(tops, tops[1:]))
 
@@ -202,11 +206,11 @@ class TestBsMatrix:
         mesh = build_mesh(1.0, 5, 6, 2.0)
         dirs = sharp_configuration(4)
         spec_a = np.sort(
-            sla.eigvalsh(assemble_bs_matrix(make_star(dirs, 1.0, 0.0), 1.0, mesh).matrix)
+            sla.eigvalsh(StarAssembler(make_star(dirs, 1.0, 0.0), mesh).matrix(1.0))
         )
         perm = dirs[[2, 0, 3, 1]]
         spec_b = np.sort(
-            sla.eigvalsh(assemble_bs_matrix(make_star(perm, 1.0, 0.0), 1.0, mesh).matrix)
+            sla.eigvalsh(StarAssembler(make_star(perm, 1.0, 0.0), mesh).matrix(1.0))
         )
         assert np.abs(spec_a - spec_b).max() < 1e-12
 
@@ -216,7 +220,7 @@ class TestBsMatrix:
         tops = []
         for panels in (4, 8, 16):
             mesh = build_mesh(1.0, panels, 12, 2.0)
-            A = assemble_bs_matrix(cfg, 1.0, mesh).matrix
+            A = StarAssembler(cfg, mesh).matrix(1.0)
             tops.append(sla.eigvalsh(A)[-1])
         d1 = abs(tops[1] - tops[0])
         d2 = abs(tops[2] - tops[1])
@@ -230,8 +234,43 @@ class TestScaleCovariance:
         kappa = 1.7
         mesh1 = build_mesh(1.0, 8, 10, 2.0)
         mesh2 = build_mesh(2.0, 8, 10, 2.0)
-        T1 = assemble_diag_block(kappa, 1.0, mesh1)
-        T2 = assemble_diag_block(kappa / 2.0, 2.0, mesh2)
+        T1 = BlockAssembler(mesh1).weighted_block(kappa)
+        T2 = BlockAssembler(mesh2).weighted_block(kappa / 2.0)
         shift = math.log(2.0) / (2.0 * math.pi)
         diff = T2 - (T1 + shift * np.eye(mesh1.size))
         assert np.abs(diff).max() < 1e-13
+
+
+class TestCorrectionBatch:
+    @pytest.mark.parametrize(
+        "L, panels, order",
+        [(0.01, 3, 5), (1.0, 8, 12), (3.0, 12, 8), (5.0, 56, 12), (1e6, 20, 9)],
+    )
+    def test_subrules_integrate_the_lagrange_basis(self, L, panels, order):
+        # row (piece, j) of S holds W_ij / w_j, with W_ij the subrule weight
+        # of point i times basis j; the subrule integrates the panel's basis
+        # exactly, and the integral of basis j is the node weight w_j
+        mesh = build_mesh(L, panels, order, 2.0)
+        for c2 in (None, 8.0 / 3.0, 4.0, 1e-3):
+            asm = BlockAssembler(mesh, c2)
+            row_sums = asm._S @ np.ones(asm._rho.size)
+            assert np.abs(row_sums - 1.0).max() <= 1e-9, c2
+
+
+class TestChordGroups:
+    @pytest.mark.parametrize("angle", [1e-7, 7e-7, 1.3e-6, 0.3, 1.0, math.pi])
+    def test_two_arms_keep_their_chord(self, angle):
+        dirs = np.array([[0.0, 0.0, 1.0], [math.sin(angle), 0.0, math.cos(angle)]])
+        chords, _ = chord_groups(dirs)
+        exact = chord_sq(dirs[0], dirs[1])
+        assert chords.size == 1 and chords[0] > 0.0
+        assert abs(chords[0] - exact) <= 1e-12 * exact
+
+    def test_sharp_configurations_share_chords(self):
+        for n, distinct in ((3, 1), (4, 1), (6, 2), (12, 3)):
+            dirs = sharp_configuration(n)
+            chords, (I, J, group) = chord_groups(dirs)
+            assert chords.size == distinct
+            for i, j, g in zip(I, J, group):
+                exact = chord_sq(dirs[i], dirs[j])
+                assert abs(chords[g] - exact) <= 1e-12 * exact

@@ -108,7 +108,7 @@ class TestSearchAssembly:
         for i in range(N):
             assert np.array_equal(A[i * M:(i + 1) * M, i * M:(i + 1) * M], T)
             for j in range(i + 1, N):
-                c = round(ss.chord_sq(dirs[i], dirs[j]), 12)
+                c = float(f"{ss.chord_sq(dirs[i], dirs[j]):.12e}")  # chord_groups key
                 expected = np.array([
                     [green_kernel(kappa, arm_distance(s[a], s[b], c))
                      * math.sqrt(w[a] * w[b]) for b in range(M)]

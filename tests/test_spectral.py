@@ -35,7 +35,7 @@ class TestLambdaCurve:
         mesh = ss.build_mesh(1.0, 6, 8, 2.0)
         cfg = segment(1.0, 0.0)
         top3 = lambda_curve(cfg, mesh, 1.0, count=3)
-        T = ss.assemble_diag_block(1.0, 1.0, mesh)
+        T = ss.BlockAssembler(mesh).weighted_block(1.0)
         assert np.allclose(top3, sla.eigvalsh(T)[-3:][::-1], atol=1e-14)
 
     def test_decreasing_in_kappa(self):
@@ -51,7 +51,7 @@ class TestLambdaCurve:
         cfg = antipodal(0.5, 0.0)
         lam_star = lambda_curve(cfg, mesh, 1.0)[0]
         mesh2 = ss.build_mesh(1.0, 8, 12, 2.0)
-        T = ss.assemble_diag_block(1.0, 1.0, mesh2)
+        T = ss.BlockAssembler(mesh2).weighted_block(1.0)
         lam_seg = sla.eigvalsh(T)[-1]
         assert lam_star == pytest.approx(lam_seg, abs=1e-5)
 
