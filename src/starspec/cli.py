@@ -381,6 +381,7 @@ def _run_spectrum(job: JobSpec) -> tuple[dict, dict]:
         arm_symmetry_residual=res.arm_symmetry_residual,
         parity=res.parity,
         residual=res.residual,
+        eigensolver=res.eigensolver,
     )
     levels = [{"j": lv.index, "kappa": lv.kappa, "energy": lv.energy} for lv in res.levels]
     return {"levels": levels}, diagnostics

@@ -231,7 +231,7 @@ class BlockAssembler:
         depth = np.minimum(3 + np.ceil(np.log2(ratio) - _TIE_TOL), _MAX_SEG).astype(int)
         is_self = (panels == owner[targets]) & (chord_sq is None)
         depth[is_self] = 3
-        order, self._rho, data, sizes, w_over_rho = self._subrules(
+        order, self._rho, data, indices, sizes, w_over_rho = self._subrules(
             targets, panels, t_hat[targets, panels], depth
         )
         targets, panels, is_self = targets[order], panels[order], is_self[order]
@@ -248,9 +248,8 @@ class BlockAssembler:
         # per piece, written straight in CSR form.
         cols = panels[:, None] * q + np.arange(q)
         row_len = np.repeat(sizes, q)
-        indptr = np.concatenate([[0], np.cumsum(row_len)])
-        first_col = np.repeat(np.cumsum(sizes) - sizes, q)
-        indices = np.arange(data.size) - np.repeat(indptr[:-1] - first_col, row_len)
+        indptr = np.zeros(row_len.size + 1, dtype=indices.dtype)
+        np.cumsum(row_len, dtype=indices.dtype, out=indptr[1:])
         self._S = sparse.csr_matrix(
             (data, indices, indptr), shape=(row_len.size, self._rho.size)
         )
@@ -268,9 +267,14 @@ class BlockAssembler:
         node targets[k], with two geometric half-stacks of depth[k] segments
         on [lo, t] and [t, hi], halving toward t = split[k] (in the panel); a
         half of zero width is left out.  Returns the piece order and, in that
-        order: the subrule points' kernel distances rho, the CSR data (per
-        piece and basis function j: subrule weights times basis j over node
-        weight j), the subrule sizes and each piece's sum of weight / rho.
+        order: the subrule points' kernel distances rho, the CSR data and
+        column indices of S (per piece and basis function j: subrule weights
+        times basis j over node weight j, in the columns of the piece's
+        points), the subrule sizes and each piece's sum of weight / rho.
+
+        Each chunk writes straight into arrays sized for every subrule point,
+        so the batch is held once; the points of zero-width segments and at
+        kernel distance 0 are left out, and the arrays' unused tails with them.
         """
         mesh = self.mesh
         q = mesh.order
@@ -282,7 +286,15 @@ class BlockAssembler:
         b = np.stack([split, mesh.edges[panels + 1]], axis=1)
         present = a < b
         halves = present.sum(axis=1)
-        order, parts = [], []
+        bound = int((halves * depth).sum()) * _SUB_ORDER
+        idx_type = np.int32 if q * bound < 2**31 else np.int64
+        rho_all = np.empty(bound)
+        data = np.empty(q * bound)
+        indices = np.empty(q * bound, dtype=idx_type)
+        order = np.empty(targets.size, dtype=int)
+        sizes = np.empty(targets.size, dtype=int)
+        w_over_rho = np.empty(targets.size)
+        pieces = points = 0  # written so far
         for d, k in sorted(set(zip(depth.tolist(), halves.tolist()))):
             frac = _stack_fractions(d)
             group = np.nonzero((depth == d) & (halves == k))[0]
@@ -313,15 +325,25 @@ class BlockAssembler:
                 if on_node.any():
                     basis[on_node] = hit[on_node]
                 vals = (w_sub[:, :, None] * basis / node_w[p, None, :]).transpose(0, 2, 1)
-                parts.append((
-                    rho[live],
-                    vals[np.broadcast_to(live[:, None, :], vals.shape)],
-                    live.sum(axis=1),
-                    np.divide(w_sub, rho, out=np.zeros_like(rho), where=live).sum(axis=1),
-                ))
-                order.append(idx)
-        rho, data, sizes, w_over_rho = (np.concatenate(x) for x in zip(*parts))
-        return np.concatenate(order), rho, data, sizes, w_over_rho
+                # a live point's column: the live points written before it
+                m = live.sum(axis=1)
+                col = np.cumsum(live, axis=1) + (points - 1 + np.cumsum(m) - m)[:, None]
+                rows = np.broadcast_to(live[:, None, :], vals.shape)
+                r = int(m.sum())
+                rho_all[points : points + r] = rho[live]
+                data[q * points : q * (points + r)] = vals[rows]
+                indices[q * points : q * (points + r)] = np.broadcast_to(
+                    col[:, None, :], vals.shape
+                )[rows]
+                order[pieces : pieces + n] = idx
+                sizes[pieces : pieces + n] = m
+                w_over_rho[pieces : pieces + n] = np.divide(
+                    w_sub, rho, out=np.zeros_like(rho), where=live
+                ).sum(axis=1)
+                pieces += n
+                points += r
+        return (order, rho_all[:points], data[: q * points], indices[: q * points],
+                sizes, w_over_rho)
 
     # -- assembly ---------------------------------------------------------------
 
@@ -371,6 +393,13 @@ class StarAssembler:
 
     The diagonal block is shared by all arms; off-diagonal blocks are shared
     across arm pairs with the same squared chord (``chord_groups``).
+
+    ``group_counts[g]`` is n_g, the number of pairs of chord group g that
+    contain one arm, when that number is the same for every arm (the star
+    is arm-regular), and None otherwise.  Every block is symmetric, so for
+    an arm-regular star the arm-symmetric vectors (u, ..., u) span an
+    invariant subspace of ``matrix(kappa)``, on which it acts as the
+    M x M matrix ``T + sum_g n_g B_g`` (``sector_matrices``).
     """
 
     def __init__(self, config: StarConfig, mesh: Mesh):
@@ -383,9 +412,29 @@ class StarAssembler:
         self.diag = BlockAssembler(mesh, chord_sq=None)
         chords, self._pairs = chord_groups(config.directions)
         self._offdiag = [BlockAssembler(mesh, chord_sq=c) for c in chords.tolist()]
+        I, J, group = self._pairs
+        counts = np.zeros((config.n_arms, chords.size), dtype=int)
+        np.add.at(counts, (I, group), 1)
+        np.add.at(counts, (J, group), 1)
+        self.group_counts = counts[0] if np.all(counts == counts[0]) else None
+
+    def _blocks(self, kappa: float):
+        return (self.diag.weighted_block(kappa),
+                [asm.weighted_block(kappa) for asm in self._offdiag])
 
     def matrix(self, kappa: float) -> np.ndarray:
-        T = self.diag.weighted_block(kappa)
-        pair_blocks = [asm.weighted_block(kappa) for asm in self._offdiag]
+        T, pair_blocks = self._blocks(kappa)
         return star_matrix(self.config.n_arms, T, pair_blocks, *self._pairs)
 
+    def sector_matrices(self, kappa: float) -> tuple[np.ndarray, ...]:
+        """For an arm-regular star, the M x M matrices of ``matrix(kappa)`` on
+        its arm-symmetric vectors (u, ..., u), ``T + sum_g n_g B_g``, and for
+        two arms also on the antisymmetric ones (u, -u), ``T - B``; the
+        latter two sectors split the two-arm matrix exactly."""
+        T, pair_blocks = self._blocks(kappa)
+        S = T.copy()
+        for n, B in zip(self.group_counts.tolist(), pair_blocks):
+            S += n * B
+        if self.config.n_arms == 2:
+            return S, T - pair_blocks[0]
+        return (S,)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .discretization import (
-    FOUR_PI, BlockAssembler, Mesh, StarAssembler, build_mesh, chord_groups, star_matrix,
+    FOUR_PI, BlockAssembler, Mesh, build_mesh, chord_groups, star_matrix,
 )
 from .errors import AllStartsFailed, BracketFailure, NoCrossing
 from .geometry import congruent, make_star, sharp_configuration
@@ -25,6 +25,7 @@ from .spectral import (
     DEFAULT_KAPPA_TOL,
     _CurveSolver,
     _solve_level,
+    _star_solver,
 )
 
 SENTINEL = float("-inf")
@@ -120,7 +121,7 @@ def objective(
     if _min_pair_angle(dirs) < MIN_PAIR_ANGLE:
         return SENTINEL
     config = make_star(dirs, L, alpha)
-    solver = _CurveSolver(StarAssembler(config, mesh).matrix)
+    solver = _star_solver(config, mesh)
     try:
         _, energy, _ = _solve_level(solver, alpha, 1, kappa_floor, kappa_tol)
     except (NoCrossing, BracketFailure):
@@ -343,7 +344,7 @@ def verify_sharp_local_max(
         mesh = build_mesh(L, 12, 8, 2.0)
     sharp = sharp_configuration(N)
     config = make_star(sharp, L, alpha)
-    solver = _CurveSolver(StarAssembler(config, mesh).matrix)
+    solver = _star_solver(config, mesh)
     kappa, e_sharp, _ = _solve_level(
         solver, alpha, 1, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL
     )
@@ -368,7 +369,7 @@ def verify_sharp_local_max(
             d[i] /= np.linalg.norm(d[i])
         d = _gauge_fix(d)
         cfg = make_star(d, L, alpha)
-        sol = _CurveSolver(StarAssembler(cfg, mesh).matrix)
+        sol = _star_solver(cfg, mesh)
         try:
             _, e_pert, _ = _solve_level(
                 sol, alpha, 1, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL, hint=kappa

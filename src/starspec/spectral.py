@@ -63,6 +63,11 @@ class SpectralResult:
     parity: str | None
     mesh_metadata: dict
     residual: float
+    #: how the ground state was solved: ``path`` is "sector" (the M x M
+    #: sector matrices of an arm-regular star, whose ``group_counts`` n_g are
+    #: given), "dense" (LAPACK on the full matrix) or "arpack"; ``dim`` is
+    #: the dimension solved
+    eigensolver: dict
 
     @property
     def ground_energy(self) -> float:
@@ -72,18 +77,29 @@ class SpectralResult:
 class _CurveSolver:
     """Eigenvalue curves of one star: ``matrix`` maps kappa to its symmetric
     Birman-Schwinger matrix; ARPACK solves warm-start from the last top
-    eigenvector."""
+    eigenvector.
 
-    def __init__(self, matrix):
+    Given an arm-regular ``StarAssembler``, the top eigenpair comes from its
+    M x M sector matrices instead.  The arm-symmetric vectors span an
+    invariant subspace of the symmetric full matrix, so their orthogonal
+    complement (the vectors whose arm slices sum to zero) is invariant too.
+    The top eigenvalue is simple with a positive eigenvector
+    (Perron-Frobenius), so that vector lies in one of the two subspaces,
+    and no positive vector lies in the complement.  For two arms the two
+    sectors split the matrix and the top is the larger of theirs, with no
+    premise.  Lower levels and level counts use the full matrix.
+    """
+
+    def __init__(self, matrix, star: StarAssembler | None = None):
         self.matrix = matrix
+        self.star = star if star is not None and star.group_counts is not None else None
         self._warm: np.ndarray | None = None
 
-    def _eigh(self, kappa: float, first: int = 1, last: int | None = 1,
+    def _eigh(self, A: np.ndarray, first: int = 1, last: int | None = 1,
               vectors: bool = False):
-        """The ``first``-th to ``last``-th largest eigenvalues (all for
-        ``last=None``), ascending, with eigenvectors if asked.  ARPACK gives
-        the top one alone above ``_DENSE_MAX``, LAPACK everything else."""
-        A = self.matrix(kappa)
+        """The ``first``-th to ``last``-th largest eigenvalues of ``A`` (all
+        for ``last=None``), ascending, with eigenvectors if asked.  ARPACK
+        gives the top one alone above ``_DENSE_MAX``, LAPACK everything else."""
         n = A.shape[0]
         try:
             if n > _DENSE_MAX and first == last == 1:
@@ -100,21 +116,58 @@ class _CurveSolver:
         except (sla.LinAlgError, spla.ArpackError) as exc:
             raise EigensolveFailure(str(exc)) from exc
 
+    def _top(self, kappa: float, vectors: bool):
+        """Top eigenvalue, its unit eigenvector of the full matrix (if asked)
+        and the index of the sector holding it (None off the sector path)."""
+        if self.star is None:
+            matrices = (self.matrix(kappa),)
+        else:
+            matrices = self.star.sector_matrices(kappa)
+        best = None
+        for k, A in enumerate(matrices):
+            out = self._eigh(A, vectors=vectors)
+            val = float(out[0][0] if vectors else out[0])
+            if best is None or val > best[0]:
+                best = (val, out[1][:, 0] if vectors else None, k)
+        val, u, k = best
+        if self.star is None:
+            return val, u, None
+        if vectors:
+            n_arms = self.star.config.n_arms
+            signs = np.ones(n_arms) if k == 0 else np.array([1.0, -1.0])
+            u = np.kron(signs, u) / np.sqrt(n_arms)
+        return val, u, k
+
     def lam(self, kappa: float, j: int = 1) -> float:
         """j-th largest eigenvalue of Q_kappa (j = 1 is the top)."""
-        return float(self._eigh(kappa, j, j)[0])
+        if j == 1:
+            return self._top(kappa, vectors=False)[0]
+        return float(self._eigh(self.matrix(kappa), j, j)[0])
 
-    def top_pair(self, kappa: float) -> tuple[float, np.ndarray]:
-        vals, vecs = self._eigh(kappa, vectors=True)
-        return float(vals[0]), vecs[:, 0]
+    def top_pair(self, kappa: float) -> tuple[float, np.ndarray, int | None]:
+        """Top eigenvalue, unit eigenvector and sector (``_top``)."""
+        return self._top(kappa, vectors=True)
+
+    def record(self, n: int) -> dict:
+        """The ``eigensolver`` record of a top solve with an n-vector."""
+        if self.star is not None:
+            return {"path": "sector", "dim": n // self.star.config.n_arms,
+                    "group_counts": self.star.group_counts.tolist()}
+        return {"path": "arpack" if n > _DENSE_MAX else "dense", "dim": n,
+                "group_counts": None}
+
+
+def _star_solver(config: StarConfig, mesh: Mesh) -> _CurveSolver:
+    asm = StarAssembler(config, mesh)
+    return _CurveSolver(asm.matrix, asm)
 
 
 def lambda_curve(
     config: StarConfig, mesh: Mesh, kappa: float, count: int = 1
 ) -> np.ndarray:
     """Top ``count`` eigenvalues of the assembled operator, descending."""
-    solver = _CurveSolver(StarAssembler(config, mesh).matrix)
-    return solver._eigh(kappa, 1, count)[::-1]
+    A = StarAssembler(config, mesh).matrix(kappa)
+    return _CurveSolver(None)._eigh(A, 1, count)[::-1]
 
 
 def count_bound_states(
@@ -132,6 +185,10 @@ def count_bound_states(
     return bound_states(config, mesh, alpha, 0, kappa_floor)[0]
 
 
+def _excess(kappa: float, solver: _CurveSolver, j: int, alpha: float) -> float:
+    return solver.lam(kappa, j) - alpha
+
+
 def _solve_level(
     solver: _CurveSolver,
     alpha: float,
@@ -141,7 +198,7 @@ def _solve_level(
     hint: float | None = None,
 ) -> tuple[float, float, float]:
     """Root of lambda_j(kappa) = alpha: returns (kappa_j, E_j, residual)."""
-    f = lambda k: solver.lam(k, j) - alpha
+    f = lambda k: _excess(k, solver, j, alpha)
 
     lo = None
     if hint is not None and hint > kappa_floor:
@@ -170,9 +227,13 @@ def _solve_level(
             raise BracketFailure("eigenvalue curve did not fall below alpha")
         f_hi = f(hi)
     # the curve is monotone, so the bracket is certain; Brent interleaves
-    # bisection steps with secant/inverse-quadratic polish inside it
+    # bisection steps with secant/inverse-quadratic polish inside it.  The
+    # solver goes in ``args``: brentq wraps its function in a closure that
+    # refers to itself, and a closure over the solver would keep the solver
+    # and its correction batches alive until the cyclic collector runs
     kappa_j = brentq(
-        f, lo, hi, xtol=1e-14 * hi, rtol=max(kappa_tol, 1e-15), disp=False
+        _excess, lo, hi, args=(solver, j, alpha),
+        xtol=1e-14 * hi, rtol=max(kappa_tol, 1e-15), disp=False,
     )
     residual = abs(f(kappa_j))
     return kappa_j, -kappa_j * kappa_j, residual
@@ -187,7 +248,7 @@ def solve_energy(
     kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> tuple[float, float]:
     """Solve lambda_j(kappa) = alpha for level j; returns (kappa_j, E_j)."""
-    solver = _CurveSolver(StarAssembler(config, mesh).matrix)
+    solver = _star_solver(config, mesh)
     kappa_j, energy, _ = _solve_level(solver, alpha, j, kappa_floor, kappa_tol)
     return kappa_j, energy
 
@@ -207,15 +268,7 @@ def _diagnostics(config: StarConfig, vec: np.ndarray):
         symmetry = float(
             max(np.linalg.norm(s - mean) for s in slices) / mnorm
         )
-    parity = None
-    if config.n_arms == 2:
-        a, b = slices
-        parity = (
-            "symmetric"
-            if np.linalg.norm(a - b) <= np.linalg.norm(a + b)
-            else "antisymmetric"
-        )
-    return positivity, symmetry, parity
+    return positivity, symmetry
 
 
 def principal_eigenvalue(
@@ -234,7 +287,7 @@ def principal_eigenvalue(
     """
     if alpha is None:
         alpha = config.coupling
-    solver = _CurveSolver(StarAssembler(config, mesh).matrix)
+    solver = _star_solver(config, mesh)
     return _ground(solver, config, mesh, alpha, kappa_floor, kappa_tol)
 
 
@@ -242,15 +295,16 @@ def _ground(solver, config, mesh, alpha, kappa_floor, kappa_tol, hint=None):
     kappa_1, energy, residual = _solve_level(
         solver, alpha, 1, kappa_floor, kappa_tol, hint=hint
     )
-    _, vec = solver.top_pair(kappa_1)
-    positivity, symmetry, parity = _diagnostics(config, vec)
+    _, vec, sector = solver.top_pair(kappa_1)
+    positivity, symmetry = _diagnostics(config, vec)
     return SpectralResult(
         levels=(Level(index=1, kappa=kappa_1, energy=energy),),
         ground_vector_positivity=positivity,
         arm_symmetry_residual=symmetry,
-        parity=parity,
+        parity=("symmetric", "antisymmetric")[sector] if config.n_arms == 2 else None,
         mesh_metadata=mesh.metadata(),
         residual=residual,
+        eigensolver=solver.record(vec.size),
     )
 
 
@@ -266,8 +320,8 @@ def bound_states(
     and, if ``levels`` >= 1 and a level crosses, the ground state with its
     diagnostics (``principal_eigenvalue``) followed by levels 2..``levels``
     (``solve_energy``); else None in its place."""
-    solver = _CurveSolver(StarAssembler(config, mesh).matrix)
-    count = int(np.sum(solver._eigh(kappa_floor, last=None) > alpha))
+    solver = _star_solver(config, mesh)
+    count = int(np.sum(solver._eigh(solver.matrix(kappa_floor), last=None) > alpha))
     wanted = min(levels, count)
     if wanted < 1:
         return count, None
@@ -302,7 +356,7 @@ def refine_until(
     hint = None
     converged = False
     for mesh in mesh_ladder:
-        solver = _CurveSolver(StarAssembler(config, mesh).matrix)
+        solver = _star_solver(config, mesh)
         res = _ground(
             solver, config, mesh, alpha, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL, hint
         )

@@ -167,6 +167,20 @@ class TestRun:
         assert run(job) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("star, record", [
+        ({"sharp": 4}, {"path": "sector", "dim": 48, "group_counts": [3]}),
+        ({"directions": [[0, 0, 1], [1, 0, 0], [0.6, 0.8, 0]]},
+         {"path": "dense", "dim": 144, "group_counts": None}),
+    ], ids=["sharp4", "asymmetric3"])
+    def test_spectrum_eigensolver_record(self, star, record, tmp_path):
+        out = tmp_path / "res.json"
+        job = parse_job(job_text(
+            command="spectrum", star=star, alpha=0.0, arm_length=5.0,
+            mesh={"panels": 6, "order": 8}, output={"path": str(out)},
+        ))
+        assert run(job) == 0
+        assert json.loads(out.read_text())["diagnostics"]["eigensolver"] == record
+
 
 def count_star_assemblers(monkeypatch):
     calls = []

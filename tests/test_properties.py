@@ -1,8 +1,9 @@
 """Exact invariants of the discretized Birman-Schwinger operator.
 
 The top eigenvalue lambda(kappa) of one star on one mesh must be unchanged
-by a rotation of the whole star and by a relabelling of its arms, and it
-must be covariant under length scaling:
+by a rotation of the whole star and by a relabelling of its arms, and so
+must its arm-regularity (which selects the sector solve); it must be
+covariant under length scaling:
 
     lambda(zeta L, kappa / zeta) = lambda(L, kappa) + ln(zeta) / (2 pi).
 
@@ -19,8 +20,8 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from starspec.discretization import build_mesh
-from starspec.geometry import make_star
+from starspec.discretization import StarAssembler, build_mesh
+from starspec.geometry import make_star, sharp_configuration
 from starspec.spectral import lambda_curve
 
 TOL = 1e-12
@@ -38,6 +39,21 @@ def stars(draw):
         g = (d @ d.T)[np.triu_indices(n, k=1)]
         if np.arccos(np.clip(g, -1.0, 1.0)).min() > 0.1:
             return d
+
+
+@st.composite
+def rotations(draw):
+    """A rotation matrix from a random nonzero quaternion."""
+    q = np.array(draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+        .filter(lambda v: np.linalg.norm(v) > 0.1)
+    ))
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 def mesh_params():
@@ -70,18 +86,8 @@ def test_scaling_covariance(directions, L, kappa, zeta, params):
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
-@given(stars(), st.floats(0.5, 5.0), st.floats(0.1, 10.0), mesh_params(), st.data())
-def test_rotation_invariance(directions, L, kappa, params, data):
-    q = np.array(data.draw(
-        st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
-        .filter(lambda v: np.linalg.norm(v) > 0.1)
-    ))
-    w, x, y, z = q / np.linalg.norm(q)
-    R = np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+@given(stars(), st.floats(0.5, 5.0), st.floats(0.1, 10.0), mesh_params(), rotations())
+def test_rotation_invariance(directions, L, kappa, params, R):
     assert close(top(directions @ R.T, L, kappa, params), top(directions, L, kappa, params))
 
 
@@ -91,3 +97,33 @@ def test_arm_permutation_invariance(directions, L, kappa, params, rnd):
     order = list(range(directions.shape[0]))
     rnd.shuffle(order)
     assert close(top(directions[order], L, kappa, params), top(directions, L, kappa, params))
+
+
+def group_counts(directions):
+    """``StarAssembler.group_counts`` of the star (None: not arm-regular)."""
+    return StarAssembler(make_star(directions, 1.0, 0.0), build_mesh(1.0, 2, 2, 2.0)).group_counts
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 4, 6, 12, "orthogonal"]), rotations(), st.randoms())
+def test_arm_regularity_invariance(star, R, rnd):
+    directions = np.eye(3) if star == "orthogonal" else sharp_configuration(star)
+    order = list(range(directions.shape[0]))
+    rnd.shuffle(order)
+    counts = group_counts(directions)
+    assert counts is not None
+    assert np.array_equal(group_counts(directions[order] @ R.T), counts)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 4, 6, 12]), st.integers(0, 2**32 - 1))
+def test_perturbed_sharp_star_is_irregular(n, seed):
+    # the tangential perturbation of verify_sharp_local_max at scale 0.05
+    rng = np.random.default_rng(seed)
+    d = sharp_configuration(n).copy()
+    for i in range(n):
+        g = rng.standard_normal(3)
+        t = g - np.dot(g, d[i]) * d[i]
+        d[i] += 0.05 * t / np.linalg.norm(t)
+        d[i] /= np.linalg.norm(d[i])
+    assert group_counts(d) is None

@@ -1,12 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import starspec as ss
+from starspec.discretization import StarAssembler
 from starspec.errors import NoCrossing, NotConverged
 from starspec.kernels import point_eigenvalue
 from starspec.spectral import (
+    _CurveSolver,
+    _diagnostics,
     count_bound_states,
     default_ladder,
     lambda_curve,
@@ -171,3 +176,76 @@ class TestRefineUntil:
     def test_default_ladder_shape(self):
         meshes = default_ladder(2.0)
         assert [m.panels for m in meshes] == [8, 16, 32]
+
+
+#: arm-regular stars: the five sharp configurations and three orthogonal arms
+REGULAR_STARS = {
+    **{f"sharp{n}": ss.sharp_configuration(n) for n in (2, 3, 4, 6, 12)},
+    "orthogonal3": np.eye(3),
+}
+#: (L, panels, order)
+SECTOR_MESHES = [(5.0, 8, 12), (3.0, 12, 8), (1.0, 16, 12)]
+
+
+class TestSectorReduction:
+    """The top of an arm-regular star from its M x M sector matrices, against
+    the full N*M matrix (``StarAssembler.matrix``), which the solver only
+    uses for lower levels and counts."""
+
+    @pytest.mark.parametrize("mesh_args", SECTOR_MESHES, ids=lambda m: "x".join(map(str, m)))
+    @pytest.mark.parametrize("name", sorted(REGULAR_STARS))
+    def test_top_matches_full_matrix(self, name, mesh_args):
+        L = mesh_args[0]
+        cfg = ss.make_star(REGULAR_STARS[name], L, 0.0)
+        asm = StarAssembler(cfg, ss.build_mesh(*mesh_args, 2.0))
+        assert asm.group_counts is not None
+        solver = _CurveSolver(asm.matrix, asm)
+        for kappa in (1e-4, 1.0, 30.0):
+            A = asm.matrix(kappa)
+            n = A.shape[0]
+            vals, vecs = sla.eigh(A, subset_by_index=[n - 1, n - 1])
+            full, v = vals[0], vecs[:, 0]
+            lam, u, sector = solver.top_pair(kappa)
+            assert abs(lam - full) <= 1e-12 * abs(full)
+            assert solver.lam(kappa) == lam
+            assert abs(u @ v) == pytest.approx(1.0, abs=1e-8)
+            # the full matrix's own top vector is arm-symmetric
+            assert _diagnostics(cfg, v)[1] < 1e-8
+            assert sector == 0
+
+    def test_two_arm_sectors_split_the_matrix(self):
+        cfg = ss.make_star([(0, 0, 1), (1, 0, 0)], 4.0, 0.0)
+        asm = StarAssembler(cfg, ss.build_mesh(4.0, 6, 8, 2.0))
+        A = asm.matrix(0.7)
+        sym, anti = asm.sector_matrices(0.7)
+        both = np.concatenate([sla.eigvalsh(sym), sla.eigvalsh(anti)])
+        assert np.allclose(np.sort(both), sla.eigvalsh(A), rtol=0, atol=1e-12)
+
+    def test_antisymmetric_top_gives_odd_vector(self):
+        # a two-arm star whose exchange-odd sector holds the top
+        sym, anti = np.diag([1.0, 2.0]), np.diag([3.0, 0.5])
+        star = SimpleNamespace(
+            group_counts=np.array([1]),
+            config=SimpleNamespace(n_arms=2),
+            sector_matrices=lambda kappa: (sym.copy(), anti.copy()),
+        )
+        lam, vec, sector = _CurveSolver(None, star).top_pair(1.0)
+        assert (lam, sector) == (3.0, 1)
+        assert np.allclose(np.abs(vec), 0.5 ** 0.5 * np.array([1, 0, 1, 0]))
+        assert vec[0] == -vec[2]
+
+    def test_irregular_star_takes_full_matrix(self):
+        dirs = np.array([(0, 0, 1), (1, 0, 0), (0.6, 0.8, 0)])
+        cfg = ss.make_star(dirs, 3.0, 0.0)
+        mesh = ss.build_mesh(3.0, 4, 6, 2.0)
+        assert StarAssembler(cfg, mesh).group_counts is None
+        res = principal_eigenvalue(cfg, mesh, 0.0)
+        assert res.eigensolver == {"path": "dense", "dim": 72, "group_counts": None}
+        assert res.parity is None
+
+    def test_eigensolver_record_of_regular_stars(self):
+        res = principal_eigenvalue(tetra(5.0, 0.0), ss.build_mesh(5.0, 6, 8, 2.0), 0.0)
+        assert res.eigensolver == {"path": "sector", "dim": 48, "group_counts": [3]}
+        octa = ss.make_star(ss.sharp_configuration(6), 2.0, 0.0)
+        res = principal_eigenvalue(octa, ss.build_mesh(2.0, 4, 6, 2.0), 0.0)
+        assert res.eigensolver == {"path": "sector", "dim": 24, "group_counts": [4, 1]}
