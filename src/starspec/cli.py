@@ -274,6 +274,8 @@ def parse_job(document: str) -> JobSpec:
         raise ParseError(f"'output.format' must be json or csv, got {fmt!r}")
     if fmt == "csv" and command != "sweep-angle":
         raise ParseError("csv output is only available for sweep-angle")
+    if fmt == "json" and command == "sweep-angle":
+        raise ParseError("sweep-angle writes csv output only")
 
     needs_star = command in ("spectrum", "optimize", "verify-sharp", "bounds", "design-check")
     if needs_star and star_sharp is None and star_dirs is None:

@@ -378,13 +378,13 @@ def star_matrix(N: int, T: np.ndarray, pair_blocks, I, J, group) -> np.ndarray:
     ``pair_blocks[group[k]]`` at block (I[k], J[k]) and its transpose at
     (J[k], I[k])."""
     M = T.shape[0]
-    A = np.zeros((N * M, N * M))
-    blocks = A.reshape(N, M, N, M)
-    blocks[range(N), :, range(N), :] = T
-    for g, B in enumerate(pair_blocks):
-        k = group == g
-        blocks[I[k], :, J[k], :] = B
-        blocks[J[k], :, I[k], :] = B.T
+    A = np.empty((N * M, N * M))
+    for i in range(N):
+        A[i * M : (i + 1) * M, i * M : (i + 1) * M] = T
+    for i, j, g in zip(I.tolist(), J.tolist(), group.tolist()):
+        B = pair_blocks[g]
+        A[i * M : (i + 1) * M, j * M : (j + 1) * M] = B
+        A[j * M : (j + 1) * M, i * M : (i + 1) * M] = B.T
     return A
 
 

@@ -343,10 +343,11 @@ def verify_sharp_local_max(
     if mesh is None:
         mesh = build_mesh(L, 12, 8, 2.0)
     sharp = sharp_configuration(N)
-    config = make_star(sharp, L, alpha)
-    solver = _star_solver(config, mesh)
+    # each solver is dropped as soon as its energy is known, so no two
+    # stars' correction batches are held at once
     kappa, e_sharp, _ = _solve_level(
-        solver, alpha, 1, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL
+        _star_solver(make_star(sharp, L, alpha), mesh),
+        alpha, 1, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL,
     )
     if scale == 0.0:
         return SharpLocalMaxReport(
@@ -368,11 +369,10 @@ def verify_sharp_local_max(
             d[i] = d[i] + scale * t / nt
             d[i] /= np.linalg.norm(d[i])
         d = _gauge_fix(d)
-        cfg = make_star(d, L, alpha)
-        sol = _star_solver(cfg, mesh)
         try:
             _, e_pert, _ = _solve_level(
-                sol, alpha, 1, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL, hint=kappa
+                _star_solver(make_star(d, L, alpha), mesh),
+                alpha, 1, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL, hint=kappa,
             )
         except (NoCrossing, BracketFailure):
             e_pert = SENTINEL

@@ -185,8 +185,13 @@ def count_bound_states(
     return bound_states(config, mesh, alpha, 0, kappa_floor)[0]
 
 
-def _excess(kappa: float, solver: _CurveSolver, j: int, alpha: float) -> float:
-    return solver.lam(kappa, j) - alpha
+def _excess(kappa: float, solver: _CurveSolver, j: int, alpha: float,
+            seen: dict[float, float]) -> float:
+    """lambda_j(kappa) - alpha, each kappa evaluated once per ``seen``."""
+    f = seen.get(kappa)
+    if f is None:
+        f = seen[kappa] = solver.lam(kappa, j) - alpha
+    return f
 
 
 def _solve_level(
@@ -198,26 +203,27 @@ def _solve_level(
     hint: float | None = None,
 ) -> tuple[float, float, float]:
     """Root of lambda_j(kappa) = alpha: returns (kappa_j, E_j, residual)."""
-    f = lambda k: _excess(k, solver, j, alpha)
+    seen: dict[float, float] = {}
+    args = (solver, j, alpha, seen)
 
     lo = None
     if hint is not None and hint > kappa_floor:
         k0 = 0.8 * hint
-        f0 = f(k0)
+        f0 = _excess(k0, *args)
         while f0 <= 0.0 and k0 > kappa_floor:
             k0 = max(kappa_floor, 0.25 * k0)
-            f0 = f(k0)
+            f0 = _excess(k0, *args)
         if f0 > 0.0:
             lo, f_lo = k0, f0
     if lo is None:
         lo = kappa_floor
-        f_lo = f(lo)
+        f_lo = _excess(lo, *args)
         if f_lo <= 0.0:
             raise NoCrossing(
                 f"level {j} does not cross alpha={alpha} at this discretization"
             )
     hi = 2.0 * lo
-    f_hi = f(hi)
+    f_hi = _excess(hi, *args)
     expansions = 0
     while f_hi > 0.0:
         lo, f_lo = hi, f_hi
@@ -225,17 +231,20 @@ def _solve_level(
         expansions += 1
         if expansions > 60:
             raise BracketFailure("eigenvalue curve did not fall below alpha")
-        f_hi = f(hi)
+        f_hi = _excess(hi, *args)
     # the curve is monotone, so the bracket is certain; Brent interleaves
-    # bisection steps with secant/inverse-quadratic polish inside it.  The
-    # solver goes in ``args``: brentq wraps its function in a closure that
-    # refers to itself, and a closure over the solver would keep the solver
-    # and its correction batches alive until the cyclic collector runs
+    # bisection steps with secant/inverse-quadratic polish inside it.  Brent
+    # evaluates both bracket ends again and returns a kappa it has
+    # evaluated, so ``seen`` serves those three from the loop above and
+    # from Brent's own iterates instead of solving them again.  The solver
+    # goes in ``args``: brentq wraps its function in a closure that refers
+    # to itself, and a closure over the solver would keep the solver and
+    # its correction batches alive until the cyclic collector runs
     kappa_j = brentq(
-        _excess, lo, hi, args=(solver, j, alpha),
+        _excess, lo, hi, args=args,
         xtol=1e-14 * hi, rtol=max(kappa_tol, 1e-15), disp=False,
     )
-    residual = abs(f(kappa_j))
+    residual = abs(seen[kappa_j])
     return kappa_j, -kappa_j * kappa_j, residual
 
 

@@ -263,6 +263,10 @@ BAD_INPUTS = {
         star={"directions": [[0, 0, 1]] * 171}),
     "design.order above the cap": {
         "command": "design-check", "star": {"sharp": 4}, "design": {"order": 65}},
+    "sweep-angle with json output": {
+        "command": "sweep-angle", "alpha": 0.0, "arm_length": 1.0,
+        "sweep": {"phi_min": 1.0, "phi_max": 1.0, "count": 1},
+        "output": {"format": "json"}},
     "sweep.count above the cap": {
         "command": "sweep-angle", "alpha": 0.0, "arm_length": 1.0,
         "sweep": {"phi_min": 0.5, "phi_max": 1.0, "count": 10_001}},

@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg as sla
 from scipy.integrate import quad
 
-from starspec.discretization import BlockAssembler, StarAssembler, build_mesh, chord_groups
+from starspec.discretization import (
+    BlockAssembler, StarAssembler, build_mesh, chord_groups, star_matrix,
+)
 from starspec.errors import BadParameters
 from starspec.geometry import chord_sq, make_star, sharp_configuration
 
@@ -274,3 +276,39 @@ class TestChordGroups:
             for i, j, g in zip(I, J, group):
                 exact = chord_sq(dirs[i], dirs[j])
                 assert abs(chords[g] - exact) <= 1e-12 * exact
+
+
+def block_by_block(N, T, pair_blocks, I, J, group):
+    grid = [[T if i == j else None for j in range(N)] for i in range(N)]
+    for i, j, g in zip(I, J, group):
+        grid[i][j] = pair_blocks[g]
+        grid[j][i] = pair_blocks[g].T
+    return np.block(grid)
+
+
+class TestStarMatrix:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 12])
+    def test_sharp_star_matches_block_by_block(self, N):
+        dirs = [(0.0, 0.0, 1.0)] if N == 1 else sharp_configuration(N)
+        asm = StarAssembler(make_star(dirs, 1.0, 0.0), build_mesh(1.0, 2, 4, 2.0))
+        T, pair_blocks = asm._blocks(0.7)
+        A = star_matrix(N, T, pair_blocks, *asm._pairs)
+        assert np.isfinite(A).all()
+        assert np.array_equal(A, block_by_block(N, T, pair_blocks, *asm._pairs))
+        assert np.array_equal(A, asm.matrix(0.7))
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 12])
+    def test_random_star_with_shared_groups(self, N):
+        # unsymmetric blocks, so a transposed placement would show; fewer
+        # groups than pairs, so groups hold several pairs
+        rng = np.random.default_rng(N)
+        M = 5
+        T = rng.standard_normal((M, M))
+        I, J = np.triu_indices(N, k=1)
+        G = max(1, I.size // 3)
+        group = rng.integers(G, size=I.size)
+        pair_blocks = rng.standard_normal((G, M, M))
+        for blocks in (pair_blocks, list(pair_blocks)):
+            A = star_matrix(N, T, blocks, I, J, group)
+            assert np.isfinite(A).all()
+            assert np.array_equal(A, block_by_block(N, T, blocks, I, J, group))

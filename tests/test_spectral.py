@@ -1,17 +1,23 @@
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import brentq
 
 import starspec as ss
+import starspec.spectral as spectral
 from starspec.discretization import StarAssembler
 from starspec.errors import NoCrossing, NotConverged
 from starspec.kernels import point_eigenvalue
 from starspec.spectral import (
     _CurveSolver,
     _diagnostics,
+    _solve_level,
+    _star_solver,
     count_bound_states,
     default_ladder,
     lambda_curve,
@@ -249,3 +255,74 @@ class TestSectorReduction:
         octa = ss.make_star(ss.sharp_configuration(6), 2.0, 0.0)
         res = principal_eigenvalue(octa, ss.build_mesh(2.0, 4, 6, 2.0), 0.0)
         assert res.eigensolver == {"path": "sector", "dim": 24, "group_counts": [4, 1]}
+
+
+#: dense-path stars for the root-finder tests: sharp and irregular, N = 2..4
+ROOT_STARS = {
+    "sharp-2": ss.sharp_configuration(2),
+    "sharp-3": ss.sharp_configuration(3),
+    "sharp-4": ss.sharp_configuration(4),
+    "right-angle-2": np.array([(0, 0, 1), (1, 0, 0)]),
+    "irregular-3": np.array([(0, 0, 1), (1, 0, 0), (0.6, 0.8, 0)]),
+    "irregular-4": np.array([(0, 0, 1), (1, 0, 0), (0.6, 0.8, 0), (0, -0.6, -0.8)]),
+}
+
+
+def dense_solver(name, L=2.0):
+    """A full-matrix (LAPACK) solver for ``ROOT_STARS[name]`` on a small mesh."""
+    cfg = ss.make_star(ROOT_STARS[name], L, 0.0)
+    asm = StarAssembler(cfg, ss.build_mesh(L, 4, 6, 2.0))
+    return _CurveSolver(asm.matrix)
+
+
+class TestSolveLevel:
+    """The root finder evaluates each kappa once and returns Brent's root."""
+
+    @pytest.fixture(scope="class")
+    def roots(self):
+        return {name: solve_energy(ss.make_star(d, 2.0, 0.0),
+                                   ss.build_mesh(2.0, 4, 6, 2.0), 0.0)[0]
+                for name, d in ROOT_STARS.items()}
+
+    @pytest.mark.parametrize("hint_factor", [None, 1.1, 4.0])
+    @pytest.mark.parametrize("name", sorted(ROOT_STARS))
+    def test_brent_root_and_no_repeated_kappa(self, name, hint_factor, roots,
+                                              monkeypatch):
+        hint = None if hint_factor is None else hint_factor * roots[name]
+        solver = dense_solver(name)
+        lam, calls = solver.lam, []
+
+        def counted(kappa, j=1):
+            calls.append(kappa)
+            return lam(kappa, j)
+
+        solver.lam = counted
+        brackets = []
+
+        def recorded(f, a, b, **kw):
+            brackets.append((a, b, kw))
+            return brentq(f, a, b, **kw)
+
+        monkeypatch.setattr(spectral, "brentq", recorded)
+        kappa, energy, residual = _solve_level(solver, 0.0, 1, 1e-4, 1e-10, hint=hint)
+        assert len(calls) == len(set(calls))
+        assert energy == -kappa * kappa
+        # the same bracket and tolerances on the un-memoized excess
+        (a, b, kw), = brackets
+        kw.pop("args")
+        assert brentq(lambda k: lam(k, 1), a, b, **kw) == kappa
+        # the residual is the dense path's excess at the root
+        assert residual == abs(dense_solver(name).lam(kappa))
+
+    @pytest.mark.parametrize("name", ["sharp-4", "irregular-3"])
+    def test_solver_freed_once_dropped(self, name):
+        cfg = ss.make_star(ROOT_STARS[name], 2.0, 0.0)
+        solver = _star_solver(cfg, ss.build_mesh(2.0, 4, 6, 2.0))
+        refs = [weakref.ref(solver), weakref.ref(solver.matrix.__self__)]
+        gc.disable()
+        try:
+            _solve_level(solver, 0.0, 1, 1e-4, 1e-10)
+            del solver
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
