@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -23,9 +23,14 @@ from . import __version__
 from .bounds import nonexistence_threshold, segment_existence_length, small_angle_bounds
 from .discretization import build_mesh
 from .errors import NumericalError, ParseError, ValidationError
-from .geometry import make_star, sharp_configuration, spherical_design_check, unit_directions
+from .geometry import (
+    SHARP_SIZES, make_star, sharp_configuration, spherical_design_check, unit_directions,
+)
 from .optimizer import OptSettings, optimize, verify_sharp_local_max
-from .spectral import bound_states
+from .spectral import (
+    DEFAULT_GRADING, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL, DEFAULT_ORDER, DEFAULT_PANELS,
+    bound_states,
+)
 
 COMMANDS = ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds", "design-check")
 
@@ -39,70 +44,46 @@ MAX_ORDER = 16
 MAX_DESIGN_ORDER = 64
 MAX_SWEEP_COUNT = 10_000
 
-_DEFAULTS = {
-    "panels": 8,
-    "order": 12,
-    "grading": 2.0,
-    "kappa_floor": 1e-4,
-    "kappa_tol": 1e-10,
-    "levels": 1,
-    "starts": 8,
-    "seed": 0,
-    "simplex_tol": 1e-5,
-    "format": "json",
+#: the job schema: group -> (the command that owns it, None for every
+#: command; {key: (kind, default)}); a None default means "not given".  The
+#: parsed job lists its groups in this order.
+_GROUPS = {
+    "mesh": (None, {
+        "panels": (int, DEFAULT_PANELS),
+        "order": (int, DEFAULT_ORDER),
+        "grading": (float, DEFAULT_GRADING),
+    }),
+    "solver": (None, {
+        "kappa_floor": (float, DEFAULT_KAPPA_FLOOR),
+        "kappa_tol": (float, DEFAULT_KAPPA_TOL),
+        "levels": (int, 1),
+    }),
+    "optimize": (None, {
+        "starts": (int, OptSettings.starts),
+        "seed": (int, OptSettings.seed),
+        "simplex_tol": (float, OptSettings.simplex_tol),
+    }),
+    "sweep": ("sweep-angle", {
+        "phi_min": (float, None), "phi_max": (float, None), "count": (int, None),
+    }),
+    "verify": ("verify-sharp", {"scale": (float, 0.05), "trials": (int, 20)}),
+    "bounds": ("bounds", {"constant": (float, 1.0), "phi": (float, None), "k": (int, 1)}),
+    "design": ("design-check", {"order": (int, 3)}),
+    "output": (None, {"format": (str, None), "path": (str, None)}),
 }
 
 
 @dataclass(frozen=True)
 class JobSpec:
-    command: str
-    star_sharp: int | None
-    star_directions: list | None
-    alpha: float | None
-    arm_length: float | None
-    mesh: dict
-    solver: dict
-    optimize: dict
-    sweep: dict | None
-    verify: dict | None
-    bounds: dict | None
-    design: dict | None
-    output_format: str
-    output_path: str | None
+    #: the normalized job document, defaults filled in; echoed as ``job_echo``
+    doc: dict
     #: whether the document carried an explicit mesh group (optimization and
     #: verification pick their own coarse meshes unless one was given)
     mesh_given: bool = False
 
-    def echo(self) -> dict:
-        star = (
-            {"sharp": self.star_sharp}
-            if self.star_sharp is not None
-            else ({"directions": self.star_directions} if self.star_directions else None)
-        )
-        doc = {"command": self.command}
-        if star is not None:
-            doc["star"] = star
-        if self.alpha is not None:
-            doc["alpha"] = self.alpha
-        if self.arm_length is not None:
-            doc["arm_length"] = self.arm_length
-        doc["mesh"] = dict(self.mesh)
-        doc["solver"] = dict(self.solver)
-        doc["optimize"] = dict(self.optimize)
-        for name, group in (
-            ("sweep", self.sweep),
-            ("verify", self.verify),
-            ("bounds", self.bounds),
-            ("design", self.design),
-        ):
-            if group is not None:
-                doc[name] = dict(group)
-        doc["output"] = {"format": self.output_format, "path": self.output_path}
-        return doc
 
-
-def _require_keys(obj: dict, allowed: set, context: str) -> None:
-    unknown = set(obj) - allowed
+def _require_keys(obj: dict, allowed, context: str) -> None:
+    unknown = set(obj) - set(allowed)
     if unknown:
         raise ParseError(f"unknown keys in {context}: {sorted(unknown)}")
 
@@ -114,199 +95,132 @@ def _finite(v) -> bool:
     return number and abs(v) <= sys.float_info.max
 
 
-def _number(doc: dict, key: str):
-    v = doc.get(key)
-    if key in doc and not _finite(v):
-        raise ParseError(f"'{key}' must be a finite number, got {v!r}")
-    return v
-
-
-def _group(doc: dict, name: str, allowed: dict, context_defaults=True) -> dict:
-    raw = doc.get(name, {})
-    if not isinstance(raw, dict):
+def _group(raw: dict, name: str, allowed: dict) -> dict:
+    given = raw.get(name, {})
+    if not isinstance(given, dict):
         raise ParseError(f"'{name}' must be an object")
-    _require_keys(raw, set(allowed), f"'{name}'")
+    _require_keys(given, allowed, f"'{name}'")
     out = {}
     for key, (kind, default) in allowed.items():
-        if key in raw:
-            v = raw[key]
-            if kind is int:
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ParseError(f"'{name}.{key}' must be an integer, got {v!r}")
-            elif kind is float:
-                if not _finite(v):
-                    raise ParseError(f"'{name}.{key}' must be a finite number, got {v!r}")
-                v = float(v)
-            elif v is not None and not isinstance(v, str):  # null: not given
-                raise ParseError(f"'{name}.{key}' must be a string, got {v!r}")
-            out[key] = v
-        elif default is not None or context_defaults:
+        if key not in given:
             out[key] = default
+            continue
+        v = given[key]
+        if kind is int:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ParseError(f"'{name}.{key}' must be an integer, got {v!r}")
+        elif kind is float:
+            if not _finite(v):
+                raise ParseError(f"'{name}.{key}' must be a finite number, got {v!r}")
+            v = float(v)
+        elif v is not None and not isinstance(v, str):  # null: not given
+            raise ParseError(f"'{name}.{key}' must be a string, got {v!r}")
+        out[key] = v
     return out
+
+
+def _star(star) -> dict:
+    if not isinstance(star, dict):
+        raise ParseError("'star' must be an object")
+    _require_keys(star, ("sharp", "directions"), "'star'")
+    if ("sharp" in star) == ("directions" in star):
+        raise ParseError("'star' needs exactly one of 'sharp' or 'directions'")
+    if "sharp" in star:
+        n = star["sharp"]
+        if not isinstance(n, int) or n not in SHARP_SIZES:
+            sizes = ", ".join(map(str, SHARP_SIZES))
+            raise ParseError(f"'star.sharp' must be one of {sizes}, got {n!r}")
+        return {"sharp": n}
+    dirs = star["directions"]
+    if (
+        not isinstance(dirs, list)
+        or not dirs
+        or any(not isinstance(d, list) or len(d) != 3 for d in dirs)
+        or not all(_finite(x) for d in dirs for x in d)
+    ):
+        raise ParseError(
+            "'star.directions' must be a nonempty list of 3-vectors of finite numbers"
+        )
+    return {"directions": [[float(x) for x in d] for d in dirs]}
 
 
 def parse_job(document: str) -> JobSpec:
     """Strictly parse a JSON job document; unknown keys are rejected."""
     try:
-        doc = json.loads(document)
+        raw = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(doc, dict):
+    if not isinstance(raw, dict):
         raise ParseError("job document must be a JSON object")
-    _require_keys(
-        doc,
-        {"command", "star", "alpha", "arm_length", "mesh", "solver", "optimize",
-         "sweep", "verify", "bounds", "design", "output"},
-        "the job document",
-    )
-    command = doc.get("command")
+    _require_keys(raw, ("command", "star", "alpha", "arm_length", *_GROUPS), "the job document")
+    command = raw.get("command")
     if command not in COMMANDS:
         raise ParseError(f"'command' must be one of {COMMANDS}, got {command!r}")
 
-    star_sharp = None
-    star_dirs = None
-    if "star" in doc:
-        star = doc["star"]
-        if not isinstance(star, dict):
-            raise ParseError("'star' must be an object")
-        _require_keys(star, {"sharp", "directions"}, "'star'")
-        if ("sharp" in star) == ("directions" in star):
-            raise ParseError("'star' needs exactly one of 'sharp' or 'directions'")
-        if "sharp" in star:
-            n = star["sharp"]
-            if not isinstance(n, int) or n not in (2, 3, 4, 6, 12):
-                raise ParseError(f"'star.sharp' must be one of 2, 3, 4, 6, 12, got {n!r}")
-            star_sharp = n
-        else:
-            dirs = star["directions"]
-            if (
-                not isinstance(dirs, list)
-                or not dirs
-                or any(not isinstance(d, list) or len(d) != 3 for d in dirs)
-                or not all(_finite(x) for d in dirs for x in d)
-            ):
-                raise ParseError(
-                    "'star.directions' must be a nonempty list of 3-vectors of finite numbers"
-                )
-            star_dirs = [[float(x) for x in d] for d in dirs]
+    doc = {"command": command}
+    if "star" in raw:
+        doc["star"] = _star(raw["star"])
+    for key in ("alpha", "arm_length"):
+        if key in raw:
+            if not _finite(raw[key]):
+                raise ParseError(f"'{key}' must be a finite number, got {raw[key]!r}")
+            doc[key] = raw[key]
+    if doc.get("arm_length", 1) <= 0:
+        raise ParseError(f"'arm_length' must be positive, got {doc['arm_length']}")
+    for name, (owner, keys) in _GROUPS.items():
+        if owner in (None, command):
+            doc[name] = _group(raw, name, keys)
+        elif name in raw:
+            raise ParseError(f"'{name}' is only valid for {owner}, not {command}")
 
-    alpha = _number(doc, "alpha")
-    arm_length = _number(doc, "arm_length")
-    if arm_length is not None and arm_length <= 0:
-        raise ParseError(f"'arm_length' must be positive, got {arm_length}")
-
-    mesh = _group(doc, "mesh", {
-        "panels": (int, _DEFAULTS["panels"]),
-        "order": (int, _DEFAULTS["order"]),
-        "grading": (float, _DEFAULTS["grading"]),
-    })
+    mesh, solver, opt = doc["mesh"], doc["solver"], doc["optimize"]
     if not (2 <= mesh["panels"] <= MAX_PANELS and 2 <= mesh["order"] <= MAX_ORDER
             and mesh["grading"] >= 1):
         raise ParseError(f"invalid mesh parameters: {mesh} (panels and order from 2 "
                          f"to {MAX_PANELS} and {MAX_ORDER}, grading >= 1)")
-    solver = _group(doc, "solver", {
-        "kappa_floor": (float, _DEFAULTS["kappa_floor"]),
-        "kappa_tol": (float, _DEFAULTS["kappa_tol"]),
-        "levels": (int, _DEFAULTS["levels"]),
-    })
     if solver["kappa_floor"] <= 0 or solver["kappa_tol"] <= 0 or solver["levels"] < 1:
         raise ParseError(f"invalid solver parameters: {solver}")
-    optimize_grp = _group(doc, "optimize", {
-        "starts": (int, _DEFAULTS["starts"]),
-        "seed": (int, _DEFAULTS["seed"]),
-        "simplex_tol": (float, _DEFAULTS["simplex_tol"]),
-    })
-    if optimize_grp["starts"] < 1 or optimize_grp["simplex_tol"] <= 0:
-        raise ParseError(f"invalid optimize parameters: {optimize_grp}")
-
-    sweep = verify = bounds_grp = design = None
+    if opt["starts"] < 1 or opt["simplex_tol"] <= 0:
+        raise ParseError(f"invalid optimize parameters: {opt}")
     if command == "sweep-angle":
+        sweep = doc["sweep"]
         if "star" in doc:
             raise ParseError("sweep-angle runs a two-arm star; 'star' must be omitted")
-        if "sweep" not in doc:
-            raise ParseError("sweep-angle requires a 'sweep' group")
-        sweep = _group(doc, "sweep", {
-            "phi_min": (float, None), "phi_max": (float, None), "count": (int, None),
-        })
-        if any(sweep[k] is None for k in ("phi_min", "phi_max", "count")):
-            raise ParseError("'sweep' needs phi_min, phi_max and count")
+        if None in sweep.values():
+            raise ParseError("sweep-angle needs 'sweep' with phi_min, phi_max and count")
         if not (0 < sweep["phi_min"] <= sweep["phi_max"] <= math.pi
                 and 1 <= sweep["count"] <= MAX_SWEEP_COUNT):
             raise ParseError(f"invalid sweep grid: {sweep} (at most {MAX_SWEEP_COUNT} angles)")
-    elif "sweep" in doc:
-        raise ParseError(f"'sweep' is only valid for sweep-angle, not {command}")
-
     if command == "verify-sharp":
-        if star_sharp is None:
+        if "sharp" not in doc.get("star", {}):
             raise ParseError("verify-sharp requires star.sharp")
-        verify = _group(doc, "verify", {
-            "scale": (float, 0.05), "trials": (int, 20),
-        })
-        if verify["scale"] < 0 or verify["trials"] < 1:
-            raise ParseError(f"invalid verify parameters: {verify}")
-    elif "verify" in doc:
-        raise ParseError(f"'verify' is only valid for verify-sharp, not {command}")
-
+        if doc["verify"]["scale"] < 0 or doc["verify"]["trials"] < 1:
+            raise ParseError(f"invalid verify parameters: {doc['verify']}")
     if command == "bounds":
-        bounds_grp = _group(doc, "bounds", {
-            "constant": (float, 1.0), "phi": (float, None), "k": (int, 1),
-        })
-        if bounds_grp["constant"] <= 0:
+        if doc["bounds"]["constant"] <= 0:
             raise ParseError("'bounds.constant' must be positive")
-        phi = bounds_grp["phi"]
+        phi = doc["bounds"]["phi"]
         if phi is not None and not 0 < phi <= math.pi:
             raise ParseError(f"'bounds.phi' must lie in (0, pi], got {phi}")
-    elif "bounds" in doc:
-        raise ParseError(f"'bounds' is only valid for the bounds command, not {command}")
+    if command == "design-check" and not 1 <= doc["design"]["order"] <= MAX_DESIGN_ORDER:
+        raise ParseError(f"'design.order' must lie in [1, {MAX_DESIGN_ORDER}]")
 
-    if command == "design-check":
-        design = _group(doc, "design", {"order": (int, 3)})
-        if not 1 <= design["order"] <= MAX_DESIGN_ORDER:
-            raise ParseError(f"'design.order' must lie in [1, {MAX_DESIGN_ORDER}]")
-    elif "design" in doc:
-        raise ParseError(f"'design' is only valid for design-check, not {command}")
+    fmt = "csv" if command == "sweep-angle" else "json"
+    if doc["output"]["format"] not in (None, "", fmt):
+        raise ParseError(f"{command} writes {fmt} output only, "
+                         f"got 'output.format' {doc['output']['format']!r}")
+    doc["output"]["format"] = fmt
 
-    output = _group(doc, "output", {
-        "format": (str, None), "path": (str, None),
-    }, context_defaults=False)
-    fmt = output.get("format") or ("csv" if command == "sweep-angle" else _DEFAULTS["format"])
-    if fmt not in ("json", "csv"):
-        raise ParseError(f"'output.format' must be json or csv, got {fmt!r}")
-    if fmt == "csv" and command != "sweep-angle":
-        raise ParseError("csv output is only available for sweep-angle")
-    if fmt == "json" and command == "sweep-angle":
-        raise ParseError("sweep-angle writes csv output only")
-
-    needs_star = command in ("spectrum", "optimize", "verify-sharp", "bounds", "design-check")
-    if needs_star and star_sharp is None and star_dirs is None:
+    if command != "sweep-angle" and "star" not in doc:
         raise ParseError(f"{command} requires a 'star'")
-    needs_physics = command in ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds")
-    if needs_physics and (alpha is None or arm_length is None):
+    if command != "design-check" and ("alpha" not in doc or "arm_length" not in doc):
         raise ParseError(f"{command} requires 'alpha' and 'arm_length'")
-    if command in ("spectrum", "sweep-angle", "optimize", "verify-sharp"):
-        rows = (2 if sweep else star_sharp or len(star_dirs)) * mesh["panels"] * mesh["order"]
+    if command not in ("bounds", "design-check"):
+        arms = 2 if command == "sweep-angle" else _n_arms(doc["star"])
+        rows = arms * mesh["panels"] * mesh["order"]
         if rows > MAX_ROWS:
             raise ParseError(f"the job's matrix has {rows} rows; at most {MAX_ROWS}")
-
-    return JobSpec(
-        command=command,
-        star_sharp=star_sharp,
-        star_directions=star_dirs,
-        alpha=alpha,
-        arm_length=arm_length,
-        mesh=mesh,
-        solver=solver,
-        optimize=optimize_grp,
-        sweep=sweep,
-        verify=verify,
-        bounds=bounds_grp,
-        design=design,
-        output_format=fmt,
-        output_path=output.get("path"),
-        mesh_given="mesh" in doc,
-    )
-
-
+    return JobSpec(doc, mesh_given="mesh" in raw)
 # -- serialization ----------------------------------------------------------
 
 
@@ -355,25 +269,28 @@ def render_json(payload: dict) -> str:
 # -- command execution -------------------------------------------------------
 
 
-def _job_star(job: JobSpec):
-    dirs = (
-        sharp_configuration(job.star_sharp)
-        if job.star_sharp is not None
-        else job.star_directions
-    )
-    return make_star(dirs, job.arm_length, job.alpha)
+def _n_arms(star: dict) -> int:
+    return star.get("sharp") or len(star["directions"])
 
 
-def _job_mesh(job: JobSpec, L: float):
-    return build_mesh(L, job.mesh["panels"], job.mesh["order"], job.mesh["grading"])
+def _job_star(doc: dict):
+    star = doc["star"]
+    dirs = sharp_configuration(star["sharp"]) if "sharp" in star else star["directions"]
+    return make_star(dirs, doc["arm_length"], doc["alpha"])
+
+
+def _job_mesh(doc: dict, L: float):
+    mesh = doc["mesh"]
+    return build_mesh(L, mesh["panels"], mesh["order"], mesh["grading"])
 
 
 def _run_spectrum(job: JobSpec) -> tuple[dict, dict]:
-    config = _job_star(job)
-    mesh = _job_mesh(job, config.arm_length)
+    doc = job.doc
+    config = _job_star(doc)
+    mesh = _job_mesh(doc, config.arm_length)
     n_states, res = bound_states(
-        config, mesh, job.alpha, job.solver["levels"],
-        kappa_floor=job.solver["kappa_floor"], kappa_tol=job.solver["kappa_tol"],
+        config, mesh, doc["alpha"], doc["solver"]["levels"],
+        kappa_floor=doc["solver"]["kappa_floor"], kappa_tol=doc["solver"]["kappa_tol"],
     )
     diagnostics = {"bound_states_at_floor": n_states, "mesh": mesh.metadata()}
     if res is None:
@@ -390,33 +307,34 @@ def _run_spectrum(job: JobSpec) -> tuple[dict, dict]:
 
 
 def _run_sweep(job: JobSpec) -> list[tuple[float, float | None, float]]:
-    sw = job.sweep
+    doc = job.doc
+    sw, alpha, L = doc["sweep"], doc["alpha"], doc["arm_length"]
     phis = np.linspace(sw["phi_min"], sw["phi_max"], sw["count"])
     rows = []
     for phi in phis:
         dirs = [(0.0, 0.0, 1.0), (math.sin(phi), 0.0, math.cos(phi))]
-        config = make_star(dirs, job.arm_length, job.alpha)
-        mesh = _job_mesh(job, config.arm_length)
-        upper = small_angle_bounds(job.alpha, job.arm_length, phi, 1, 1.0).upper
+        config = make_star(dirs, L, alpha)
+        mesh = _job_mesh(doc, config.arm_length)
+        upper = small_angle_bounds(alpha, L, phi, 1, 1.0).upper
         _, res = bound_states(
-            config, mesh, job.alpha, 1,
-            kappa_floor=job.solver["kappa_floor"], kappa_tol=job.solver["kappa_tol"],
+            config, mesh, alpha, 1,
+            kappa_floor=doc["solver"]["kappa_floor"], kappa_tol=doc["solver"]["kappa_tol"],
         )
         rows.append((float(phi), None if res is None else res.ground_energy, upper))
     return rows
 
 
 def _run_optimize(job: JobSpec) -> tuple[dict, dict]:
-    n = job.star_sharp if job.star_sharp is not None else len(job.star_directions)
+    doc = job.doc
     settings = OptSettings(
-        starts=job.optimize["starts"],
-        seed=job.optimize["seed"],
-        simplex_tol=job.optimize["simplex_tol"],
-        mesh=_job_mesh(job, job.arm_length) if job.mesh_given else None,
-        kappa_floor=job.solver["kappa_floor"],
-        kappa_tol=job.solver["kappa_tol"],
+        starts=doc["optimize"]["starts"],
+        seed=doc["optimize"]["seed"],
+        simplex_tol=doc["optimize"]["simplex_tol"],
+        mesh=_job_mesh(doc, doc["arm_length"]) if job.mesh_given else None,
+        kappa_floor=doc["solver"]["kappa_floor"],
+        kappa_tol=doc["solver"]["kappa_tol"],
     )
-    res = optimize(n, job.arm_length, job.alpha, settings)
+    res = optimize(_n_arms(doc["star"]), doc["arm_length"], doc["alpha"], settings)
     results = {
         "best_directions": res.best_directions.tolist(),
         "best_energy": res.best_energy,
@@ -432,14 +350,17 @@ def _run_optimize(job: JobSpec) -> tuple[dict, dict]:
 
 
 def _run_verify(job: JobSpec) -> tuple[dict, dict]:
+    doc = job.doc
     rep = verify_sharp_local_max(
-        job.star_sharp,
-        job.arm_length,
-        job.alpha,
-        scale=job.verify["scale"],
-        trials=job.verify["trials"],
-        seed=job.optimize["seed"],
-        mesh=_job_mesh(job, job.arm_length) if job.mesh_given else None,
+        doc["star"]["sharp"],
+        doc["arm_length"],
+        doc["alpha"],
+        scale=doc["verify"]["scale"],
+        trials=doc["verify"]["trials"],
+        seed=doc["optimize"]["seed"],
+        mesh=_job_mesh(doc, doc["arm_length"]) if job.mesh_given else None,
+        kappa_floor=doc["solver"]["kappa_floor"],
+        kappa_tol=doc["solver"]["kappa_tol"],
     )
     results = {
         "passed": rep.passed,
@@ -451,17 +372,19 @@ def _run_verify(job: JobSpec) -> tuple[dict, dict]:
 
 
 def _run_bounds(job: JobSpec) -> tuple[dict, dict]:
-    config = _job_star(job)
-    grp = job.bounds
+    doc = job.doc
+    config = _job_star(doc)
+    grp = doc["bounds"]
     results = {
-        "segment_existence_length": segment_existence_length(job.alpha),
+        "segment_existence_length": segment_existence_length(doc["alpha"]),
         "nonexistence_threshold": nonexistence_threshold(config, grp["constant"]),
         "nonexistence_threshold_unordered": nonexistence_threshold(
             config, grp["constant"], ordered_pairs=False
         ),
     }
-    if grp.get("phi") is not None:
-        b = small_angle_bounds(job.alpha, job.arm_length, grp["phi"], grp["k"], grp["constant"])
+    if grp["phi"] is not None:
+        b = small_angle_bounds(doc["alpha"], doc["arm_length"], grp["phi"], grp["k"],
+                               grp["constant"])
         results["small_angle"] = {
             "phi": b.phi, "k": b.k, "lower": b.lower, "upper": b.upper,
             "consistent": b.consistent,
@@ -470,23 +393,22 @@ def _run_bounds(job: JobSpec) -> tuple[dict, dict]:
 
 
 def _run_design(job: JobSpec) -> tuple[dict, dict]:
+    star, order = job.doc["star"], job.doc["design"]["order"]
     dirs = (
-        sharp_configuration(job.star_sharp)
-        if job.star_sharp is not None
-        else unit_directions(job.star_directions)
+        sharp_configuration(star["sharp"])
+        if "sharp" in star
+        else unit_directions(star["directions"])
     )
-    ok, dev = spherical_design_check(dirs, job.design["order"])
-    return (
-        {"order": job.design["order"], "is_design": ok, "max_deviation": dev},
-        {"n_points": len(dirs)},
-    )
+    ok, dev = spherical_design_check(dirs, order)
+    return {"order": order, "is_design": ok, "max_deviation": dev}, {"n_points": len(dirs)}
 
 
 def run(job: JobSpec, out_path: str | None = None, verbose: bool = False) -> int:
     """Execute one parsed job; returns the process exit status."""
-    path = out_path or job.output_path
+    command = job.doc["command"]
+    path = out_path or job.doc["output"]["path"]
     try:
-        if job.command == "sweep-angle":
+        if command == "sweep-angle":
             rows = _run_sweep(job)
             lines = ["phi,E_1,E_1_plus_bound"]
             for phi, energy, upper in rows:
@@ -500,10 +422,10 @@ def run(job: JobSpec, out_path: str | None = None, verbose: bool = False) -> int
                 "verify-sharp": _run_verify,
                 "bounds": _run_bounds,
                 "design-check": _run_design,
-            }[job.command]
+            }[command]
             results, diagnostics = runner(job)
             payload = {
-                "job_echo": job.echo(),
+                "job_echo": job.doc,
                 "results": results,
                 "diagnostics": diagnostics,
                 "versions": _versions(),
@@ -560,7 +482,7 @@ def main(argv=None) -> int:
         print(f"starspec: parse error: {exc}", file=sys.stderr)
         return 2
     if args.verbose:
-        print(f"starspec: running {job.command}", file=sys.stderr)
+        print(f"starspec: running {job.doc['command']}", file=sys.stderr)
     return run(job, out_path=args.out, verbose=args.verbose)
 
 

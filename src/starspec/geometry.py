@@ -148,6 +148,8 @@ _SHARP_COORDS = {
     ),
     12: _icosahedron(),
 }
+#: the numbers of points that have a sharp configuration
+SHARP_SIZES = tuple(_SHARP_COORDS)
 
 
 def sharp_configuration(N: int) -> np.ndarray:
@@ -158,7 +160,9 @@ def sharp_configuration(N: int) -> np.ndarray:
     valid gauge-fixed optimizer output.
     """
     if N not in _SHARP_COORDS:
-        raise UnsupportedN(f"no sharp configuration for N={N}; valid: 2, 3, 4, 6, 12")
+        raise UnsupportedN(
+            f"no sharp configuration for N={N}; valid: {', '.join(map(str, SHARP_SIZES))}"
+        )
     return _SHARP_COORDS[N].copy()
 
 

@@ -18,8 +18,8 @@ from scipy.optimize import minimize
 from .discretization import (
     FOUR_PI, BlockAssembler, Mesh, build_mesh, chord_groups, star_matrix,
 )
-from .errors import AllStartsFailed, BracketFailure, NoCrossing
-from .geometry import congruent, make_star, sharp_configuration
+from .errors import AllStartsFailed, BracketFailure, DomainError, NoCrossing
+from .geometry import SHARP_SIZES, congruent, make_star, sharp_configuration
 from .spectral import (
     DEFAULT_KAPPA_FLOOR,
     DEFAULT_KAPPA_TOL,
@@ -31,7 +31,6 @@ from .spectral import (
 SENTINEL = float("-inf")
 MIN_PAIR_ANGLE = 1e-3
 CONGRUENCE_TOL = 5e-3
-SHARP_SIZES = (2, 3, 4, 6, 12)
 #: root tolerance inside the multi-start sweep; the final polish and the
 #: public objective use ``OptSettings.kappa_tol``
 SEARCH_KAPPA_TOL = 1e-6
@@ -202,7 +201,7 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
     sharp configuration.
     """
     if N < 2:
-        raise ValueError("optimization needs at least two arms")
+        raise DomainError("optimization needs at least two arms")
     settings = settings or OptSettings()
     mesh = settings.mesh or search_mesh(L)
     nparams = 2 * N - 3
@@ -281,37 +280,6 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
     )
 
 
-def _gauge_fix(dirs: np.ndarray) -> np.ndarray:
-    """Rotate a direction set so dir 1 is the pole and dir 2 has azimuth 0."""
-    d = np.asarray(dirs, float).copy()
-    z = d[0]
-    axis = np.cross(z, [0.0, 0.0, 1.0])
-    na = np.linalg.norm(axis)
-    if na > 1e-15:
-        axis /= na
-        angle = math.acos(np.clip(z[2], -1.0, 1.0))
-        d = _rotate(d, axis, angle)
-    elif z[2] < 0:
-        d = _rotate(d, np.array([1.0, 0.0, 0.0]), math.pi)
-    az = math.atan2(d[1, 1], d[1, 0])
-    if abs(d[1, 0]) > 1e-15 or abs(d[1, 1]) > 1e-15:
-        d = _rotate(d, np.array([0.0, 0.0, 1.0]), -az)
-    return d
-
-
-def _rotate(dirs: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    K = np.array(
-        [
-            [0.0, -axis[2], axis[1]],
-            [axis[2], 0.0, -axis[0]],
-            [-axis[1], axis[0], 0.0],
-        ]
-    )
-    R = np.eye(3) + s * K + (1.0 - c) * (K @ K)
-    return dirs @ R.T
-
-
 @dataclass(frozen=True)
 class SharpLocalMaxReport:
     n_arms: int
@@ -331,11 +299,14 @@ def verify_sharp_local_max(
     trials: int,
     seed: int = 0,
     mesh: Mesh | None = None,
+    kappa_floor: float = DEFAULT_KAPPA_FLOOR,
+    kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> SharpLocalMaxReport:
     """Check that the sharp configuration beats random nearby perturbations.
 
     Each trial perturbs every direction tangentially by ``scale``,
-    renormalizes, re-fixes the gauge, and compares ground-state energies.
+    renormalizes, and compares ground-state energies; the energy depends on
+    the directions only through their chords, so no gauge is fixed.
     Passes iff the sharp configuration is strictly better in every trial.
     A zero scale compares the configuration against itself and is flagged
     degenerate (vacuous pass).
@@ -347,7 +318,7 @@ def verify_sharp_local_max(
     # stars' correction batches are held at once
     kappa, e_sharp, _ = _solve_level(
         _star_solver(make_star(sharp, L, alpha), mesh),
-        alpha, 1, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL,
+        alpha, 1, kappa_floor, kappa_tol,
     )
     if scale == 0.0:
         return SharpLocalMaxReport(
@@ -368,11 +339,10 @@ def verify_sharp_local_max(
                 nt = 1.0
             d[i] = d[i] + scale * t / nt
             d[i] /= np.linalg.norm(d[i])
-        d = _gauge_fix(d)
         try:
             _, e_pert, _ = _solve_level(
                 _star_solver(make_star(d, L, alpha), mesh),
-                alpha, 1, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL, hint=kappa,
+                alpha, 1, kappa_floor, kappa_tol, hint=kappa,
             )
         except (NoCrossing, BracketFailure):
             e_pert = SENTINEL

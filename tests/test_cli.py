@@ -1,13 +1,21 @@
+import io
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starspec import discretization
 from starspec.cli import COMMANDS, main, parse_job, render_json, run
+from starspec.discretization import build_mesh
 from starspec.errors import ParseError
+from starspec.geometry import make_star, sharp_configuration
+from starspec.spectral import bound_states, solve_energy
 
 
 def job_text(**kw):
@@ -25,13 +33,12 @@ MINIMAL_SPECTRUM = {
 class TestParseJob:
     def test_minimal_defaults(self):
         job = parse_job(job_text(**MINIMAL_SPECTRUM))
-        assert job.command == "spectrum"
-        assert job.star_sharp == 4
-        assert job.mesh == {"panels": 8, "order": 12, "grading": 2.0}
-        assert job.solver == {"kappa_floor": 1e-4, "kappa_tol": 1e-10, "levels": 1}
-        assert job.optimize == {"starts": 8, "seed": 0, "simplex_tol": 1e-5}
-        assert job.output_format == "json"
-        assert job.output_path is None
+        assert job.doc["command"] == "spectrum"
+        assert job.doc["star"] == {"sharp": 4}
+        assert job.doc["mesh"] == {"panels": 8, "order": 12, "grading": 2.0}
+        assert job.doc["solver"] == {"kappa_floor": 1e-4, "kappa_tol": 1e-10, "levels": 1}
+        assert job.doc["optimize"] == {"starts": 8, "seed": 0, "simplex_tol": 1e-5}
+        assert job.doc["output"] == {"format": "json", "path": None}
 
     def test_unsupported_sharp(self):
         with pytest.raises(ParseError):
@@ -67,8 +74,8 @@ class TestParseJob:
             parse_job(job_text(command="sweep-angle", alpha=0.0, arm_length=1.0))
         job = parse_job(job_text(command="sweep-angle", alpha=0.0, arm_length=1.0,
                                  sweep={"phi_min": 0.5, "phi_max": 3.0, "count": 3}))
-        assert job.sweep["count"] == 3
-        assert job.output_format == "csv"
+        assert job.doc["sweep"]["count"] == 3
+        assert job.doc["output"]["format"] == "csv"
 
     def test_sweep_star_conflict(self):
         with pytest.raises(ParseError):
@@ -80,7 +87,7 @@ class TestParseJob:
         job = parse_job(job_text(command="design-check",
                                  star={"directions": [[0, 0, 1], [0, 0, -1]]},
                                  design={"order": 1}))
-        assert job.star_directions == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+        assert job.doc["star"]["directions"] == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
 
 
 class TestRun:
@@ -182,6 +189,86 @@ class TestRun:
         assert json.loads(out.read_text())["diagnostics"]["eigensolver"] == record
 
 
+    def test_verify_applies_solver_group(self, tmp_path):
+        out = tmp_path / "res.json"
+        job = parse_job(job_text(
+            command="verify-sharp", star={"sharp": 2}, alpha=0.0, arm_length=5.0,
+            mesh={"panels": 4, "order": 6}, solver={"kappa_tol": 1e-3},
+            verify={"trials": 1}, output={"path": str(out)},
+        ))
+        assert run(job) == 0
+        sharp_energy = json.loads(out.read_text())["results"]["sharp_energy"]
+        star = make_star(sharp_configuration(2), 5.0, 0.0)
+        mesh = build_mesh(5.0, 4, 6, 2.0)
+        assert sharp_energy == solve_energy(star, mesh, 0.0, kappa_tol=1e-3)[1]
+        assert sharp_energy != solve_energy(star, mesh, 0.0)[1]
+
+
+#: one minimal document per JSON-writing command (sweep-angle writes CSV,
+#: which has no echo) and its ``job_echo``: the document normalized, every
+#: default filled in, keys in a fixed order
+SOLVER_DEFAULTS = {"kappa_floor": 1e-4, "kappa_tol": 1e-10, "levels": 1}
+ECHOES = {
+    "spectrum": (MINIMAL_SPECTRUM, {
+        **MINIMAL_SPECTRUM,
+        "mesh": {"panels": 8, "order": 12, "grading": 2.0},
+        "solver": SOLVER_DEFAULTS,
+        "optimize": {"starts": 8, "seed": 0, "simplex_tol": 1e-5},
+        "output": {"format": "json", "path": None},
+    }),
+    "optimize": (
+        {"command": "optimize", "star": {"sharp": 2}, "alpha": 0, "arm_length": 5,
+         "optimize": {"starts": 1}},
+        {"command": "optimize", "star": {"sharp": 2}, "alpha": 0, "arm_length": 5,
+         "mesh": {"panels": 8, "order": 12, "grading": 2.0},
+         "solver": SOLVER_DEFAULTS,
+         "optimize": {"starts": 1, "seed": 0, "simplex_tol": 1e-5},
+         "output": {"format": "json", "path": None}},
+    ),
+    "verify-sharp": (
+        {"command": "verify-sharp", "star": {"sharp": 2}, "alpha": -0.5, "arm_length": 3.0,
+         "verify": {"trials": 1}},
+        {"command": "verify-sharp", "star": {"sharp": 2}, "alpha": -0.5, "arm_length": 3.0,
+         "mesh": {"panels": 8, "order": 12, "grading": 2.0},
+         "solver": SOLVER_DEFAULTS,
+         "optimize": {"starts": 8, "seed": 0, "simplex_tol": 1e-5},
+         "verify": {"scale": 0.05, "trials": 1},
+         "output": {"format": "json", "path": None}},
+    ),
+    "bounds": (
+        {"command": "bounds", "star": {"directions": [[0, 0, 1], [1, 0, 0]]},
+         "alpha": 0.25, "arm_length": 2},
+        {"command": "bounds", "star": {"directions": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]},
+         "alpha": 0.25, "arm_length": 2,
+         "mesh": {"panels": 8, "order": 12, "grading": 2.0},
+         "solver": SOLVER_DEFAULTS,
+         "optimize": {"starts": 8, "seed": 0, "simplex_tol": 1e-5},
+         "bounds": {"constant": 1.0, "phi": None, "k": 1},
+         "output": {"format": "json", "path": None}},
+    ),
+    "design-check": (
+        {"command": "design-check", "star": {"sharp": 6}},
+        {"command": "design-check", "star": {"sharp": 6},
+         "mesh": {"panels": 8, "order": 12, "grading": 2.0},
+         "solver": SOLVER_DEFAULTS,
+         "optimize": {"starts": 8, "seed": 0, "simplex_tol": 1e-5},
+         "design": {"order": 3},
+         "output": {"format": "json", "path": None}},
+    ),
+}
+
+
+class TestJobEcho:
+    @pytest.mark.parametrize("command", sorted(ECHOES))
+    def test_minimal_document_echo(self, command, tmp_path):
+        document, expected = ECHOES[command]
+        out = tmp_path / "res.json"
+        assert run(parse_job(json.dumps(document)), out_path=str(out)) == 0
+        echo = json.loads(out.read_text())["job_echo"]
+        assert echo == expected
+        assert list(echo) == list(expected)
+
+
 def count_star_assemblers(monkeypatch):
     calls = []
     init = discretization.StarAssembler.__init__
@@ -206,11 +293,17 @@ class TestOneSolverPerStar:
         assert run(job) == 0
         assert len(calls) == 1
         doc = json.loads(out.read_text())
-        # 17-digit output of the solver that built one assembler per call
-        assert doc["results"]["levels"] == [
-            {"j": 1, "kappa": 4.087130620703613, "energy": -16.7046367106931},
-            {"j": 2, "kappa": 1.0065349532403873, "energy": -1.0131126120946288},
-        ]
+        levels = doc["results"]["levels"]
+        # 17-digit output of the solver that built one assembler per call;
+        # level 1 comes from the 48-row sector matrix
+        assert levels[0] == {"j": 1, "kappa": 4.087130620703613, "energy": -16.7046367106931}
+        # level 2 comes from the full 192-row matrix, whose eigensolve rounds
+        # differently with the BLAS thread count: check it against the
+        # library in this process
+        _, res = bound_states(
+            make_star(sharp_configuration(4), 5.0, 0.0), build_mesh(5.0, 6, 8, 2.0), 0.0, 2
+        )
+        assert levels[1] == {"j": 2, "kappa": res.levels[1].kappa, "energy": res.levels[1].energy}
         assert doc["diagnostics"]["bound_states_at_floor"] == 6
 
     def test_sweep_one_per_angle(self, tmp_path, monkeypatch):
@@ -285,6 +378,9 @@ INVALID_JOBS = {
     "sweep-angle, small-angle bound overflows": {
         "command": "sweep-angle", "alpha": -200.0, "arm_length": 1.0,
         "sweep": {"phi_min": 0.5, "phi_max": 0.5, "count": 1}},
+    "optimize with one arm": {
+        "command": "optimize", "star": {"directions": [[0, 0, 1]]},
+        "alpha": 0, "arm_length": 1},
 }
 
 
@@ -307,7 +403,7 @@ class TestMain:
 
     def test_output_path_null_means_not_given(self):
         job = parse_job(job_text(**MINIMAL_SPECTRUM, output={"path": None}))
-        assert job.output_path is None
+        assert job.doc["output"]["path"] is None
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -386,3 +482,68 @@ class TestParseJobFuzz:
             parse_job(text)
         except ParseError:
             pass
+
+
+def _unit(theta, phi):
+    return [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+
+
+#: unit directions, and arbitrary 3-vectors (rejected when run)
+DIRECTIONS = (
+    st.builds(_unit, st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi))
+    | st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)
+)
+SMALL_SHARP = st.sampled_from([2, 3]).map(lambda n: {"sharp": n})
+SMALL_STARS = SMALL_SHARP | st.lists(DIRECTIONS, min_size=1, max_size=3).map(
+    lambda dirs: {"directions": dirs})
+
+
+def _small_job(command):
+    """Valid documents of one command, small enough to run: at most three
+    arms, at most 4 panels of order 4, one start, one trial, two angles."""
+    groups = {
+        "command": st.just(command),
+        "alpha": st.floats(-3.0, 3.0),
+        "arm_length": st.floats(0.05, 8.0),
+        "mesh": st.fixed_dictionaries({
+            "panels": st.integers(2, 4), "order": st.integers(2, 4),
+            "grading": st.floats(1.0, 4.0)}),
+        "solver": st.fixed_dictionaries({}, optional={
+            "kappa_floor": st.floats(1e-6, 10.0), "kappa_tol": st.floats(1e-12, 1e-2),
+            "levels": st.integers(1, 3)}),
+        "optimize": st.fixed_dictionaries({"starts": st.just(1)}, optional={
+            "seed": st.integers(0, 3), "simplex_tol": st.floats(1e-6, 1e-1)}),
+        "star": SMALL_STARS,
+    }
+    if command == "sweep-angle":
+        del groups["star"]
+        groups["sweep"] = st.fixed_dictionaries({
+            "phi_min": st.floats(1e-3, 3.1), "phi_max": st.just(3.14),
+            "count": st.integers(1, 2)})
+    elif command == "verify-sharp":
+        groups["star"] = SMALL_SHARP
+        groups["verify"] = st.fixed_dictionaries({
+            "scale": st.floats(0.0, 0.5), "trials": st.just(1)})
+    elif command == "bounds":
+        groups["bounds"] = st.fixed_dictionaries({}, optional={
+            "constant": st.floats(0.01, 10.0), "phi": st.floats(1e-3, math.pi),
+            "k": st.integers(-1, 3)})
+    elif command == "design-check":
+        groups["design"] = st.fixed_dictionaries({"order": st.integers(1, 8)})
+    return st.fixed_dictionaries(groups)
+
+
+class TestMainFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(COMMANDS).flatmap(_small_job))
+    @example(INVALID_JOBS["optimize with one arm"])
+    def test_exit_status_without_traceback(self, doc):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            job = os.path.join(tmp, "job.json")
+            with open(job, "w") as fh:
+                json.dump(doc, fh)
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main(["--job", job, "--out", os.path.join(tmp, "out")])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
