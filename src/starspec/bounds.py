@@ -16,7 +16,7 @@ import numpy as np
 from .discretization import Mesh, build_mesh
 from .errors import DegenerateAngle, DomainError
 from .geometry import StarConfig, make_star
-from .kernels import PSI_ONE
+from .kernels import PSI_ONE, offdiag_norm_bound
 from .spectral import refine_until
 
 #: fitted-exponent acceptance window: between the two theoretical rates
@@ -51,31 +51,26 @@ def segment_existence_length(alpha: float) -> float:
     return length
 
 
-def nonexistence_threshold(
-    config: StarConfig, C: float, ordered_pairs: bool = True
-) -> float:
-    """Coupling threshold above which the discrete spectrum is empty.
+def nonexistence_threshold(config: StarConfig) -> float:
+    """Coupling at and above which the star has no bound state:
+    ln(L)/(2 pi) + lambda_max(P), with P_ij = tau(phi_ij)
+    (``offdiag_norm_bound``) for i != j and P_ii = 0.
 
-    (N / 2 pi) ln(L/4) + sum over arm pairs of
-    (sqrt(2)/(4 pi)) |ln(1 - cos phi_ij)| + C, with the pair sum running
-    over ordered pairs by default (each unordered pair counted twice);
-    ``ordered_pairs=False`` counts each pair once for sensitivity checks.
-    The constant C is the paper-asserted positive constant, user-supplied.
-
-    The diagonal term rests on the bound sup T^{ii} <= ln(L/4)/(2 pi), which
-    the regularized operator of ``starspec.discretization`` does not satisfy:
-    the normalized constant function already gives (2 ln L + ln 4 - 2)/(4 pi)
-    at kappa -> 0, above ln(L/4)/(2 pi) for every L (the two-sided bound that
-    does hold is acceptance criterion 05).  The returned value is therefore
-    not a proven threshold: for one arm of length 1 it is -0.2206, yet the
-    star has a bound state at alpha = -0.1.
+    Proof: split a unit vector u into arm slices u_i of norms x_i.  Then
+    (u, Q_kappa u) <= t |x|^2 + sum_{i != j} |B_ij| x_i x_j <= t + lambda_max(P),
+    because x >= 0 and |B_ij| <= P_ij: tau bounds each pair block B_ij at
+    every kappa, since e^{-kappa r}/r <= 1/r.  The diagonal block's top t is
+    below ln(L)/(2 pi) (acceptance criterion 05 derives it).  So no
+    eigenvalue curve reaches the threshold.  One arm gives ln(L)/(2 pi), and
+    scaling the arms by zeta adds ln(zeta)/(2 pi), as ``scaled_coupling``
+    requires.
     """
     angles = config.pair_angles()
     if np.any(angles <= 0.0):
         raise DegenerateAngle("zero angle between some pair of arms")
-    pair_terms = sqrt(2.0) / (4.0 * pi) * np.abs(np.log(1.0 - np.cos(angles))) + C
-    total = pair_terms.sum() * (2.0 if ordered_pairs else 1.0)
-    return config.n_arms / (2.0 * pi) * log(config.arm_length / 4.0) + float(total)
+    P = np.zeros((config.n_arms, config.n_arms))
+    P[np.triu_indices(config.n_arms, k=1)] = [offdiag_norm_bound(phi) for phi in angles]
+    return log(config.arm_length) / (2.0 * pi) + float(np.linalg.eigvalsh(P, UPLO="U")[-1])
 
 
 @dataclass(frozen=True)

@@ -39,37 +39,42 @@ COMMANDS = ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds", "de
 #: 128 panels of order 16 one block's correction batch holds 4e7 to 7e7
 #: entries (0.5 to 0.8 GiB); it grows about as the square of the order.
 MAX_ROWS = 16_384
+#: arms per star, for every command: ``bounds`` and ``design-check`` build no
+#: matrix, but their work on the arm pairs grows as the square of this
+MAX_ARMS = 256
 MAX_PANELS = 128
 MAX_ORDER = 16
 MAX_DESIGN_ORDER = 64
 MAX_SWEEP_COUNT = 10_000
 
-#: the job schema: group -> (the command that owns it, None for every
-#: command; {key: (kind, default)}); a None default means "not given".  The
+#: the commands that solve on a mesh
+_SOLVES = ("spectrum", "sweep-angle", "optimize", "verify-sharp")
+#: the job schema: group -> (the commands that read it, no other may carry
+#: it; {key: (kind, default)}); a None default means "not given".  The
 #: parsed job lists its groups in this order.
 _GROUPS = {
-    "mesh": (None, {
+    "mesh": (_SOLVES, {
         "panels": (int, DEFAULT_PANELS),
         "order": (int, DEFAULT_ORDER),
         "grading": (float, DEFAULT_GRADING),
     }),
-    "solver": (None, {
+    "solver": (_SOLVES, {
         "kappa_floor": (float, DEFAULT_KAPPA_FLOOR),
         "kappa_tol": (float, DEFAULT_KAPPA_TOL),
         "levels": (int, 1),
     }),
-    "optimize": (None, {
+    "optimize": (("optimize", "verify-sharp"), {
         "starts": (int, OptSettings.starts),
         "seed": (int, OptSettings.seed),
         "simplex_tol": (float, OptSettings.simplex_tol),
     }),
-    "sweep": ("sweep-angle", {
+    "sweep": (("sweep-angle",), {
         "phi_min": (float, None), "phi_max": (float, None), "count": (int, None),
     }),
-    "verify": ("verify-sharp", {"scale": (float, 0.05), "trials": (int, 20)}),
-    "bounds": ("bounds", {"constant": (float, 1.0), "phi": (float, None), "k": (int, 1)}),
-    "design": ("design-check", {"order": (int, 3)}),
-    "output": (None, {"format": (str, None), "path": (str, None)}),
+    "verify": (("verify-sharp",), {"scale": (float, 0.05), "trials": (int, 20)}),
+    "bounds": (("bounds",), {"constant": (float, 1.0), "phi": (float, None), "k": (int, 1)}),
+    "design": (("design-check",), {"order": (int, 3)}),
+    "output": (COMMANDS, {"format": (str, None), "path": (str, None)}),
 }
 
 
@@ -132,6 +137,8 @@ def _star(star) -> dict:
             raise ParseError(f"'star.sharp' must be one of {sizes}, got {n!r}")
         return {"sharp": n}
     dirs = star["directions"]
+    if isinstance(dirs, list) and len(dirs) > MAX_ARMS:
+        raise ParseError(f"'star.directions' has {len(dirs)} arms; at most {MAX_ARMS}")
     if (
         not isinstance(dirs, list)
         or not dirs
@@ -167,20 +174,21 @@ def parse_job(document: str) -> JobSpec:
             doc[key] = raw[key]
     if doc.get("arm_length", 1) <= 0:
         raise ParseError(f"'arm_length' must be positive, got {doc['arm_length']}")
-    for name, (owner, keys) in _GROUPS.items():
-        if owner in (None, command):
+    for name, (readers, keys) in _GROUPS.items():
+        if command in readers:
             doc[name] = _group(raw, name, keys)
         elif name in raw:
-            raise ParseError(f"'{name}' is only valid for {owner}, not {command}")
+            raise ParseError(f"'{name}' is only valid for {', '.join(readers)}, not {command}")
 
-    mesh, solver, opt = doc["mesh"], doc["solver"], doc["optimize"]
-    if not (2 <= mesh["panels"] <= MAX_PANELS and 2 <= mesh["order"] <= MAX_ORDER
-            and mesh["grading"] >= 1):
+    mesh, solver, opt = doc.get("mesh"), doc.get("solver"), doc.get("optimize")
+    if mesh and not (2 <= mesh["panels"] <= MAX_PANELS and 2 <= mesh["order"] <= MAX_ORDER
+                     and mesh["grading"] >= 1):
         raise ParseError(f"invalid mesh parameters: {mesh} (panels and order from 2 "
                          f"to {MAX_PANELS} and {MAX_ORDER}, grading >= 1)")
-    if solver["kappa_floor"] <= 0 or solver["kappa_tol"] <= 0 or solver["levels"] < 1:
+    if solver and (solver["kappa_floor"] <= 0 or solver["kappa_tol"] <= 0
+                   or solver["levels"] < 1):
         raise ParseError(f"invalid solver parameters: {solver}")
-    if opt["starts"] < 1 or opt["simplex_tol"] <= 0:
+    if opt and (opt["starts"] < 1 or opt["simplex_tol"] <= 0):
         raise ParseError(f"invalid optimize parameters: {opt}")
     if command == "sweep-angle":
         sweep = doc["sweep"]
@@ -213,9 +221,12 @@ def parse_job(document: str) -> JobSpec:
 
     if command != "sweep-angle" and "star" not in doc:
         raise ParseError(f"{command} requires a 'star'")
-    if command != "design-check" and ("alpha" not in doc or "arm_length" not in doc):
+    if command == "design-check":
+        if "alpha" in doc or "arm_length" in doc:
+            raise ParseError("design-check reads neither 'alpha' nor 'arm_length'")
+    elif "alpha" not in doc or "arm_length" not in doc:
         raise ParseError(f"{command} requires 'alpha' and 'arm_length'")
-    if command not in ("bounds", "design-check"):
+    if mesh:
         arms = 2 if command == "sweep-angle" else _n_arms(doc["star"])
         rows = arms * mesh["panels"] * mesh["order"]
         if rows > MAX_ROWS:
@@ -377,10 +388,7 @@ def _run_bounds(job: JobSpec) -> tuple[dict, dict]:
     grp = doc["bounds"]
     results = {
         "segment_existence_length": segment_existence_length(doc["alpha"]),
-        "nonexistence_threshold": nonexistence_threshold(config, grp["constant"]),
-        "nonexistence_threshold_unordered": nonexistence_threshold(
-            config, grp["constant"], ordered_pairs=False
-        ),
+        "nonexistence_threshold": nonexistence_threshold(config),
     }
     if grp["phi"] is not None:
         b = small_angle_bounds(doc["alpha"], doc["arm_length"], grp["phi"], grp["k"],

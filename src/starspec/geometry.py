@@ -58,10 +58,12 @@ class StarConfig:
         return self.directions.shape[0]
 
     def pair_angles(self) -> np.ndarray:
-        """Angles between all unordered pairs of arms, radians."""
-        g = self.directions @ self.directions.T
-        iu = np.triu_indices(self.n_arms, k=1)
-        return np.arccos(np.clip(g[iu], -1.0, 1.0))
+        """Angles between all unordered pairs of arms (i < j, row-major),
+        radians; from the chords 2 sin(phi/2), which keep their relative
+        accuracy at the smallest angles ``make_star`` admits."""
+        i, j = np.triu_indices(self.n_arms, k=1)
+        chords = np.linalg.norm(self.directions[i] - self.directions[j], axis=1)
+        return 2.0 * np.arcsin(np.minimum(0.5 * chords, 1.0))
 
 
 def unit_directions(directions) -> np.ndarray:

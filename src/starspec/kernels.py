@@ -9,7 +9,7 @@ between two arms at a given angle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, cos, exp, pi, sin, sqrt
+from math import asinh, comb, cos, cosh, exp, pi, sin, sinh, sqrt
 
 import numpy as np
 from scipy.integrate import quad
@@ -72,11 +72,18 @@ def point_eigenvalue(alpha: float) -> float:
     return -4.0 * exp(2.0 * (-2.0 * pi * alpha + PSI_ONE))
 
 
-def _angle_integrand(w: float, cos_phi: float) -> float:
-    # substitution v = w^2 removes the inverse-square-root endpoint singularity
+def _tau_peak(t: float, phi: float, h: float) -> float:
+    # u = phi sinh(t) spreads the peak of width phi at u = 0 over t ~ 1
+    u = phi * sinh(t)
+    s, c = sin(0.5 * u), cos(u)
+    return phi * cosh(t) / sqrt(c * (2.0 * s * s + h * c))
+
+
+def _tau_tail(w: float, h: float) -> float:
+    # pi/2 - u = w^2 removes the inverse-square-root endpoint singularity
     v = w * w
-    sv = sin(v)
-    return 2.0 * w / sqrt(sv * (1.0 - cos_phi * sv))
+    s, c = sin(0.25 * pi - 0.5 * v), sin(v)
+    return 2.0 * w / sqrt(c * (2.0 * s * s + h * c))
 
 
 def offdiag_norm_bound(phi: float, rel_tol: float = 1e-10) -> float:
@@ -84,17 +91,22 @@ def offdiag_norm_bound(phi: float, rel_tol: float = 1e-10) -> float:
 
     tau(phi) = (sqrt(2)/4 pi) * I_phi with
     I_phi = int_0^{pi/2} dtheta / sqrt(sin 2theta (1 - cos phi sin 2theta)).
-    Continuously decreasing on (0, pi].
+    Continuously decreasing on (0, pi], with tau(phi) = ln(1/phi)/(2 pi) + 0.330953...
+    as phi -> 0.
+
+    Folding v = 2 theta about pi/2 and putting u = pi/2 - v gives
+    I_phi = int_0^{pi/2} du / sqrt(cos u (2 sin^2(u/2) + 2 sin^2(phi/2) cos u)),
+    free of the cancellation in 1 - cos phi sin v.  Split at u = pi/4, its
+    peak of width phi at u = 0 and its endpoint singularity at u = pi/2 get
+    one substitution each.
     """
     if not 0.0 < phi <= pi:
         raise DomainError(f"angle must be in (0, pi], got {phi}")
-    cphi = cos(phi)
-    # fold: theta -> v = 2 theta is symmetric about pi/2, then v = w^2
-    val, _ = quad(
-        _angle_integrand, 0.0, sqrt(pi / 2.0), args=(cphi,), epsabs=0.0,
-        epsrel=rel_tol, limit=400,
-    )
-    return sqrt(2.0) / (4.0 * pi) * val
+    h = 2.0 * sin(0.5 * phi) ** 2
+    opts = dict(epsabs=0.0, epsrel=rel_tol, limit=400)
+    peak, _ = quad(_tau_peak, 0.0, asinh(0.25 * pi / phi), args=(phi, h), **opts)
+    tail, _ = quad(_tau_tail, 0.0, sqrt(0.25 * pi), args=(h,), **opts)
+    return sqrt(2.0) / (4.0 * pi) * (peak + tail)
 
 
 @dataclass(frozen=True)

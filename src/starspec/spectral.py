@@ -76,8 +76,8 @@ class SpectralResult:
 
 class _CurveSolver:
     """Eigenvalue curves of one star: ``matrix`` maps kappa to its symmetric
-    Birman-Schwinger matrix; ARPACK solves warm-start from the last top
-    eigenvector.
+    Birman-Schwinger matrix; ARPACK solves start from the constant vector,
+    then warm-start from the last top eigenvector.
 
     Given an arm-regular ``StarAssembler``, the top eigenpair comes from its
     M x M sector matrices instead.  The arm-symmetric vectors span an
@@ -99,20 +99,32 @@ class _CurveSolver:
               vectors: bool = False):
         """The ``first``-th to ``last``-th largest eigenvalues of ``A`` (all
         for ``last=None``), ascending, with eigenvectors if asked.  ARPACK
-        gives the top one alone above ``_DENSE_MAX``, LAPACK everything else."""
+        gives the top one alone above ``_DENSE_MAX``, LAPACK everything else.
+        The constant start vector, not ARPACK's random one, makes runs repeat
+        bitwise."""
         n = A.shape[0]
         try:
             if n > _DENSE_MAX and first == last == 1:
-                vals, vecs = spla.eigsh(A, k=1, which="LA", v0=self._warm, tol=1e-12)
+                v0 = np.ones(n) if self._warm is None else self._warm
+                vals, vecs = spla.eigsh(A, k=1, which="LA", v0=v0, tol=1e-12)
                 self._warm = vecs[:, 0]
                 return (vals, vecs) if vectors else vals
-            return sla.eigh(
-                A,
-                eigvals_only=not vectors,
-                subset_by_index=None if last is None else [n - last, n - first],
-                overwrite_a=True,
-                check_finite=False,
-            )
+            kw = dict(eigvals_only=not vectors, check_finite=False)
+            if last is None:
+                return sla.eigh(A, **kw)
+            lo, hi = n - last, n - first + 1
+            try:
+                out = sla.eigh(A, subset_by_index=[lo, hi - 1], **kw)
+            except sla.LinAlgError:
+                out = None
+            if out is not None and len(out[0] if vectors else out) == hi - lo:
+                return out
+            # the subset driver (evr) fails on some tiny, nearly scalar
+            # matrices: "Internal Error." for values alone, no eigenpair with
+            # vectors; the full driver (evd) does not.  A is intact, since it
+            # was not handed over for overwriting
+            out = sla.eigh(A, driver="evd", **kw)
+            return (out[0][lo:hi], out[1][:, lo:hi]) if vectors else out[lo:hi]
         except (sla.LinAlgError, spla.ArpackError) as exc:
             raise EigensolveFailure(str(exc)) from exc
 

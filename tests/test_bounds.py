@@ -13,7 +13,8 @@ from starspec.bounds import (
 )
 from starspec.errors import DegenerateAngle
 from starspec.geometry import StarConfig
-from starspec.kernels import PSI_ONE
+from starspec.kernels import PSI_ONE, offdiag_norm_bound
+from starspec.spectral import DEFAULT_KAPPA_FLOOR
 
 
 class TestScaledCoupling:
@@ -47,40 +48,38 @@ class TestSegmentExistenceLength:
 class TestNonexistenceThreshold:
     def test_single_arm_L4(self):
         cfg = ss.make_star([(0, 0, 1)], 4.0, 0.0)
-        assert nonexistence_threshold(cfg, C=7.0) == 0.0
+        assert nonexistence_threshold(cfg) == pytest.approx(math.log(4.0) / (2 * math.pi),
+                                                            rel=1e-15)
 
     def test_antipodal_value(self):
+        # P = [[0, tau(pi)], [tau(pi), 0]] has top tau(pi) = 1/4
         cfg = ss.make_star(ss.sharp_configuration(2), 4.0, 0.0)
-        want = 2.0 * (math.sqrt(2) / (4 * math.pi) * math.log(2.0) + 1.0)
-        got = nonexistence_threshold(cfg, C=1.0)
+        want = math.log(4.0) / (2 * math.pi) + offdiag_norm_bound(math.pi)
+        got = nonexistence_threshold(cfg)
         assert got == pytest.approx(want, rel=1e-12)
-        assert got == pytest.approx(2.156, abs=1e-3)
-
-    def test_unordered_halves_the_pair_sum(self):
-        cfg = ss.make_star(ss.sharp_configuration(4), 4.0, 0.0)
-        full = nonexistence_threshold(cfg, C=0.5)
-        half = nonexistence_threshold(cfg, C=0.5, ordered_pairs=False)
-        base = cfg.n_arms / (2 * math.pi) * math.log(cfg.arm_length / 4.0)
-        assert full - base == pytest.approx(2.0 * (half - base), rel=1e-12)
+        assert got == pytest.approx(0.4706, abs=1e-4)
 
     def test_diverges_for_closing_angle(self):
-        phi = 1e-5
-        dirs = np.array([[0, 0, 1.0], [math.sin(phi), 0, math.cos(phi)]])
-        cfg = StarConfig(directions=dirs, arm_length=1.0, coupling=0.0)
-        assert nonexistence_threshold(cfg, C=1.0) > 5.0
+        # tau(phi) = ln(1/phi)/(2 pi) + const + o(1): each decade adds ln(10)/(2 pi)
+        vals = []
+        for phi in (1e-5, 1e-6, 1e-7):
+            dirs = [(0, 0, 1.0), (math.sin(phi), 0, math.cos(phi))]
+            vals.append(nonexistence_threshold(ss.make_star(dirs, 1.0, 0.0)))
+        assert vals[0] == pytest.approx(2.1633, abs=1e-4)
+        for a, b in zip(vals, vals[1:]):
+            assert b - a == pytest.approx(math.log(10.0) / (2 * math.pi), abs=1e-9)
 
     def test_degenerate_angle(self):
         dirs = np.array([[0, 0, 1.0], [0, 0, 1.0]])
         cfg = StarConfig(directions=dirs, arm_length=1.0, coupling=0.0)
         with pytest.raises(DegenerateAngle):
-            nonexistence_threshold(cfg, C=1.0)
+            nonexistence_threshold(cfg)
 
     def test_consistent_with_no_bound_states(self):
-        # one margin above the threshold at C=0.5 the spectrum is empty
         cfg = ss.make_star(
             [(0, 0, 1), (math.sin(2.0), 0, math.cos(2.0))], 1.0, 0.0
         )
-        alpha = nonexistence_threshold(cfg, C=0.5) + 1.0
+        alpha = nonexistence_threshold(cfg)
         assert ss.count_bound_states(cfg, ss.default_mesh(1.0), alpha) == 0
 
     def test_existence_at_1p1_times_guarantee(self):
@@ -88,6 +87,73 @@ class TestNonexistenceThreshold:
         total = 1.1 * segment_existence_length(0.0)
         cfg = ss.make_star([(0, 0, 1)], total, 0.0)
         assert ss.count_bound_states(cfg, ss.default_mesh(total), 0.0) >= 1
+
+
+def constant_trial_coupling(config) -> float:
+    """alpha_lo = [2 ln L + ln 4 - 2 + (4/N) sum_{i<j} ln(1 + 2/|d_i - d_j|)]/(4 pi).
+
+    The constant trial function f = (NL)^{-1/2} on every arm has |f| = 1.
+    Its diagonal part is the constant-function bound of acceptance criterion
+    05, shared by the N arms: 4 pi (f, T f) summed over the arms is at least
+    2 ln L + ln 4 - 2 - kappa L.  Arms i and j are r = L sqrt((s-t)^2 + s t c)
+    apart at arc lengths Ls and Lt, with c = |d_i - d_j|^2, and
+
+        int int_{[0,1]^2} ds dt / sqrt((s-t)^2 + s t c) = 2 ln(1 + 2/sqrt(c)),
+
+    so with (1 - e^{-kappa r})/r <= kappa each of the N(N-1) ordered pairs
+    adds at least (2 ln(1 + 2/|d_i - d_j|) - kappa L)/N.  Hence
+    lambda_1(kappa) >= alpha_lo - N kappa L/(4 pi): a coupling below that
+    leaves at least one eigenvalue above it at the kappa floor.
+    """
+    n, L, d = config.n_arms, config.arm_length, config.directions
+    i, j = np.triu_indices(n, k=1)
+    pairs = np.log1p(2.0 / np.linalg.norm(d[i] - d[j], axis=1)).sum()
+    return (2 * math.log(L) + math.log(4.0) - 2.0 + 4.0 / n * pairs) / (4 * math.pi)
+
+
+def random_directions(n: int, seed: int) -> np.ndarray:
+    d = np.random.default_rng(seed).standard_normal((n, 3))
+    return d / np.linalg.norm(d, axis=1)[:, None]
+
+
+BRACKET_STARS = {
+    **{f"sharp{n}": ss.sharp_configuration(n) for n in (2, 3, 4, 6, 12)},
+    "one arm": np.array([[0.0, 0.0, 1.0]]),
+    **{f"random{n}": random_directions(n, n) for n in (2, 3, 4, 6, 12)},
+}
+
+
+class TestThresholdBracket:
+    """The discrete spectrum is empty at the nonexistence threshold and not
+    empty just below the constant-trial coupling ``constant_trial_coupling``."""
+
+    @pytest.mark.parametrize("c", [4.0, 1.0, 0.1])
+    def test_pair_integral(self, c):
+        from scipy.integrate import dblquad
+
+        val, _ = dblquad(lambda t, s: 1.0 / math.sqrt((s - t) ** 2 + s * t * c),
+                         0.0, 1.0, 0.0, 1.0, epsabs=0.0, epsrel=1e-10)
+        assert val == pytest.approx(2.0 * math.log1p(2.0 / math.sqrt(c)), rel=1e-8)
+
+    def check(self, dirs, L):
+        config = ss.make_star(dirs, L, 0.0)
+        upper = nonexistence_threshold(config)
+        slack = config.n_arms * DEFAULT_KAPPA_FLOOR * L / (4 * math.pi)
+        lower = constant_trial_coupling(config) - slack
+        assert lower < upper
+        for panels in (8, 16):
+            mesh = ss.build_mesh(L, panels, 12, 2.0)
+            assert ss.count_bound_states(config, mesh, upper) == 0
+            assert ss.count_bound_states(config, mesh, lower - 1e-9) >= 1
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 4.0, 10.0])
+    @pytest.mark.parametrize("star", sorted(BRACKET_STARS))
+    def test_stars(self, star, L):
+        self.check(BRACKET_STARS[star], L)
+
+    @pytest.mark.parametrize("phi", [0.02, 0.1, 0.5, 1.5, 2.5, math.pi])
+    def test_two_arms(self, phi):
+        self.check([(0, 0, 1.0), (math.sin(phi), 0, math.cos(phi))], 1.0)
 
 
 class TestSmallAngleBounds:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -37,8 +38,9 @@ class TestParseJob:
         assert job.doc["star"] == {"sharp": 4}
         assert job.doc["mesh"] == {"panels": 8, "order": 12, "grading": 2.0}
         assert job.doc["solver"] == {"kappa_floor": 1e-4, "kappa_tol": 1e-10, "levels": 1}
-        assert job.doc["optimize"] == {"starts": 8, "seed": 0, "simplex_tol": 1e-5}
         assert job.doc["output"] == {"format": "json", "path": None}
+        # spectrum reads no search settings, so it takes and echoes none
+        assert "optimize" not in job.doc
 
     def test_unsupported_sharp(self):
         with pytest.raises(ParseError):
@@ -203,17 +205,55 @@ class TestRun:
         assert sharp_energy == solve_energy(star, mesh, 0.0, kappa_tol=1e-3)[1]
         assert sharp_energy != solve_energy(star, mesh, 0.0)[1]
 
+    def test_bounds_near_coincident_arms(self, tmp_path, capsys):
+        # make_star admits arms 1e-9 rad apart; tau(1e-9) is about 3.63
+        out = tmp_path / "res.json"
+        jb = tmp_path / "job.json"
+        jb.write_text(job_text(command="bounds", alpha=0.0, arm_length=1.0,
+                               star={"directions": [[0, 0, 1], [1e-9, 0, 1]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--job", str(jb), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        threshold = json.loads(out.read_text())["results"]["nonexistence_threshold"]
+        assert math.isfinite(threshold)
+        assert threshold == pytest.approx(3.6291635951864, rel=1e-9)
+
+    def test_arpack_runs_repeat(self, tmp_path):
+        # the perturbed icosahedra take the ARPACK path (1152 rows)
+        texts = []
+        for _ in range(2):
+            out = tmp_path / "res.json"
+            job = parse_job(job_text(
+                command="verify-sharp", star={"sharp": 12}, alpha=0.0, arm_length=3.0,
+                verify={"trials": 2}, optimize={"seed": 3},
+            ))
+            assert run(job, out_path=str(out)) == 0
+            doc = json.loads(out.read_text())
+            doc.pop("meta")
+            texts.append(render_json(doc))
+        assert texts[0] == texts[1]
+
+    def test_search_through_subset_driver_failures(self, tmp_path):
+        # LAPACK's subset driver fails at some kappas of this 8 x 8 search
+        # matrix; the search falls back to the full driver there
+        job = parse_job(job_text(
+            command="optimize", star={"sharp": 2}, alpha=-1.0,
+            arm_length=1.2313601059970256, mesh={"panels": 2, "order": 2, "grading": 1.0},
+            optimize={"starts": 1},
+        ))
+        assert run(job, out_path=str(tmp_path / "res.json")) == 0
+
 
 #: one minimal document per JSON-writing command (sweep-angle writes CSV,
-#: which has no echo) and its ``job_echo``: the document normalized, every
-#: default filled in, keys in a fixed order
+#: which has no echo) and its ``job_echo``: the document normalized, the
+#: defaults of every group the command reads filled in, keys in a fixed order
 SOLVER_DEFAULTS = {"kappa_floor": 1e-4, "kappa_tol": 1e-10, "levels": 1}
 ECHOES = {
     "spectrum": (MINIMAL_SPECTRUM, {
         **MINIMAL_SPECTRUM,
         "mesh": {"panels": 8, "order": 12, "grading": 2.0},
         "solver": SOLVER_DEFAULTS,
-        "optimize": {"starts": 8, "seed": 0, "simplex_tol": 1e-5},
         "output": {"format": "json", "path": None},
     }),
     "optimize": (
@@ -240,18 +280,12 @@ ECHOES = {
          "alpha": 0.25, "arm_length": 2},
         {"command": "bounds", "star": {"directions": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]},
          "alpha": 0.25, "arm_length": 2,
-         "mesh": {"panels": 8, "order": 12, "grading": 2.0},
-         "solver": SOLVER_DEFAULTS,
-         "optimize": {"starts": 8, "seed": 0, "simplex_tol": 1e-5},
          "bounds": {"constant": 1.0, "phi": None, "k": 1},
          "output": {"format": "json", "path": None}},
     ),
     "design-check": (
         {"command": "design-check", "star": {"sharp": 6}},
         {"command": "design-check", "star": {"sharp": 6},
-         "mesh": {"panels": 8, "order": 12, "grading": 2.0},
-         "solver": SOLVER_DEFAULTS,
-         "optimize": {"starts": 8, "seed": 0, "simplex_tol": 1e-5},
          "design": {"order": 3},
          "output": {"format": "json", "path": None}},
     ),
@@ -363,6 +397,16 @@ BAD_INPUTS = {
     "sweep.count above the cap": {
         "command": "sweep-angle", "alpha": 0.0, "arm_length": 1.0,
         "sweep": {"phi_min": 0.5, "phi_max": 1.0, "count": 10_001}},
+    "bounds with 257 arms": dict(
+        MINIMAL_SPECTRUM, command="bounds", star={"directions": [[0, 0, 1]] * 257}),
+    "bounds with a mesh": dict(MINIMAL_SPECTRUM, command="bounds", mesh={}),
+    "design-check with a solver": {
+        "command": "design-check", "star": {"sharp": 4}, "solver": {"levels": 1}},
+    "design-check with alpha": {"command": "design-check", "star": {"sharp": 4}, "alpha": 0},
+    "spectrum with optimize settings": dict(MINIMAL_SPECTRUM, optimize={"seed": 1}),
+    "sweep-angle with optimize settings": {
+        "command": "sweep-angle", "alpha": 0.0, "arm_length": 1.0,
+        "sweep": {"phi_min": 0.5, "phi_max": 1.0, "count": 2}, "optimize": {}},
 }
 
 #: job documents that parse but must be rejected with exit status 2 when run
@@ -500,21 +544,24 @@ SMALL_STARS = SMALL_SHARP | st.lists(DIRECTIONS, min_size=1, max_size=3).map(
 
 def _small_job(command):
     """Valid documents of one command, small enough to run: at most three
-    arms, at most 4 panels of order 4, one start, one trial, two angles."""
+    arms, at most 4 panels of order 4, one start, one trial, two angles;
+    each carries only the groups its command reads."""
     groups = {
         "command": st.just(command),
         "alpha": st.floats(-3.0, 3.0),
         "arm_length": st.floats(0.05, 8.0),
-        "mesh": st.fixed_dictionaries({
-            "panels": st.integers(2, 4), "order": st.integers(2, 4),
-            "grading": st.floats(1.0, 4.0)}),
-        "solver": st.fixed_dictionaries({}, optional={
-            "kappa_floor": st.floats(1e-6, 10.0), "kappa_tol": st.floats(1e-12, 1e-2),
-            "levels": st.integers(1, 3)}),
-        "optimize": st.fixed_dictionaries({"starts": st.just(1)}, optional={
-            "seed": st.integers(0, 3), "simplex_tol": st.floats(1e-6, 1e-1)}),
         "star": SMALL_STARS,
     }
+    if command in ("spectrum", "sweep-angle", "optimize", "verify-sharp"):
+        groups["mesh"] = st.fixed_dictionaries({
+            "panels": st.integers(2, 4), "order": st.integers(2, 4),
+            "grading": st.floats(1.0, 4.0)})
+        groups["solver"] = st.fixed_dictionaries({}, optional={
+            "kappa_floor": st.floats(1e-6, 10.0), "kappa_tol": st.floats(1e-12, 1e-2),
+            "levels": st.integers(1, 3)})
+    if command in ("optimize", "verify-sharp"):
+        groups["optimize"] = st.fixed_dictionaries({"starts": st.just(1)}, optional={
+            "seed": st.integers(0, 3), "simplex_tol": st.floats(1e-6, 1e-1)})
     if command == "sweep-angle":
         del groups["star"]
         groups["sweep"] = st.fixed_dictionaries({
@@ -529,6 +576,7 @@ def _small_job(command):
             "constant": st.floats(0.01, 10.0), "phi": st.floats(1e-3, math.pi),
             "k": st.integers(-1, 3)})
     elif command == "design-check":
+        del groups["alpha"], groups["arm_length"]
         groups["design"] = st.fixed_dictionaries({"order": st.integers(1, 8)})
     return st.fixed_dictionaries(groups)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ class TestOffdiagNormBound:
             offdiag_norm_bound(0.0)
         with pytest.raises(DomainError):
             offdiag_norm_bound(3.5)
+
+    def test_smallest_angles(self):
+        # make_star admits arms 1e-9 rad apart; there
+        # tau(phi) = ln(1/phi)/(2 pi) + 0.330953..., without cancellation or warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            taus = {phi: offdiag_norm_bound(phi) for phi in (1e-3, 1e-4, 1e-5, 1e-9)}
+        assert taus[1e-9] - taus[1e-5] == pytest.approx(math.log(1e4) / (2 * math.pi), abs=1e-6)
+        for phi in (1e-3, 1e-4, 1e-5):
+            const = taus[phi] - math.log(1 / phi) / (2 * math.pi)
+            assert const == pytest.approx(0.330953, abs=1e-6)
 
     def test_small_angle_log_slope(self):
         # growth per unit of |ln(1-cos phi)| stays below the asserted

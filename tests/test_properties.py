@@ -13,6 +13,10 @@ kernel samples e^{-kappa rho} / rho and the quadrature weights scale as
 regularizer f(x) ln(4 (x-a)(b-x)) / (4 pi) gains ln(zeta^2) / (4 pi).  The
 correction layout depends on the ratios of distances to panel widths only,
 so it holds for every zeta, not only powers of two.
+
+The nonexistence threshold obeys the same laws exactly: it depends on the
+arms through their pairwise angles only, and scaling them by zeta adds
+ln(zeta) / (2 pi).
 """
 
 import math
@@ -20,6 +24,7 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from starspec.bounds import nonexistence_threshold
 from starspec.discretization import StarAssembler, build_mesh
 from starspec.geometry import make_star, sharp_configuration
 from starspec.spectral import lambda_curve
@@ -127,3 +132,23 @@ def test_perturbed_sharp_star_is_irregular(n, seed):
         d[i] += 0.05 * t / np.linalg.norm(t)
         d[i] /= np.linalg.norm(d[i])
     assert group_counts(d) is None
+
+
+def threshold(directions, L):
+    return nonexistence_threshold(make_star(directions, L, 0.0))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(stars(), st.floats(0.1, 10.0), st.floats(0.25, 4.0))
+@example(np.array([[0.0, 0.0, 1.0]]), 1.0, 3.0)
+def test_threshold_scaling(directions, L, zeta):
+    shift = threshold(directions, zeta * L) - threshold(directions, L)
+    assert abs(shift - math.log(zeta) / (2.0 * math.pi)) <= TOL
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(stars(), st.floats(0.1, 10.0), rotations(), st.randoms())
+def test_threshold_rotation_and_permutation_invariance(directions, L, R, rnd):
+    order = list(range(directions.shape[0]))
+    rnd.shuffle(order)
+    assert close(threshold(directions[order] @ R.T, L), threshold(directions, L))

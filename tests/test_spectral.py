@@ -326,3 +326,22 @@ class TestSolveLevel:
             assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()
+
+
+class TestEigensolverFallback:
+    def test_subset_driver_failures_fall_back(self):
+        # the antipodal pair on the 2-panel, order-2 search matrix is 8 x 8
+        # and nearly -1.053 times the identity at kappa near 840, where
+        # LAPACK's subset driver stops with "Internal Error." for some kappas
+        from starspec.optimizer import _WarmObjective
+
+        L = 1.2313601059970256
+        objective = _WarmObjective(2, L, 0.0, ss.build_mesh(L, 2, 2, 1.0), 1e-4, 1e-10)
+        matrix = objective.matrix(ss.sharp_configuration(2))
+        solver = _CurveSolver(matrix)
+        for kappa in np.geomspace(10.0, 5000.0, 200):
+            want = np.linalg.eigvalsh(matrix(kappa))[::-1]
+            assert solver.lam(kappa) == pytest.approx(want[0], rel=1e-14, abs=0)
+            assert solver.lam(kappa, 2) == pytest.approx(want[1], rel=1e-14, abs=0)
+            val, vec, _ = solver.top_pair(kappa)
+            assert np.linalg.norm(matrix(kappa) @ vec - val * vec) <= 1e-14
