@@ -49,33 +49,47 @@ MAX_SWEEP_COUNT = 10_000
 
 #: the commands that solve on a mesh
 _SOLVES = ("spectrum", "sweep-angle", "optimize", "verify-sharp")
-#: the job schema: group -> (the commands that read it, no other may carry
-#: it; {key: (kind, default)}); a None default means "not given".  The
+#: the job schema: group -> {key: (kind, default, the commands that read
+#: it)}; no other command may carry the key, and a command carries a group
+#: if it reads one of its keys.  A None default means "not given".  The
 #: parsed job lists its groups in this order.
 _GROUPS = {
-    "mesh": (_SOLVES, {
-        "panels": (int, DEFAULT_PANELS),
-        "order": (int, DEFAULT_ORDER),
-        "grading": (float, DEFAULT_GRADING),
-    }),
-    "solver": (_SOLVES, {
-        "kappa_floor": (float, DEFAULT_KAPPA_FLOOR),
-        "kappa_tol": (float, DEFAULT_KAPPA_TOL),
-        "levels": (int, 1),
-    }),
-    "optimize": (("optimize", "verify-sharp"), {
-        "starts": (int, OptSettings.starts),
-        "seed": (int, OptSettings.seed),
-        "simplex_tol": (float, OptSettings.simplex_tol),
-    }),
-    "sweep": (("sweep-angle",), {
-        "phi_min": (float, None), "phi_max": (float, None), "count": (int, None),
-    }),
-    "verify": (("verify-sharp",), {"scale": (float, 0.05), "trials": (int, 20)}),
-    "bounds": (("bounds",), {"constant": (float, 1.0), "phi": (float, None), "k": (int, 1)}),
-    "design": (("design-check",), {"order": (int, 3)}),
-    "output": (COMMANDS, {"format": (str, None), "path": (str, None)}),
+    "mesh": {
+        "panels": (int, DEFAULT_PANELS, _SOLVES),
+        "order": (int, DEFAULT_ORDER, _SOLVES),
+        "grading": (float, DEFAULT_GRADING, _SOLVES),
+    },
+    "solver": {
+        "kappa_floor": (float, DEFAULT_KAPPA_FLOOR, _SOLVES),
+        "kappa_tol": (float, DEFAULT_KAPPA_TOL, _SOLVES),
+        "levels": (int, 1, ("spectrum",)),
+    },
+    "optimize": {
+        "starts": (int, OptSettings.starts, ("optimize",)),
+        "seed": (int, OptSettings.seed, ("optimize", "verify-sharp")),
+        "simplex_tol": (float, OptSettings.simplex_tol, ("optimize",)),
+    },
+    "sweep": {
+        "phi_min": (float, None, ("sweep-angle",)),
+        "phi_max": (float, None, ("sweep-angle",)),
+        "count": (int, None, ("sweep-angle",)),
+    },
+    "verify": {
+        "scale": (float, 0.05, ("verify-sharp",)),
+        "trials": (int, 20, ("verify-sharp",)),
+    },
+    "bounds": {
+        "constant": (float, 1.0, ("bounds",)),
+        "phi": (float, None, ("bounds",)),
+        "k": (int, 1, ("bounds",)),
+    },
+    "design": {"order": (int, 3, ("design-check",))},
+    "output": {"format": (str, None, COMMANDS), "path": (str, None, COMMANDS)},
 }
+
+
+def _readers(commands) -> str:
+    return ", ".join(c for c in COMMANDS if c in commands)
 
 
 @dataclass(frozen=True)
@@ -100,13 +114,21 @@ def _finite(v) -> bool:
     return number and abs(v) <= sys.float_info.max
 
 
-def _group(raw: dict, name: str, allowed: dict) -> dict:
+def _group(raw: dict, name: str, command: str) -> dict:
+    """The ``name`` group of the document, restricted to the keys that
+    ``command`` reads, with their defaults filled in."""
     given = raw.get(name, {})
     if not isinstance(given, dict):
         raise ParseError(f"'{name}' must be an object")
-    _require_keys(given, allowed, f"'{name}'")
+    schema = _GROUPS[name]
+    _require_keys(given, schema, f"'{name}'")
     out = {}
-    for key, (kind, default) in allowed.items():
+    for key, (kind, default, readers) in schema.items():
+        if command not in readers:
+            if key in given:
+                raise ParseError(f"'{name}.{key}' is only valid for "
+                                 f"{_readers(readers)}, not {command}")
+            continue
         if key not in given:
             out[key] = default
             continue
@@ -174,11 +196,12 @@ def parse_job(document: str) -> JobSpec:
             doc[key] = raw[key]
     if doc.get("arm_length", 1) <= 0:
         raise ParseError(f"'arm_length' must be positive, got {doc['arm_length']}")
-    for name, (readers, keys) in _GROUPS.items():
+    for name, schema in _GROUPS.items():
+        readers = {c for _, _, cs in schema.values() for c in cs}
         if command in readers:
-            doc[name] = _group(raw, name, keys)
+            doc[name] = _group(raw, name, command)
         elif name in raw:
-            raise ParseError(f"'{name}' is only valid for {', '.join(readers)}, not {command}")
+            raise ParseError(f"'{name}' is only valid for {_readers(readers)}, not {command}")
 
     mesh, solver, opt = doc.get("mesh"), doc.get("solver"), doc.get("optimize")
     if mesh and not (2 <= mesh["panels"] <= MAX_PANELS and 2 <= mesh["order"] <= MAX_ORDER
@@ -186,9 +209,9 @@ def parse_job(document: str) -> JobSpec:
         raise ParseError(f"invalid mesh parameters: {mesh} (panels and order from 2 "
                          f"to {MAX_PANELS} and {MAX_ORDER}, grading >= 1)")
     if solver and (solver["kappa_floor"] <= 0 or solver["kappa_tol"] <= 0
-                   or solver["levels"] < 1):
+                   or solver.get("levels", 1) < 1):
         raise ParseError(f"invalid solver parameters: {solver}")
-    if opt and (opt["starts"] < 1 or opt["simplex_tol"] <= 0):
+    if opt and (opt.get("starts", 1) < 1 or opt.get("simplex_tol", 1.0) <= 0):
         raise ParseError(f"invalid optimize parameters: {opt}")
     if command == "sweep-angle":
         sweep = doc["sweep"]
@@ -356,6 +379,7 @@ def _run_optimize(job: JobSpec) -> tuple[dict, dict]:
         "per_start_trace": list(res.per_start_trace),
         "kernel_sum_gap": res.kernel_sum_gap,
         "starts": res.starts,
+        "search_kappas": [list(k) for k in res.search_kappas],
     }
     return results, diagnostics
 

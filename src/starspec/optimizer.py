@@ -5,6 +5,30 @@ out), uses multi-start Nelder-Mead, and verifies the result against the
 sharp configuration of the same size.  Near-degenerate configurations and
 configurations without a bound state map to a -inf sentinel, consistent
 with maximization: closing an angle drives the energy to -infinity.
+
+Each start searches at fixed kappa, as Dinkelbach's method does for a
+fractional program.  Write lambda(x, kappa) for the top eigenvalue of the
+search matrix of the star with gauge parameters x, and kappa(x) for its
+crossing, lambda(x, kappa(x)) = alpha; the energy is -kappa(x)^2, so
+maximizing it means minimizing kappa(x).  From kappa_0 = kappa(x_0), outer
+step k runs Nelder-Mead on x -> lambda(x, kappa_k) from x_k, one eigensolve
+per call, and sets kappa_{k+1} = kappa(x_{k+1}).
+
+The iteration is monotone.  lambda(x, .) is strictly decreasing, and
+Nelder-Mead returns no point worse than its start, so lambda(x_{k+1},
+kappa_k) <= lambda(x_k, kappa_k) = alpha gives kappa_{k+1} <= kappa_k:
+kappa_k is an upper end of the next root's bracket, and the energy never
+falls.  Its fixed points are optimal: if min_x lambda(x, kappa_k) = alpha
+and some x' had kappa(x') < kappa_k, then lambda(x', kappa_k) <
+lambda(x', kappa(x')) = alpha, a contradiction.  The sharp configuration
+minimizes lambda(., kappa) at every kappa (its top vector is positive and
+arm-symmetric, and the pairwise kernel-sum inequality holds entrywise at
+the quadrature nodes), so every inner problem shares the energy's argmax.
+
+A start stops when a step lowers kappa by no more than the root tolerance,
+and keeps x_k when a step raises kappa (lambda(x_k, kappa_k) = alpha holds
+only to that tolerance, so lambda(x_{k+1}, kappa_k) may round above alpha)
+or x_{k+1} has no crossing.
 """
 
 from __future__ import annotations
@@ -34,6 +58,8 @@ CONGRUENCE_TOL = 5e-3
 #: root tolerance inside the multi-start sweep; the final polish and the
 #: public objective use ``OptSettings.kappa_tol``
 SEARCH_KAPPA_TOL = 1e-6
+#: most outer (fixed-kappa) steps of one search
+_MAX_OUTER_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -56,6 +82,9 @@ class OptResult:
     congruent_to_sharp: bool | None
     congruence_tol: float
     kernel_sum_gap: float | None
+    #: the crossings kappa_0 >= kappa_1 >= ... of each start's accepted outer
+    #: steps at the search tolerance; empty for a start without a crossing
+    search_kappas: tuple[tuple[float, ...], ...]
 
     @property
     def n_arms(self) -> int:
@@ -141,21 +170,25 @@ def _draw_start(rng: np.random.Generator, N: int) -> np.ndarray:
 
 
 class _WarmObjective:
-    """Objective wrapper for the search: reuses the previous crossing as a
-    bracket hint and the mesh-only geometry across calls.
+    """The fixed-kappa iteration of one search, on the mesh-only geometry
+    shared by all its stars.
 
     Off-diagonal blocks are plain Nystrom samples sqrt(w_s w_t) e^{-kappa D}
     / (4 pi D), D = sqrt((s-t)^2 + s t c), symmetric as sampled: the
     pointwise kernel-sum inequality holds entrywise at the quadrature nodes,
     so the discrete optimum is the sharp configuration with or without the
     product-integration corrections; the search only needs the argmax.
+
+    ``kappa`` is the fixed kappa of the current outer step; its diagonal
+    block is computed once per step, not once per evaluation.
     """
 
-    def __init__(self, N, L, alpha, mesh, kappa_floor, kappa_tol):
-        self.args = (N, L, alpha)
+    def __init__(self, N, alpha, mesh, kappa_floor, kappa_tol):
+        self.N, self.alpha = N, alpha
         self.kappa_floor = kappa_floor
         self.kappa_tol = kappa_tol
-        self.hint: float | None = None
+        self.kappa: float | None = None
+        self._T: np.ndarray | None = None
         self._diag = BlockAssembler(mesh, chord_sq=None)
         s = mesh.nodes
         self._diff_sq = (s[:, None] - s[None, :]) ** 2
@@ -169,30 +202,84 @@ class _WarmObjective:
 
         def matrix(kappa: float) -> np.ndarray:
             B = self._diag._fold * (np.exp(-kappa * D) / D) / FOUR_PI
-            T = self._diag.weighted_block(kappa)
+            T = self._T if kappa == self.kappa else self._diag.weighted_block(kappa)
             return star_matrix(directions.shape[0], T, B, *pairs)
 
         return matrix
 
-    def negative(self, params) -> float:
-        N, L, alpha = self.args
-        dirs = gauge_embed(params, N)
+    def _solver(self, params) -> _CurveSolver | None:
+        """The curve solver of the star at ``params``; None below the
+        minimal pair angle."""
+        dirs = gauge_embed(params, self.N)
         if _min_pair_angle(dirs) < MIN_PAIR_ANGLE:
-            return float("inf")
-        config = make_star(dirs, L, alpha)
-        solver = _CurveSolver(self.matrix(config.directions))
+            return None
+        return _CurveSolver(self.matrix(dirs))
+
+    def crossing(self, params, upper: float | None = None) -> float | None:
+        """The crossing kappa(x) to ``kappa_tol``, bracketed from above by
+        ``upper`` if given; None where it does not exist."""
+        solver = self._solver(params)
+        if solver is None:
+            return None
         try:
-            kappa, energy, _ = _solve_level(
-                solver, alpha, 1, self.kappa_floor, self.kappa_tol, hint=self.hint
+            kappa, _, _ = _solve_level(
+                solver, self.alpha, 1, self.kappa_floor, self.kappa_tol, upper=upper
             )
         except (NoCrossing, BracketFailure):
+            return None
+        return kappa
+
+    def negative(self, params) -> float:
+        """lambda(x, kappa) - alpha at the step's fixed kappa, from one
+        eigensolve: negative exactly where x crosses below kappa, that is,
+        where x beats the current iterate; +inf below the minimal pair
+        angle."""
+        solver = self._solver(params)
+        if solver is None:
             return float("inf")
-        self.hint = kappa
-        return -energy
+        return solver.lam(self.kappa) - self.alpha
+
+    def search(self, x0, xatol: float, fatol: float, maxfev: int):
+        """The fixed-kappa iteration from ``x0`` (module docstring): returns
+        the crossings kappa_0 >= kappa_1 >= ... of the accepted steps and the
+        last accepted point; no crossings if ``x0`` has none.  ``maxfev``
+        bounds the evaluations of ``negative`` over all steps."""
+        kappa = self.crossing(x0)
+        if kappa is None:
+            return (), x0
+        kappas, x = [kappa], x0
+        for _ in range(_MAX_OUTER_STEPS):
+            if maxfev < 1:
+                break
+            self.kappa, self._T = kappa, self._diag.weighted_block(kappa)
+            with np.errstate(invalid="ignore"):  # inf sentinels inside the simplex
+                res = minimize(
+                    self.negative, x, method="Nelder-Mead",
+                    options={"xatol": xatol, "fatol": fatol, "maxfev": maxfev},
+                )
+            maxfev -= res.nfev
+            # lambda(x_{k+1}, kappa_k) <= alpha, so kappa_k is an upper end;
+            # the root returns kappa_k itself when the gain is below tolerance
+            new = self.crossing(res.x, upper=kappa)
+            if new is None or new > kappa:
+                break
+            kappas.append(new)
+            x = res.x
+            if kappa - new <= self.kappa_tol * kappa:
+                break
+            kappa = new
+        return tuple(kappas), x
 
 
 def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None) -> OptResult:
-    """Multi-start Nelder-Mead search for the energy-maximizing directions.
+    """Multi-start search for the energy-maximizing directions.
+
+    Each start runs the fixed-kappa iteration (module docstring) with root
+    tolerance ``SEARCH_KAPPA_TOL``; the best start is polished by the same
+    iteration with a tighter simplex at ``settings.kappa_tol``, and every
+    start's result is scored by ``objective`` on the corrected matrix.
+    ``maxfev_per_start`` (default 200 per parameter) bounds the fixed-kappa
+    evaluations of each start, the polish gets twice that.
 
     Deterministic for a fixed seed: each start draws its initial point from
     an independent substream keyed by (seed, start index).  For N in the
@@ -208,24 +295,14 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
     maxfev = settings.maxfev_per_start or 200 * nparams
 
     finals: list[tuple[float, np.ndarray]] = []
+    search_kappas = []
     for start in range(settings.starts):
         rng = np.random.default_rng([settings.seed, start])
         x0 = _draw_start(rng, N)
-        warm = _WarmObjective(
-            N, L, alpha, mesh, settings.kappa_floor, SEARCH_KAPPA_TOL
-        )
-        with np.errstate(invalid="ignore"):  # inf sentinels inside the simplex
-            res = minimize(
-                warm.negative,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "xatol": settings.simplex_tol,
-                    "fatol": 1e-8,
-                    "maxfev": maxfev,
-                },
-            )
-        finals.append((-res.fun if np.isfinite(res.fun) else SENTINEL, res.x))
+        warm = _WarmObjective(N, alpha, mesh, settings.kappa_floor, SEARCH_KAPPA_TOL)
+        kappas, x = warm.search(x0, settings.simplex_tol, 1e-8, maxfev)
+        search_kappas.append(kappas)
+        finals.append((-kappas[-1] ** 2 if kappas else SENTINEL, x))
     if all(v == SENTINEL for v, _ in finals):
         raise AllStartsFailed("every start ended in the sentinel region")
 
@@ -242,23 +319,13 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
 
     # continue the winning start with a tighter simplex, then score it at
     # full accuracy so best_energy = max(per_start_trace) stays exact
-    warm = _WarmObjective(N, L, alpha, mesh, settings.kappa_floor, settings.kappa_tol)
-    with np.errstate(invalid="ignore"):
-        res = minimize(
-            warm.negative,
-            best_params,
-            method="Nelder-Mead",
-            options={
-                "xatol": settings.simplex_tol * 0.1,
-                "fatol": 0.0,
-                "maxfev": 2 * maxfev,
-            },
-        )
-    if np.isfinite(res.fun):
-        polished = full_objective(res.x)
+    warm = _WarmObjective(N, alpha, mesh, settings.kappa_floor, settings.kappa_tol)
+    kappas, x = warm.search(best_params, settings.simplex_tol * 0.1, 0.0, 2 * maxfev)
+    if len(kappas) > 1:
+        polished = full_objective(x)
         if polished > best_value:
             best_value = polished
-            best_params = res.x
+            best_params = x
     trace[best_idx] = best_value
     best_dirs = gauge_embed(best_params, N)
     verdict = None
@@ -277,6 +344,7 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
         congruent_to_sharp=verdict,
         congruence_tol=CONGRUENCE_TOL,
         kernel_sum_gap=gap,
+        search_kappas=tuple(search_kappas),
     )
 
 

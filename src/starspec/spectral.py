@@ -213,13 +213,37 @@ def _solve_level(
     kappa_floor: float,
     kappa_tol: float,
     hint: float | None = None,
+    upper: float | None = None,
 ) -> tuple[float, float, float]:
-    """Root of lambda_j(kappa) = alpha: returns (kappa_j, E_j, residual)."""
+    """Root of lambda_j(kappa) = alpha: returns (kappa_j, E_j, residual).
+
+    ``hint`` is a guess of the root.  ``upper`` is a kappa known to lie at
+    or above it: the crossing of level j - 1 (lambda_j <= lambda_{j-1}), or
+    that of a star whose lambda_j does not exceed this one's there.  It is
+    the bracket's upper end, and the lower end is sought downward from half
+    of it.  Where rounding puts lambda_j(upper) above alpha (a degenerate
+    level, or a star no better than the one that gave ``upper``), the
+    bracket expands upward from ``upper`` instead.
+    """
     seen: dict[float, float] = {}
     args = (solver, j, alpha, seen)
 
-    lo = None
-    if hint is not None and hint > kappa_floor:
+    lo = hi = None
+    if upper is not None:
+        f_up = _excess(upper, *args)
+        if f_up > 0.0:
+            lo, f_lo = upper, f_up
+        else:
+            hi = upper
+            k0 = max(kappa_floor, 0.5 * upper)
+            f0 = _excess(k0, *args)
+            while f0 <= 0.0 and k0 > kappa_floor:
+                hi = k0
+                k0 = max(kappa_floor, 0.25 * k0)
+                f0 = _excess(k0, *args)
+            if f0 > 0.0:
+                lo, f_lo = k0, f0
+    elif hint is not None and hint > kappa_floor:
         k0 = 0.8 * hint
         f0 = _excess(k0, *args)
         while f0 <= 0.0 and k0 > kappa_floor:
@@ -234,16 +258,17 @@ def _solve_level(
             raise NoCrossing(
                 f"level {j} does not cross alpha={alpha} at this discretization"
             )
-    hi = 2.0 * lo
-    f_hi = _excess(hi, *args)
-    expansions = 0
-    while f_hi > 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        expansions += 1
-        if expansions > 60:
-            raise BracketFailure("eigenvalue curve did not fall below alpha")
+    if hi is None:
+        hi = 2.0 * lo
         f_hi = _excess(hi, *args)
+        expansions = 0
+        while f_hi > 0.0:
+            lo, f_lo = hi, f_hi
+            hi *= 2.0
+            expansions += 1
+            if expansions > 60:
+                raise BracketFailure("eigenvalue curve did not fall below alpha")
+            f_hi = _excess(hi, *args)
     # the curve is monotone, so the bracket is certain; Brent interleaves
     # bisection steps with secant/inverse-quadratic polish inside it.  Brent
     # evaluates both bracket ends again and returns a kappa it has
@@ -339,8 +364,9 @@ def bound_states(
 ) -> tuple[int, SpectralResult | None]:
     """On one solver: the level count at the floor (``count_bound_states``)
     and, if ``levels`` >= 1 and a level crosses, the ground state with its
-    diagnostics (``principal_eigenvalue``) followed by levels 2..``levels``
-    (``solve_energy``); else None in its place."""
+    diagnostics (``principal_eigenvalue``) followed by levels 2..``levels``,
+    each bracketed from above by the crossing of the level before it; else
+    None in its place."""
     solver = _star_solver(config, mesh)
     count = int(np.sum(solver._eigh(solver.matrix(kappa_floor), last=None) > alpha))
     wanted = min(levels, count)
@@ -348,8 +374,12 @@ def bound_states(
         return count, None
     res = _ground(solver, config, mesh, alpha, kappa_floor, kappa_tol)
     excited = []
+    kappa_j = res.levels[0].kappa
     for j in range(2, wanted + 1):
-        kappa_j, energy_j, _ = _solve_level(solver, alpha, j, kappa_floor, kappa_tol)
+        # lambda_j <= lambda_{j-1}, so level j crosses at or below kappa_{j-1}
+        kappa_j, energy_j, _ = _solve_level(
+            solver, alpha, j, kappa_floor, kappa_tol, upper=kappa_j
+        )
         excited.append(Level(index=j, kappa=kappa_j, energy=energy_j))
     return count, replace(res, levels=res.levels + tuple(excited))
 

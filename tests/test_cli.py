@@ -248,12 +248,12 @@ class TestRun:
 #: one minimal document per JSON-writing command (sweep-angle writes CSV,
 #: which has no echo) and its ``job_echo``: the document normalized, the
 #: defaults of every group the command reads filled in, keys in a fixed order
-SOLVER_DEFAULTS = {"kappa_floor": 1e-4, "kappa_tol": 1e-10, "levels": 1}
+SOLVER_DEFAULTS = {"kappa_floor": 1e-4, "kappa_tol": 1e-10}
 ECHOES = {
     "spectrum": (MINIMAL_SPECTRUM, {
         **MINIMAL_SPECTRUM,
         "mesh": {"panels": 8, "order": 12, "grading": 2.0},
-        "solver": SOLVER_DEFAULTS,
+        "solver": {**SOLVER_DEFAULTS, "levels": 1},
         "output": {"format": "json", "path": None},
     }),
     "optimize": (
@@ -271,7 +271,7 @@ ECHOES = {
         {"command": "verify-sharp", "star": {"sharp": 2}, "alpha": -0.5, "arm_length": 3.0,
          "mesh": {"panels": 8, "order": 12, "grading": 2.0},
          "solver": SOLVER_DEFAULTS,
-         "optimize": {"starts": 8, "seed": 0, "simplex_tol": 1e-5},
+         "optimize": {"seed": 0},
          "verify": {"scale": 0.05, "trials": 1},
          "output": {"format": "json", "path": None}},
     ),
@@ -352,6 +352,25 @@ class TestOneSolverPerStar:
         assert len(calls) == 3
 
 
+#: settings that a command accepts in a group it reads but does not read
+#: itself: (document, the key the error names)
+NOT_READ = {
+    "sweep-angle with solver.levels": ({
+        "command": "sweep-angle", "alpha": 0.0, "arm_length": 1.0,
+        "sweep": {"phi_min": 0.5, "phi_max": 1.0, "count": 2},
+        "solver": {"levels": 2}}, "solver.levels"),
+    "optimize with solver.levels": (dict(
+        MINIMAL_SPECTRUM, command="optimize", solver={"levels": 1}), "solver.levels"),
+    "verify-sharp with solver.levels": (dict(
+        MINIMAL_SPECTRUM, command="verify-sharp", solver={"levels": 1}), "solver.levels"),
+    "verify-sharp with optimize.starts": (dict(
+        MINIMAL_SPECTRUM, command="verify-sharp", optimize={"starts": 1}), "optimize.starts"),
+    "verify-sharp with optimize.simplex_tol": (dict(
+        MINIMAL_SPECTRUM, command="verify-sharp", optimize={"seed": 1, "simplex_tol": 1e-5}),
+        "optimize.simplex_tol"),
+}
+KEYS_NOT_READ = {case: doc for case, (doc, _) in NOT_READ.items()}
+
 #: job documents that must be rejected with exit status 2, one per input
 BAD_INPUTS = {
     "alpha NaN": dict(MINIMAL_SPECTRUM, alpha=float("nan")),
@@ -407,6 +426,7 @@ BAD_INPUTS = {
     "sweep-angle with optimize settings": {
         "command": "sweep-angle", "alpha": 0.0, "arm_length": 1.0,
         "sweep": {"phi_min": 0.5, "phi_max": 1.0, "count": 2}, "optimize": {}},
+    **KEYS_NOT_READ,
 }
 
 #: job documents that parse but must be rejected with exit status 2 when run
@@ -436,6 +456,14 @@ class TestMain:
         assert main(["--job", str(bad), "--out", str(tmp_path / "out.json")]) == 2
         assert "parse error" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(NOT_READ))
+    def test_key_not_read_is_named(self, case, tmp_path, capsys):
+        document, key = NOT_READ[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        assert main(["--job", str(bad), "--out", str(tmp_path / "out.json")]) == 2
+        assert f"'{key}' is only valid for" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(INVALID_JOBS))
     def test_invalid_job_exit_2(self, case, tmp_path, capsys):
@@ -545,7 +573,7 @@ SMALL_STARS = SMALL_SHARP | st.lists(DIRECTIONS, min_size=1, max_size=3).map(
 def _small_job(command):
     """Valid documents of one command, small enough to run: at most three
     arms, at most 4 panels of order 4, one start, one trial, two angles;
-    each carries only the groups its command reads."""
+    each carries only the groups and keys its command reads."""
     groups = {
         "command": st.just(command),
         "alpha": st.floats(-3.0, 3.0),
@@ -556,12 +584,15 @@ def _small_job(command):
         groups["mesh"] = st.fixed_dictionaries({
             "panels": st.integers(2, 4), "order": st.integers(2, 4),
             "grading": st.floats(1.0, 4.0)})
-        groups["solver"] = st.fixed_dictionaries({}, optional={
-            "kappa_floor": st.floats(1e-6, 10.0), "kappa_tol": st.floats(1e-12, 1e-2),
-            "levels": st.integers(1, 3)})
-    if command in ("optimize", "verify-sharp"):
+        solver = {"kappa_floor": st.floats(1e-6, 10.0), "kappa_tol": st.floats(1e-12, 1e-2)}
+        if command == "spectrum":
+            solver["levels"] = st.integers(1, 3)
+        groups["solver"] = st.fixed_dictionaries({}, optional=solver)
+    if command == "optimize":
         groups["optimize"] = st.fixed_dictionaries({"starts": st.just(1)}, optional={
             "seed": st.integers(0, 3), "simplex_tol": st.floats(1e-6, 1e-1)})
+    elif command == "verify-sharp":
+        groups["optimize"] = st.fixed_dictionaries({}, optional={"seed": st.integers(0, 3)})
     if command == "sweep-angle":
         del groups["star"]
         groups["sweep"] = st.fixed_dictionaries({

@@ -1,15 +1,20 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import starspec as ss
+from starspec.cli import parse_job, run
 from starspec.discretization import BlockAssembler
 from starspec.errors import AllStartsFailed, SizeMismatch
 from starspec.kernels import arm_distance, green_kernel
 from starspec.optimizer import (
+    MIN_PAIR_ANGLE,
     OptSettings,
     _WarmObjective,
+    _min_pair_angle,
     gauge_embed,
     kernel_sum_compare,
     objective,
@@ -17,6 +22,7 @@ from starspec.optimizer import (
     search_mesh,
     verify_sharp_local_max,
 )
+from starspec.spectral import _CurveSolver
 
 
 class TestGaugeEmbed:
@@ -99,7 +105,7 @@ class TestSearchAssembly:
         dirs = ss.sharp_configuration(N) if N == 6 else gauge_embed(
             np.random.default_rng(N).uniform(0.3, 2.8, 2 * N - 3), N
         )
-        warm = _WarmObjective(N, L, 0.0, mesh, 1e-4, 1e-10)
+        warm = _WarmObjective(N, 0.0, mesh, 1e-4, 1e-10)
         A = warm.matrix(dirs)(kappa)
         assert A.shape == (N * M, N * M)
         assert np.array_equal(A, A.T)
@@ -158,6 +164,88 @@ class TestOptimize:
         assert res.congruent_to_sharp is None
         assert res.kernel_sum_gap is None
         assert res.best_energy < 0
+
+
+class TestFixedKappaSearch:
+    """Each start's crossings fall step by step, within one budget."""
+
+    @pytest.mark.parametrize("N, seed", [(2, 0), (2, 3), (3, 1), (4, 1)])
+    def test_search_kappas_non_increasing(self, N, seed):
+        res = optimize(N, 5.0, 0.0, OptSettings(starts=2, seed=seed))
+        assert len(res.search_kappas) == 2
+        for kappas in res.search_kappas:
+            assert len(kappas) >= 2
+            assert all(b <= a for a, b in zip(kappas, kappas[1:]))
+
+    def test_same_seed_same_diagnostics(self, tmp_path):
+        docs = []
+        for _ in range(2):
+            out = tmp_path / "res.json"
+            job = parse_job(json.dumps({
+                "command": "optimize", "star": {"sharp": 3}, "alpha": 0.0,
+                "arm_length": 5.0, "optimize": {"starts": 2, "seed": 4},
+            }))
+            assert run(job, out_path=str(out)) == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[0]["diagnostics"] == docs[1]["diagnostics"]
+        assert docs[0]["results"] == docs[1]["results"]
+        assert len(docs[0]["diagnostics"]["search_kappas"]) == 2
+
+    def test_maxfev_bounds_a_whole_start(self, monkeypatch):
+        # each search is one _WarmObjective; record the fixed kappa of every
+        # evaluation, so the outer steps show as runs of one kappa
+        seen = {}
+        negative = _WarmObjective.negative
+
+        def recorded(self, params):
+            seen.setdefault(self, []).append(self.kappa)
+            return negative(self, params)
+
+        monkeypatch.setattr(_WarmObjective, "negative", recorded)
+        res = optimize(2, 5.0, 0.0, OptSettings(starts=2, seed=1, maxfev_per_start=50))
+        *starts, polish = seen.values()
+        assert len(starts) == 2
+        assert all(len(kappas) <= 50 for kappas in starts)
+        assert len(polish) <= 100
+        # the first step leaves budget over for a second one
+        assert any(len(set(kappas)) >= 2 for kappas in starts)
+        assert res.congruent_to_sharp
+
+
+class TestFixedKappaFact:
+    """At every kappa, the sharp star's search matrix has the smallest top
+    eigenvalue: lambda_1(A_x) >= lambda_1(A*) for every direction set x.
+
+    The sharp matrix A* has a positive, arm-symmetric top vector
+    v = (u, ..., u) / sqrt(N) (Perron-Frobenius, and the arm-symmetric
+    sector holds the top).  For any star x, by the Rayleigh quotient,
+    lambda_1(A_x) >= v^T A_x v = u^T T u + (2/N) sum_{i<j} u^T B(c_ij) u,
+    where B(c) has entries sqrt(w_s w_t) e^{-kappa D} / (4 pi D) with
+    D = sqrt((s-t)^2 + s t c).  The pairwise kernel-sum inequality
+    sum_{i<j} B(c_ij) >= sum_{i<j} B(c*_ij) holds entrywise at the
+    quadrature nodes, and u > 0, so v^T A_x v >= v^T A* v = lambda_1(A*).
+    This is why minimizing lambda_1(., kappa_k) at a fixed kappa_k finds the
+    energy's maximizer.  The search evaluates no star with a pair angle
+    below ``MIN_PAIR_ANGLE`` (coincident arms make the matrix singular), so
+    neither does this test.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        N=st.sampled_from([2, 3, 4, 6]),
+        L=st.floats(0.3, 8.0),
+        kappa=st.floats(0.05, 8.0),
+        data=st.data(),
+    )
+    def test_sharp_star_minimizes_lambda_1(self, N, L, kappa, data):
+        params = data.draw(st.lists(st.floats(-2 * math.pi, 2 * math.pi),
+                                    min_size=2 * N - 3, max_size=2 * N - 3))
+        dirs = gauge_embed(params, N)
+        assume(_min_pair_angle(dirs) >= MIN_PAIR_ANGLE)
+        warm = _WarmObjective(N, 0.0, search_mesh(L), 1e-4, 1e-10)
+        lam = _CurveSolver(warm.matrix(dirs)).lam(kappa)
+        lam_sharp = _CurveSolver(warm.matrix(ss.sharp_configuration(N))).lam(kappa)
+        assert lam >= lam_sharp - 1e-12 * max(1.0, abs(lam_sharp))
 
 
 class TestVerifySharpLocalMax:

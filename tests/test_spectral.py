@@ -314,6 +314,24 @@ class TestSolveLevel:
         # the residual is the dense path's excess at the root
         assert residual == abs(dense_solver(name).lam(kappa))
 
+    @pytest.mark.parametrize("upper_factor", [0.999, 1.0, 1.3, 5.0])
+    @pytest.mark.parametrize("name", sorted(ROOT_STARS))
+    def test_upper_end_brackets_the_root(self, name, upper_factor, roots):
+        # above the root the upper end closes the bracket; below it (a
+        # rounding error's worth, or more) the bracket expands upward
+        solver = dense_solver(name)
+        lam, calls = solver.lam, []
+
+        def counted(kappa, j=1):
+            calls.append(kappa)
+            return lam(kappa, j)
+
+        solver.lam = counted
+        kappa, _, _ = _solve_level(solver, 0.0, 1, 1e-4, 1e-10,
+                                   upper=upper_factor * roots[name])
+        assert len(calls) == len(set(calls))
+        assert kappa == pytest.approx(roots[name], rel=1e-9)
+
     @pytest.mark.parametrize("name", ["sharp-4", "irregular-3"])
     def test_solver_freed_once_dropped(self, name):
         cfg = ss.make_star(ROOT_STARS[name], 2.0, 0.0)
@@ -336,7 +354,7 @@ class TestEigensolverFallback:
         from starspec.optimizer import _WarmObjective
 
         L = 1.2313601059970256
-        objective = _WarmObjective(2, L, 0.0, ss.build_mesh(L, 2, 2, 1.0), 1e-4, 1e-10)
+        objective = _WarmObjective(2, 0.0, ss.build_mesh(L, 2, 2, 1.0), 1e-4, 1e-10)
         matrix = objective.matrix(ss.sharp_configuration(2))
         solver = _CurveSolver(matrix)
         for kappa in np.geomspace(10.0, 5000.0, 200):
@@ -345,3 +363,40 @@ class TestEigensolverFallback:
             assert solver.lam(kappa, 2) == pytest.approx(want[1], rel=1e-14, abs=0)
             val, vec, _ = solver.top_pair(kappa)
             assert np.linalg.norm(matrix(kappa) @ vec - val * vec) <= 1e-14
+
+
+class TestExcitedLevels:
+    """``bound_states`` brackets level j from above by kappa_{j-1}."""
+
+    #: the tetrahedron at L = 5, alpha = 0 on the default mesh: its levels
+    #: as solved from the kappa floor up, each to 1e-10 in kappa; levels 3
+    #: to 5 are the threefold one
+    TETRA_KAPPAS = (4.447870382938577, 1.0136251126060016, 0.9566330753387079,
+                    0.9566330753387086, 0.9566330753387075)
+
+    @pytest.fixture(scope="class")
+    def counted(self):
+        calls = []
+        lam = _CurveSolver.lam
+
+        def counting(solver, kappa, j=1):
+            calls.append(j)
+            return lam(solver, kappa, j)
+
+        _CurveSolver.lam = counting
+        try:
+            _, res = spectral.bound_states(tetra(5.0, 0.0), ss.default_mesh(5.0), 0.0, 5)
+        finally:
+            _CurveSolver.lam = lam
+        return res, calls
+
+    def test_levels_match_the_floor_brackets(self, counted):
+        res, _ = counted
+        kappas = [lv.kappa for lv in res.levels]
+        assert kappas == pytest.approx(self.TETRA_KAPPAS, rel=1e-9)
+
+    def test_fewer_evaluations_per_excited_level(self, counted):
+        # from the floor, levels 2 and 3 took 21 evaluations each
+        _, calls = counted
+        for j in range(2, 6):
+            assert 0 < calls.count(j) < 21
