@@ -28,8 +28,7 @@ from .geometry import (
 )
 from .optimizer import OptSettings, optimize, verify_sharp_local_max
 from .spectral import (
-    DEFAULT_GRADING, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL, DEFAULT_ORDER, DEFAULT_PANELS,
-    bound_states,
+    DEFAULT_GRADING, DEFAULT_KAPPA_TOL, DEFAULT_ORDER, DEFAULT_PANELS, bound_states,
 )
 
 COMMANDS = ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds", "design-check")
@@ -60,7 +59,6 @@ _GROUPS = {
         "grading": (float, DEFAULT_GRADING, _SOLVES),
     },
     "solver": {
-        "kappa_floor": (float, DEFAULT_KAPPA_FLOOR, _SOLVES),
         "kappa_tol": (float, DEFAULT_KAPPA_TOL, _SOLVES),
         "levels": (int, 1, ("spectrum",)),
     },
@@ -208,8 +206,7 @@ def parse_job(document: str) -> JobSpec:
                      and mesh["grading"] >= 1):
         raise ParseError(f"invalid mesh parameters: {mesh} (panels and order from 2 "
                          f"to {MAX_PANELS} and {MAX_ORDER}, grading >= 1)")
-    if solver and (solver["kappa_floor"] <= 0 or solver["kappa_tol"] <= 0
-                   or solver.get("levels", 1) < 1):
+    if solver and (solver["kappa_tol"] <= 0 or solver.get("levels", 1) < 1):
         raise ParseError(f"invalid solver parameters: {solver}")
     if opt and (opt.get("starts", 1) < 1 or opt.get("simplex_tol", 1.0) <= 0):
         raise ParseError(f"invalid optimize parameters: {opt}")
@@ -323,10 +320,9 @@ def _run_spectrum(job: JobSpec) -> tuple[dict, dict]:
     config = _job_star(doc)
     mesh = _job_mesh(doc, config.arm_length)
     n_states, res = bound_states(
-        config, mesh, doc["alpha"], doc["solver"]["levels"],
-        kappa_floor=doc["solver"]["kappa_floor"], kappa_tol=doc["solver"]["kappa_tol"],
+        config, mesh, doc["alpha"], doc["solver"]["levels"], doc["solver"]["kappa_tol"]
     )
-    diagnostics = {"bound_states_at_floor": n_states, "mesh": mesh.metadata()}
+    diagnostics = {"bound_states": n_states, "mesh": mesh.metadata()}
     if res is None:
         return {"levels": []}, diagnostics
     diagnostics.update(
@@ -350,10 +346,7 @@ def _run_sweep(job: JobSpec) -> list[tuple[float, float | None, float]]:
         config = make_star(dirs, L, alpha)
         mesh = _job_mesh(doc, config.arm_length)
         upper = small_angle_bounds(alpha, L, phi, 1, 1.0).upper
-        _, res = bound_states(
-            config, mesh, alpha, 1,
-            kappa_floor=doc["solver"]["kappa_floor"], kappa_tol=doc["solver"]["kappa_tol"],
-        )
+        _, res = bound_states(config, mesh, alpha, 1, doc["solver"]["kappa_tol"])
         rows.append((float(phi), None if res is None else res.ground_energy, upper))
     return rows
 
@@ -365,7 +358,6 @@ def _run_optimize(job: JobSpec) -> tuple[dict, dict]:
         seed=doc["optimize"]["seed"],
         simplex_tol=doc["optimize"]["simplex_tol"],
         mesh=_job_mesh(doc, doc["arm_length"]) if job.mesh_given else None,
-        kappa_floor=doc["solver"]["kappa_floor"],
         kappa_tol=doc["solver"]["kappa_tol"],
     )
     res = optimize(_n_arms(doc["star"]), doc["arm_length"], doc["alpha"], settings)
@@ -394,7 +386,6 @@ def _run_verify(job: JobSpec) -> tuple[dict, dict]:
         trials=doc["verify"]["trials"],
         seed=doc["optimize"]["seed"],
         mesh=_job_mesh(doc, doc["arm_length"]) if job.mesh_given else None,
-        kappa_floor=doc["solver"]["kappa_floor"],
         kappa_tol=doc["solver"]["kappa_tol"],
     )
     results = {

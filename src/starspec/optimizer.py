@@ -44,13 +44,7 @@ from .discretization import (
 )
 from .errors import AllStartsFailed, BracketFailure, DomainError, NoCrossing
 from .geometry import SHARP_SIZES, congruent, make_star, sharp_configuration
-from .spectral import (
-    DEFAULT_KAPPA_FLOOR,
-    DEFAULT_KAPPA_TOL,
-    _CurveSolver,
-    _solve_level,
-    _star_solver,
-)
+from .spectral import DEFAULT_KAPPA_TOL, _CurveSolver, _solve_level, _star_solver
 
 SENTINEL = float("-inf")
 MIN_PAIR_ANGLE = 1e-3
@@ -60,6 +54,9 @@ CONGRUENCE_TOL = 5e-3
 SEARCH_KAPPA_TOL = 1e-6
 #: most outer (fixed-kappa) steps of one search
 _MAX_OUTER_STEPS = 10
+#: Nelder-Mead evaluations of one start, over all its outer steps, per
+#: search parameter; the polish of the best start gets twice as many
+MAXFEV_PER_PARAM = 200
 
 
 @dataclass(frozen=True)
@@ -68,9 +65,7 @@ class OptSettings:
     seed: int = 0
     simplex_tol: float = 1e-5
     mesh: Mesh | None = None
-    kappa_floor: float = DEFAULT_KAPPA_FLOOR
     kappa_tol: float = DEFAULT_KAPPA_TOL
-    maxfev_per_start: int | None = None
 
 
 @dataclass(frozen=True)
@@ -136,7 +131,6 @@ def objective(
     L: float,
     alpha: float,
     mesh: Mesh,
-    kappa_floor: float = DEFAULT_KAPPA_FLOOR,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> float:
     """Ground-state energy of the embedded star, or -inf.
@@ -151,7 +145,7 @@ def objective(
     config = make_star(dirs, L, alpha)
     solver = _star_solver(config, mesh)
     try:
-        _, energy, _ = _solve_level(solver, alpha, 1, kappa_floor, kappa_tol)
+        _, energy, _ = _solve_level(solver, alpha, 1, kappa_tol)
     except (NoCrossing, BracketFailure):
         return SENTINEL
     return energy
@@ -183,9 +177,8 @@ class _WarmObjective:
     block is computed once per step, not once per evaluation.
     """
 
-    def __init__(self, N, alpha, mesh, kappa_floor, kappa_tol):
+    def __init__(self, N, alpha, mesh, kappa_tol):
         self.N, self.alpha = N, alpha
-        self.kappa_floor = kappa_floor
         self.kappa_tol = kappa_tol
         self.kappa: float | None = None
         self._T: np.ndarray | None = None
@@ -222,9 +215,7 @@ class _WarmObjective:
         if solver is None:
             return None
         try:
-            kappa, _, _ = _solve_level(
-                solver, self.alpha, 1, self.kappa_floor, self.kappa_tol, upper=upper
-            )
+            kappa, _, _ = _solve_level(solver, self.alpha, 1, self.kappa_tol, upper)
         except (NoCrossing, BracketFailure):
             return None
         return kappa
@@ -278,8 +269,8 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
     tolerance ``SEARCH_KAPPA_TOL``; the best start is polished by the same
     iteration with a tighter simplex at ``settings.kappa_tol``, and every
     start's result is scored by ``objective`` on the corrected matrix.
-    ``maxfev_per_start`` (default 200 per parameter) bounds the fixed-kappa
-    evaluations of each start, the polish gets twice that.
+    ``MAXFEV_PER_PARAM`` per parameter bounds the fixed-kappa evaluations
+    of each start, the polish gets twice that.
 
     Deterministic for a fixed seed: each start draws its initial point from
     an independent substream keyed by (seed, start index).  For N in the
@@ -292,14 +283,14 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
     settings = settings or OptSettings()
     mesh = settings.mesh or search_mesh(L)
     nparams = 2 * N - 3
-    maxfev = settings.maxfev_per_start or 200 * nparams
+    maxfev = MAXFEV_PER_PARAM * nparams
 
     finals: list[tuple[float, np.ndarray]] = []
     search_kappas = []
     for start in range(settings.starts):
         rng = np.random.default_rng([settings.seed, start])
         x0 = _draw_start(rng, N)
-        warm = _WarmObjective(N, alpha, mesh, settings.kappa_floor, SEARCH_KAPPA_TOL)
+        warm = _WarmObjective(N, alpha, mesh, SEARCH_KAPPA_TOL)
         kappas, x = warm.search(x0, settings.simplex_tol, 1e-8, maxfev)
         search_kappas.append(kappas)
         finals.append((-kappas[-1] ** 2 if kappas else SENTINEL, x))
@@ -307,10 +298,7 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
         raise AllStartsFailed("every start ended in the sentinel region")
 
     def full_objective(params):
-        return objective(
-            params, N, L, alpha, mesh,
-            kappa_floor=settings.kappa_floor, kappa_tol=settings.kappa_tol,
-        )
+        return objective(params, N, L, alpha, mesh, settings.kappa_tol)
 
     trace = [full_objective(p) if v > SENTINEL else SENTINEL for v, p in finals]
     best_idx = int(np.argmax(trace))
@@ -319,7 +307,7 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
 
     # continue the winning start with a tighter simplex, then score it at
     # full accuracy so best_energy = max(per_start_trace) stays exact
-    warm = _WarmObjective(N, alpha, mesh, settings.kappa_floor, settings.kappa_tol)
+    warm = _WarmObjective(N, alpha, mesh, settings.kappa_tol)
     kappas, x = warm.search(best_params, settings.simplex_tol * 0.1, 0.0, 2 * maxfev)
     if len(kappas) > 1:
         polished = full_objective(x)
@@ -367,7 +355,6 @@ def verify_sharp_local_max(
     trials: int,
     seed: int = 0,
     mesh: Mesh | None = None,
-    kappa_floor: float = DEFAULT_KAPPA_FLOOR,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> SharpLocalMaxReport:
     """Check that the sharp configuration beats random nearby perturbations.
@@ -385,8 +372,7 @@ def verify_sharp_local_max(
     # each solver is dropped as soon as its energy is known, so no two
     # stars' correction batches are held at once
     kappa, e_sharp, _ = _solve_level(
-        _star_solver(make_star(sharp, L, alpha), mesh),
-        alpha, 1, kappa_floor, kappa_tol,
+        _star_solver(make_star(sharp, L, alpha), mesh), alpha, 1, kappa_tol
     )
     if scale == 0.0:
         return SharpLocalMaxReport(
@@ -408,9 +394,10 @@ def verify_sharp_local_max(
             d[i] = d[i] + scale * t / nt
             d[i] /= np.linalg.norm(d[i])
         try:
+            # the sharp star's crossing is the smallest, so the search
+            # starts just below it
             _, e_pert, _ = _solve_level(
-                _star_solver(make_star(d, L, alpha), mesh),
-                alpha, 1, kappa_floor, kappa_tol, hint=kappa,
+                _star_solver(make_star(d, L, alpha), mesh), alpha, 1, kappa_tol, 0.8 * kappa
             )
         except (NoCrossing, BracketFailure):
             e_pert = SENTINEL

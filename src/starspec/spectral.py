@@ -3,8 +3,10 @@ root-finding that turns them into bound-state energies.
 
 For fixed arm geometry the top eigenvalues lambda_j(kappa) are strictly
 decreasing in kappa, so each level that starts above the coupling alpha at
-the kappa floor crosses it exactly once; the crossing gives the energy
-E_j = -kappa_j^2.
+kappa = 0 crosses it exactly once; the crossing gives the energy
+E_j = -kappa_j^2.  The bound states are exactly these crossings (the
+Birman-Schwinger principle), so the number of lambda_j(0) above alpha is
+the exact level count of the discrete operator.
 """
 
 from __future__ import annotations
@@ -29,8 +31,11 @@ from .geometry import StarConfig
 DEFAULT_PANELS = 8
 DEFAULT_ORDER = 12
 DEFAULT_GRADING = 2.0
-DEFAULT_KAPPA_FLOOR = 1e-4
 DEFAULT_KAPPA_TOL = 1e-10
+
+#: where a root's bracket search begins when the caller has no guess; not a
+#: floor: a search that finds no crossing above it steps down to kappa = 0
+_START_KAPPA = 1e-4
 
 #: above this dimension the top eigenvalue comes from ARPACK instead of LAPACK
 _DENSE_MAX = 1000
@@ -182,19 +187,14 @@ def lambda_curve(
     return _CurveSolver(None)._eigh(A, 1, count)[::-1]
 
 
-def count_bound_states(
-    config: StarConfig,
-    mesh: Mesh,
-    alpha: float,
-    kappa_floor: float = DEFAULT_KAPPA_FLOOR,
-) -> int:
-    """Number of eigenvalues of Q at the kappa floor that exceed alpha.
+def count_bound_states(config: StarConfig, mesh: Mesh, alpha: float) -> int:
+    """Number of eigenvalues of Q at kappa = 0 that exceed alpha.
 
-    Every such curve is strictly decreasing and crosses alpha at some
-    kappa > kappa_floor, so this is a lower-bound estimator of the number
-    of bound states, accurate up to states within the floor of threshold.
+    Every such curve is strictly decreasing and crosses alpha at exactly
+    one kappa > 0, and no other curve crosses it there, so this is the
+    exact number of bound states of the discrete operator.
     """
-    return bound_states(config, mesh, alpha, 0, kappa_floor)[0]
+    return bound_states(config, mesh, alpha, 0)[0]
 
 
 def _excess(kappa: float, solver: _CurveSolver, j: int, alpha: float,
@@ -210,65 +210,45 @@ def _solve_level(
     solver: _CurveSolver,
     alpha: float,
     j: int,
-    kappa_floor: float,
     kappa_tol: float,
-    hint: float | None = None,
-    upper: float | None = None,
+    start: float | None = None,
 ) -> tuple[float, float, float]:
     """Root of lambda_j(kappa) = alpha: returns (kappa_j, E_j, residual).
 
-    ``hint`` is a guess of the root.  ``upper`` is a kappa known to lie at
-    or above it: the crossing of level j - 1 (lambda_j <= lambda_{j-1}), or
-    that of a star whose lambda_j does not exceed this one's there.  It is
-    the bracket's upper end, and the lower end is sought downward from half
-    of it.  Where rounding puts lambda_j(upper) above alpha (a degenerate
-    level, or a star no better than the one that gave ``upper``), the
-    bracket expands upward from ``upper`` instead.
+    The bracket search starts at ``start`` (``_START_KAPPA`` if None or 0):
+    a guess of the root, such as 0.8 times a nearby star's crossing, or a
+    kappa at or above it, such as the crossing of level j - 1 (lambda_j <=
+    lambda_{j-1}).  Where lambda_j(start) > alpha it doubles upward;
+    otherwise it halves, then quarters, down to ``_START_KAPPA`` and then
+    to 0, where the bracket always closes: a level crosses exactly when
+    lambda_j(0) > alpha, else ``NoCrossing``.
     """
     seen: dict[float, float] = {}
     args = (solver, j, alpha, seen)
 
-    lo = hi = None
-    if upper is not None:
-        f_up = _excess(upper, *args)
-        if f_up > 0.0:
-            lo, f_lo = upper, f_up
-        else:
-            hi = upper
-            k0 = max(kappa_floor, 0.5 * upper)
-            f0 = _excess(k0, *args)
-            while f0 <= 0.0 and k0 > kappa_floor:
-                hi = k0
-                k0 = max(kappa_floor, 0.25 * k0)
-                f0 = _excess(k0, *args)
-            if f0 > 0.0:
-                lo, f_lo = k0, f0
-    elif hint is not None and hint > kappa_floor:
-        k0 = 0.8 * hint
-        f0 = _excess(k0, *args)
-        while f0 <= 0.0 and k0 > kappa_floor:
-            k0 = max(kappa_floor, 0.25 * k0)
-            f0 = _excess(k0, *args)
-        if f0 > 0.0:
-            lo, f_lo = k0, f0
-    if lo is None:
-        lo = kappa_floor
-        f_lo = _excess(lo, *args)
-        if f_lo <= 0.0:
-            raise NoCrossing(
-                f"level {j} does not cross alpha={alpha} at this discretization"
-            )
-    if hi is None:
-        hi = 2.0 * lo
-        f_hi = _excess(hi, *args)
+    k = start or _START_KAPPA
+    if _excess(k, *args) > 0.0:
+        lo, hi = k, 2.0 * k
         expansions = 0
-        while f_hi > 0.0:
-            lo, f_lo = hi, f_hi
+        while _excess(hi, *args) > 0.0:
+            lo = hi
             hi *= 2.0
             expansions += 1
             if expansions > 60:
                 raise BracketFailure("eigenvalue curve did not fall below alpha")
-            f_hi = _excess(hi, *args)
+    else:
+        hi, step = k, 0.5
+        while True:
+            k = max(_START_KAPPA, step * k) if k > _START_KAPPA else 0.0
+            step = 0.25
+            if _excess(k, *args) > 0.0:
+                lo = k
+                break
+            if k == 0.0:
+                raise NoCrossing(
+                    f"level {j} does not cross alpha={alpha} at this discretization"
+                )
+            hi = k
     # the curve is monotone, so the bracket is certain; Brent interleaves
     # bisection steps with secant/inverse-quadratic polish inside it.  Brent
     # evaluates both bracket ends again and returns a kappa it has
@@ -290,12 +270,11 @@ def solve_energy(
     mesh: Mesh,
     alpha: float,
     j: int = 1,
-    kappa_floor: float = DEFAULT_KAPPA_FLOOR,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> tuple[float, float]:
     """Solve lambda_j(kappa) = alpha for level j; returns (kappa_j, E_j)."""
     solver = _star_solver(config, mesh)
-    kappa_j, energy, _ = _solve_level(solver, alpha, j, kappa_floor, kappa_tol)
+    kappa_j, energy, _ = _solve_level(solver, alpha, j, kappa_tol)
     return kappa_j, energy
 
 
@@ -321,7 +300,6 @@ def principal_eigenvalue(
     config: StarConfig,
     mesh: Mesh,
     alpha: float | None = None,
-    kappa_floor: float = DEFAULT_KAPPA_FLOOR,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> SpectralResult:
     """Ground-state energy with eigenvector diagnostics.
@@ -334,13 +312,11 @@ def principal_eigenvalue(
     if alpha is None:
         alpha = config.coupling
     solver = _star_solver(config, mesh)
-    return _ground(solver, config, mesh, alpha, kappa_floor, kappa_tol)
+    return _ground(solver, config, mesh, alpha, kappa_tol)
 
 
-def _ground(solver, config, mesh, alpha, kappa_floor, kappa_tol, hint=None):
-    kappa_1, energy, residual = _solve_level(
-        solver, alpha, 1, kappa_floor, kappa_tol, hint=hint
-    )
+def _ground(solver, config, mesh, alpha, kappa_tol, start=None):
+    kappa_1, energy, residual = _solve_level(solver, alpha, 1, kappa_tol, start)
     _, vec, sector = solver.top_pair(kappa_1)
     positivity, symmetry = _diagnostics(config, vec)
     return SpectralResult(
@@ -359,27 +335,24 @@ def bound_states(
     mesh: Mesh,
     alpha: float,
     levels: int = 1,
-    kappa_floor: float = DEFAULT_KAPPA_FLOOR,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> tuple[int, SpectralResult | None]:
-    """On one solver: the level count at the floor (``count_bound_states``)
+    """On one solver: the exact level count (``count_bound_states``)
     and, if ``levels`` >= 1 and a level crosses, the ground state with its
     diagnostics (``principal_eigenvalue``) followed by levels 2..``levels``,
     each bracketed from above by the crossing of the level before it; else
     None in its place."""
     solver = _star_solver(config, mesh)
-    count = int(np.sum(solver._eigh(solver.matrix(kappa_floor), last=None) > alpha))
+    count = int(np.sum(solver._eigh(solver.matrix(0.0), last=None) > alpha))
     wanted = min(levels, count)
     if wanted < 1:
         return count, None
-    res = _ground(solver, config, mesh, alpha, kappa_floor, kappa_tol)
+    res = _ground(solver, config, mesh, alpha, kappa_tol)
     excited = []
     kappa_j = res.levels[0].kappa
     for j in range(2, wanted + 1):
         # lambda_j <= lambda_{j-1}, so level j crosses at or below kappa_{j-1}
-        kappa_j, energy_j, _ = _solve_level(
-            solver, alpha, j, kappa_floor, kappa_tol, upper=kappa_j
-        )
+        kappa_j, energy_j, _ = _solve_level(solver, alpha, j, kappa_tol, kappa_j)
         excited.append(Level(index=j, kappa=kappa_j, energy=energy_j))
     return count, replace(res, levels=res.levels + tuple(excited))
 
@@ -404,14 +377,13 @@ def refine_until(
 
     energies: list[float] = []
     results: list[SpectralResult] = []
-    hint = None
+    start = None
     converged = False
     for mesh in mesh_ladder:
         solver = _star_solver(config, mesh)
-        res = _ground(
-            solver, config, mesh, alpha, DEFAULT_KAPPA_FLOOR, DEFAULT_KAPPA_TOL, hint
-        )
-        hint = res.levels[0].kappa
+        res = _ground(solver, config, mesh, alpha, DEFAULT_KAPPA_TOL, start)
+        # the next rung's root lies near this one's
+        start = 0.8 * res.levels[0].kappa
         energies.append(res.ground_energy)
         results.append(res)
         if len(energies) >= 2 and abs(energies[-1] - energies[-2]) <= e_tol:

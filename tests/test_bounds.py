@@ -14,7 +14,6 @@ from starspec.bounds import (
 from starspec.errors import DegenerateAngle
 from starspec.geometry import StarConfig
 from starspec.kernels import PSI_ONE, offdiag_norm_bound
-from starspec.spectral import DEFAULT_KAPPA_FLOOR
 
 
 class TestScaledCoupling:
@@ -93,17 +92,17 @@ def constant_trial_coupling(config) -> float:
     """alpha_lo = [2 ln L + ln 4 - 2 + (4/N) sum_{i<j} ln(1 + 2/|d_i - d_j|)]/(4 pi).
 
     The constant trial function f = (NL)^{-1/2} on every arm has |f| = 1.
-    Its diagonal part is the constant-function bound of acceptance criterion
-    05, shared by the N arms: 4 pi (f, T f) summed over the arms is at least
-    2 ln L + ln 4 - 2 - kappa L.  Arms i and j are r = L sqrt((s-t)^2 + s t c)
-    apart at arc lengths Ls and Lt, with c = |d_i - d_j|^2, and
+    Levels are counted at kappa = 0, where the kernel is 1/(4 pi r).  The
+    diagonal part is the constant-function bound of acceptance criterion 05
+    at kappa = 0, shared by the N arms: 4 pi (f, T_0 f) summed over the arms
+    is at least 2 ln L + ln 4 - 2.  Arms i and j are r = L sqrt((s-t)^2 +
+    s t c) apart at arc lengths Ls and Lt, with c = |d_i - d_j|^2, and
 
         int int_{[0,1]^2} ds dt / sqrt((s-t)^2 + s t c) = 2 ln(1 + 2/sqrt(c)),
 
-    so with (1 - e^{-kappa r})/r <= kappa each of the N(N-1) ordered pairs
-    adds at least (2 ln(1 + 2/|d_i - d_j|) - kappa L)/N.  Hence
-    lambda_1(kappa) >= alpha_lo - N kappa L/(4 pi): a coupling below that
-    leaves at least one eigenvalue above it at the kappa floor.
+    so each of the N(N-1) ordered pairs adds 2 ln(1 + 2/|d_i - d_j|)/N.
+    Hence lambda_1(0) >= alpha_lo: a coupling below alpha_lo leaves at least
+    one eigenvalue above it at kappa = 0, so at least one bound state.
     """
     n, L, d = config.n_arms, config.arm_length, config.directions
     i, j = np.triu_indices(n, k=1)
@@ -138,8 +137,7 @@ class TestThresholdBracket:
     def check(self, dirs, L):
         config = ss.make_star(dirs, L, 0.0)
         upper = nonexistence_threshold(config)
-        slack = config.n_arms * DEFAULT_KAPPA_FLOOR * L / (4 * math.pi)
-        lower = constant_trial_coupling(config) - slack
+        lower = constant_trial_coupling(config)
         assert lower < upper
         for panels in (8, 16):
             mesh = ss.build_mesh(L, panels, 12, 2.0)

@@ -31,13 +31,29 @@ MINIMAL_SPECTRUM = {
 }
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_json_blocks() -> list[str]:
+    """The fenced ``json`` blocks of README.md."""
+    with open(README) as fh:
+        parts = fh.read().split("```json\n")[1:]
+    return [part.split("```", 1)[0] for part in parts]
+
+
 class TestParseJob:
+    def test_readme_examples_parse(self):
+        blocks = readme_json_blocks()
+        assert blocks
+        for block in blocks:
+            parse_job(block)
+
     def test_minimal_defaults(self):
         job = parse_job(job_text(**MINIMAL_SPECTRUM))
         assert job.doc["command"] == "spectrum"
         assert job.doc["star"] == {"sharp": 4}
         assert job.doc["mesh"] == {"panels": 8, "order": 12, "grading": 2.0}
-        assert job.doc["solver"] == {"kappa_floor": 1e-4, "kappa_tol": 1e-10, "levels": 1}
+        assert job.doc["solver"] == {"kappa_tol": 1e-10, "levels": 1}
         assert job.doc["output"] == {"format": "json", "path": None}
         # spectrum reads no search settings, so it takes and echoes none
         assert "optimize" not in job.doc
@@ -248,7 +264,7 @@ class TestRun:
 #: one minimal document per JSON-writing command (sweep-angle writes CSV,
 #: which has no echo) and its ``job_echo``: the document normalized, the
 #: defaults of every group the command reads filled in, keys in a fixed order
-SOLVER_DEFAULTS = {"kappa_floor": 1e-4, "kappa_tol": 1e-10}
+SOLVER_DEFAULTS = {"kappa_tol": 1e-10}
 ECHOES = {
     "spectrum": (MINIMAL_SPECTRUM, {
         **MINIMAL_SPECTRUM,
@@ -338,7 +354,7 @@ class TestOneSolverPerStar:
             make_star(sharp_configuration(4), 5.0, 0.0), build_mesh(5.0, 6, 8, 2.0), 0.0, 2
         )
         assert levels[1] == {"j": 2, "kappa": res.levels[1].kappa, "energy": res.levels[1].energy}
-        assert doc["diagnostics"]["bound_states_at_floor"] == 6
+        assert doc["diagnostics"]["bound_states"] == 6
 
     def test_sweep_one_per_angle(self, tmp_path, monkeypatch):
         calls = count_star_assemblers(monkeypatch)
@@ -377,7 +393,9 @@ BAD_INPUTS = {
     "arm_length Infinity": dict(MINIMAL_SPECTRUM, arm_length=float("inf")),
     "alpha -Infinity": dict(MINIMAL_SPECTRUM, alpha=float("-inf")),
     "mesh.grading NaN": dict(MINIMAL_SPECTRUM, mesh={"grading": float("nan")}),
+    # not a key: root brackets close at kappa = 0, so no floor is set
     "solver.kappa_floor NaN": dict(MINIMAL_SPECTRUM, solver={"kappa_floor": float("nan")}),
+    "solver.kappa_floor": dict(MINIMAL_SPECTRUM, solver={"kappa_floor": 1e-4}),
     "solver.kappa_tol Infinity": dict(MINIMAL_SPECTRUM, solver={"kappa_tol": float("inf")}),
     "optimize.simplex_tol Infinity": dict(
         MINIMAL_SPECTRUM, command="optimize", optimize={"simplex_tol": float("inf")}),
@@ -527,7 +545,7 @@ JOB_DOCUMENTS = st.fixed_dictionaries({}, optional={
     "alpha": NUMBERS | JSON_VALUES,
     "arm_length": NUMBERS | JSON_VALUES,
     "mesh": _group("panels", "order", "grading", "extra"),
-    "solver": _group("kappa_floor", "kappa_tol", "levels"),
+    "solver": _group("kappa_tol", "levels"),
     "optimize": _group("starts", "seed", "simplex_tol"),
     "sweep": _group("phi_min", "phi_max", "count"),
     "verify": _group("scale", "trials"),
@@ -584,7 +602,7 @@ def _small_job(command):
         groups["mesh"] = st.fixed_dictionaries({
             "panels": st.integers(2, 4), "order": st.integers(2, 4),
             "grading": st.floats(1.0, 4.0)})
-        solver = {"kappa_floor": st.floats(1e-6, 10.0), "kappa_tol": st.floats(1e-12, 1e-2)}
+        solver = {"kappa_tol": st.floats(1e-12, 1e-2)}
         if command == "spectrum":
             solver["levels"] = st.integers(1, 3)
         groups["solver"] = st.fixed_dictionaries({}, optional=solver)

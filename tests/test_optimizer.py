@@ -11,6 +11,7 @@ from starspec.discretization import BlockAssembler
 from starspec.errors import AllStartsFailed, SizeMismatch
 from starspec.kernels import arm_distance, green_kernel
 from starspec.optimizer import (
+    MAXFEV_PER_PARAM,
     MIN_PAIR_ANGLE,
     OptSettings,
     _WarmObjective,
@@ -105,7 +106,7 @@ class TestSearchAssembly:
         dirs = ss.sharp_configuration(N) if N == 6 else gauge_embed(
             np.random.default_rng(N).uniform(0.3, 2.8, 2 * N - 3), N
         )
-        warm = _WarmObjective(N, 0.0, mesh, 1e-4, 1e-10)
+        warm = _WarmObjective(N, 0.0, mesh, 1e-10)
         A = warm.matrix(dirs)(kappa)
         assert A.shape == (N * M, N * M)
         assert np.array_equal(A, A.T)
@@ -157,10 +158,7 @@ class TestOptimize:
             optimize(2, 0.2, 3.0, OptSettings(starts=2, seed=0))
 
     def test_no_sharp_family_verdict_not_applicable(self):
-        res = optimize(
-            5, 3.0, 0.0,
-            OptSettings(starts=1, seed=0, maxfev_per_start=60),
-        )
+        res = optimize(5, 3.0, 0.0, OptSettings(starts=1, seed=0))
         assert res.congruent_to_sharp is None
         assert res.kernel_sum_gap is None
         assert res.best_energy < 0
@@ -193,7 +191,9 @@ class TestFixedKappaSearch:
 
     def test_maxfev_bounds_a_whole_start(self, monkeypatch):
         # each search is one _WarmObjective; record the fixed kappa of every
-        # evaluation, so the outer steps show as runs of one kappa
+        # evaluation, so the outer steps show as runs of one kappa.  A
+        # simplex tolerance of 1e-12 keeps Nelder-Mead going until the
+        # budget of the start's one parameter runs out
         seen = {}
         negative = _WarmObjective.negative
 
@@ -202,11 +202,11 @@ class TestFixedKappaSearch:
             return negative(self, params)
 
         monkeypatch.setattr(_WarmObjective, "negative", recorded)
-        res = optimize(2, 5.0, 0.0, OptSettings(starts=2, seed=1, maxfev_per_start=50))
+        res = optimize(2, 5.0, 0.0, OptSettings(starts=2, seed=1, simplex_tol=1e-12))
         *starts, polish = seen.values()
         assert len(starts) == 2
-        assert all(len(kappas) <= 50 for kappas in starts)
-        assert len(polish) <= 100
+        assert [len(kappas) for kappas in starts] == [MAXFEV_PER_PARAM] * 2
+        assert len(polish) <= 2 * MAXFEV_PER_PARAM
         # the first step leaves budget over for a second one
         assert any(len(set(kappas)) >= 2 for kappas in starts)
         assert res.congruent_to_sharp
@@ -242,7 +242,7 @@ class TestFixedKappaFact:
                                     min_size=2 * N - 3, max_size=2 * N - 3))
         dirs = gauge_embed(params, N)
         assume(_min_pair_angle(dirs) >= MIN_PAIR_ANGLE)
-        warm = _WarmObjective(N, 0.0, search_mesh(L), 1e-4, 1e-10)
+        warm = _WarmObjective(N, 0.0, search_mesh(L), 1e-10)
         lam = _CurveSolver(warm.matrix(dirs)).lam(kappa)
         lam_sharp = _CurveSolver(warm.matrix(ss.sharp_configuration(N))).lam(kappa)
         assert lam >= lam_sharp - 1e-12 * max(1.0, abs(lam_sharp))

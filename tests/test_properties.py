@@ -84,6 +84,8 @@ def close(a, b):
 # order 3 puts a node at each panel midpoint, where the layout ratios of a
 # grading-2 mesh hit their thresholds exactly
 @example(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), 1.0, 1.0, 3.0, (3, 3, 2.0))
+# kappa = 0 closes every root bracket and counts the levels
+@example(sharp_configuration(4), 2.0, 0.0, 3.0, (4, 6, 2.0))
 def test_scaling_covariance(directions, L, kappa, zeta, params):
     base = top(directions, L, kappa, params)
     scaled = top(directions, zeta * L, kappa / zeta, params)

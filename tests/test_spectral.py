@@ -288,7 +288,8 @@ class TestSolveLevel:
     @pytest.mark.parametrize("name", sorted(ROOT_STARS))
     def test_brent_root_and_no_repeated_kappa(self, name, hint_factor, roots,
                                               monkeypatch):
-        hint = None if hint_factor is None else hint_factor * roots[name]
+        # a caller with a guess starts the search at 0.8 times it
+        start = None if hint_factor is None else 0.8 * hint_factor * roots[name]
         solver = dense_solver(name)
         lam, calls = solver.lam, []
 
@@ -304,7 +305,7 @@ class TestSolveLevel:
             return brentq(f, a, b, **kw)
 
         monkeypatch.setattr(spectral, "brentq", recorded)
-        kappa, energy, residual = _solve_level(solver, 0.0, 1, 1e-4, 1e-10, hint=hint)
+        kappa, energy, residual = _solve_level(solver, 0.0, 1, 1e-10, start)
         assert len(calls) == len(set(calls))
         assert energy == -kappa * kappa
         # the same bracket and tolerances on the un-memoized excess
@@ -327,8 +328,7 @@ class TestSolveLevel:
             return lam(kappa, j)
 
         solver.lam = counted
-        kappa, _, _ = _solve_level(solver, 0.0, 1, 1e-4, 1e-10,
-                                   upper=upper_factor * roots[name])
+        kappa, _, _ = _solve_level(solver, 0.0, 1, 1e-10, upper_factor * roots[name])
         assert len(calls) == len(set(calls))
         assert kappa == pytest.approx(roots[name], rel=1e-9)
 
@@ -339,11 +339,67 @@ class TestSolveLevel:
         refs = [weakref.ref(solver), weakref.ref(solver.matrix.__self__)]
         gc.disable()
         try:
-            _solve_level(solver, 0.0, 1, 1e-4, 1e-10)
+            _solve_level(solver, 0.0, 1, 1e-10)
             del solver
             assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()
+
+
+def random_directions(n: int, seed: int) -> np.ndarray:
+    d = np.random.default_rng(seed).standard_normal((n, 3))
+    return d / np.linalg.norm(d, axis=1)[:, None]
+
+
+#: one star per eigensolver path: (directions, L, panels, order, path)
+NEAR_THRESHOLD = {
+    "tetrahedron": (ss.sharp_configuration(4), 5.0, 8, 12, "sector"),
+    "irregular-3": (ROOT_STARS["irregular-3"], 2.0, 8, 12, "dense"),
+    "random-12": (random_directions(12, 12), 3.0, 12, 8, "arpack"),
+}
+
+
+class TestNearThreshold:
+    """A coupling just below lambda_j(0) has a crossing near kappa = 0, far
+    below where a bracket search without a guess begins (1e-4); the count
+    at kappa = 0 sees level j exactly when the root solve finds it."""
+
+    @pytest.fixture(scope="class", params=sorted(NEAR_THRESHOLD))
+    def star(self, request):
+        dirs, L, panels, order, path = NEAR_THRESHOLD[request.param]
+        config = ss.make_star(dirs, L, 0.0)
+        mesh = ss.build_mesh(L, panels, order, 2.0)
+        n = config.n_arms * mesh.nodes.size
+        assert _star_solver(config, mesh).record(n)["path"] == path
+        return config, mesh, lambda_curve(config, mesh, 0.0, count=2)
+
+    def test_crossing_just_below_threshold(self, star):
+        config, mesh, lam0 = star
+        alpha = lam0[0] - 1e-7
+        assert count_bound_states(config, mesh, alpha) == 1
+        kappa, energy = solve_energy(config, mesh, alpha)
+        assert 0.0 < kappa < 1e-4
+        assert energy == -kappa * kappa
+        solver = _star_solver(config, mesh)
+        assert abs(solver.lam(kappa) - alpha) <= 1e-12
+
+    def test_no_crossing_just_above_threshold(self, star):
+        config, mesh, lam0 = star
+        alpha = lam0[0] + 1e-9
+        assert count_bound_states(config, mesh, alpha) == 0
+        with pytest.raises(NoCrossing):
+            solve_energy(config, mesh, alpha)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_count_agrees_with_root_solve(self, star, j):
+        config, mesh, lam0 = star
+        for alpha in (lam0[j - 1] - 1e-7, lam0[j - 1] + 1e-9):
+            try:
+                solve_energy(config, mesh, alpha, j)
+                crosses = True
+            except NoCrossing:
+                crosses = False
+            assert (count_bound_states(config, mesh, alpha) >= j) == crosses
 
 
 class TestEigensolverFallback:
@@ -354,7 +410,7 @@ class TestEigensolverFallback:
         from starspec.optimizer import _WarmObjective
 
         L = 1.2313601059970256
-        objective = _WarmObjective(2, 0.0, ss.build_mesh(L, 2, 2, 1.0), 1e-4, 1e-10)
+        objective = _WarmObjective(2, 0.0, ss.build_mesh(L, 2, 2, 1.0), 1e-10)
         matrix = objective.matrix(ss.sharp_configuration(2))
         solver = _CurveSolver(matrix)
         for kappa in np.geomspace(10.0, 5000.0, 200):
@@ -369,7 +425,7 @@ class TestExcitedLevels:
     """``bound_states`` brackets level j from above by kappa_{j-1}."""
 
     #: the tetrahedron at L = 5, alpha = 0 on the default mesh: its levels
-    #: as solved from the kappa floor up, each to 1e-10 in kappa; levels 3
+    #: as solved upward from kappa = 1e-4, each to 1e-10 in kappa; levels 3
     #: to 5 are the threefold one
     TETRA_KAPPAS = (4.447870382938577, 1.0136251126060016, 0.9566330753387079,
                     0.9566330753387086, 0.9566330753387075)
@@ -396,7 +452,8 @@ class TestExcitedLevels:
         assert kappas == pytest.approx(self.TETRA_KAPPAS, rel=1e-9)
 
     def test_fewer_evaluations_per_excited_level(self, counted):
-        # from the floor, levels 2 and 3 took 21 evaluations each
+        # searched upward from kappa = 1e-4, levels 2 and 3 took 21
+        # evaluations each
         _, calls = counted
         for j in range(2, 6):
             assert 0 < calls.count(j) < 21
