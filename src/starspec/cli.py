@@ -21,12 +21,14 @@ import numpy as np
 
 from . import __version__
 from .bounds import nonexistence_threshold, segment_existence_length, small_angle_bounds
-from .discretization import build_mesh
+from .discretization import batch_entries, build_mesh, chord_groups
 from .errors import NumericalError, ParseError, ValidationError
 from .geometry import (
     SHARP_SIZES, make_star, sharp_configuration, spherical_design_check, unit_directions,
 )
-from .optimizer import OptSettings, optimize, verify_sharp_local_max
+from .optimizer import (
+    MIN_PAIR_ANGLE, OptSettings, local_max_mesh, optimize, search_mesh, verify_sharp_local_max,
+)
 from .spectral import (
     DEFAULT_GRADING, DEFAULT_KAPPA_TOL, DEFAULT_ORDER, DEFAULT_PANELS, bound_states,
 )
@@ -34,10 +36,13 @@ from .spectral import (
 COMMANDS = ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds", "design-check")
 
 #: job size bounds, checked before anything is allocated.  A star of N arms
-#: has a dense N * panels * order square matrix; 16,384 rows take 2 GiB.  At
-#: 128 panels of order 16 one block's correction batch holds 4e7 to 7e7
-#: entries (0.5 to 0.8 GiB); it grows about as the square of the order.
+#: has a dense N * panels * order square matrix; 16,384 rows take 2 GiB.
 MAX_ROWS = 16_384
+#: entries of the correction batches of one star, held at once: one batch for
+#: the diagonal block and one per distinct pair chord, each of 4e7 to 7e7
+#: entries at 128 panels of order 16 (``_batch_entries``).  An entry takes
+#: 12 bytes (value and column index), so this is about 2 GiB
+MAX_BATCH_ENTRIES = 180_000_000
 #: arms per star, for every command: ``bounds`` and ``design-check`` build no
 #: matrix, but their work on the arm pairs grows as the square of this
 MAX_ARMS = 256
@@ -251,7 +256,53 @@ def parse_job(document: str) -> JobSpec:
         rows = arms * mesh["panels"] * mesh["order"]
         if rows > MAX_ROWS:
             raise ParseError(f"the job's matrix has {rows} rows; at most {MAX_ROWS}")
+        entries = 0
+        for n in _batch_entries(doc, "mesh" in raw):
+            entries += n
+            if entries > MAX_BATCH_ENTRIES:
+                raise ParseError(f"the job's correction batches hold more than "
+                                 f"{MAX_BATCH_ENTRIES} entries")
     return JobSpec(doc, mesh_given="mesh" in raw)
+
+
+def _batch_entries(doc: dict, mesh_given: bool):
+    """The entries of the correction batches that one star of the job holds
+    at once, at most, batch by batch, from the layout alone
+    (``batch_entries``): the diagonal block's, then one per distinct pair
+    chord.  A batch grows as its chord shrinks.  The chords of a
+    ``spectrum`` star are known, and a sweep's smallest is at phi_min.
+    ``optimize`` and ``verify-sharp`` build stars with up to N(N-1)/2
+    distinct chords: a search star's are no smaller than ``MIN_PAIR_ANGLE``
+    allows, a perturbed star's lie near the sharp star's.  Nothing for a
+    mesh or star that the run rejects before it builds a batch."""
+    command, L = doc["command"], doc["arm_length"]
+    try:
+        if mesh_given or command in ("spectrum", "sweep-angle"):
+            mesh = _job_mesh(doc, L)
+        else:
+            mesh = search_mesh(L) if command == "optimize" else local_max_mesh(L)
+        if command == "sweep-angle":
+            n_pairs, chords = 1, [2.0 - 2.0 * math.cos(doc["sweep"]["phi_min"])]
+        elif command == "optimize":
+            N = _n_arms(doc["star"])
+            n_pairs, chords = N * (N - 1) // 2, [4.0 * math.sin(MIN_PAIR_ANGLE / 2) ** 2]
+        else:
+            star = doc["star"]
+            dirs = unit_directions(
+                sharp_configuration(star["sharp"]) if "sharp" in star else star["directions"]
+            )
+            chords = chord_groups(dirs)[0].tolist()
+            N = dirs.shape[0]
+            n_pairs = len(chords) if command == "spectrum" else N * (N - 1) // 2
+    except ValidationError:
+        return
+    yield batch_entries(mesh, None)
+    if command == "spectrum":
+        yield from (batch_entries(mesh, c) for c in chords)
+    elif chords:
+        yield n_pairs * max(batch_entries(mesh, c) for c in chords)
+
+
 # -- serialization ----------------------------------------------------------
 
 
@@ -331,6 +382,7 @@ def _run_spectrum(job: JobSpec) -> tuple[dict, dict]:
         parity=res.parity,
         residual=res.residual,
         eigensolver=res.eigensolver,
+        root_evaluations=res.root_evaluations,
     )
     levels = [{"j": lv.index, "kappa": lv.kappa, "energy": lv.energy} for lv in res.levels]
     return {"levels": levels}, diagnostics

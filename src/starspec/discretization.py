@@ -191,6 +191,57 @@ def _stack_fractions(n_seg: int) -> np.ndarray:
     return frac
 
 
+def _rho(x, t, c: float):
+    """Kernel distance between points x and t on two arms of squared chord
+    c (0 on one arm)."""
+    return np.sqrt((x - t) ** 2 + x * t * c)
+
+
+def correction_layout(mesh: Mesh, chord_sq: float | None):
+    """The corrected pieces of one block (``BlockAssembler``), from the mesh
+    and the chord alone: a piece is a (target node, panel) pair whose
+    closest kernel approach is below NEAR_RATIO times the panel width.
+    Returns, per piece: target, panel, the closest point on the panel
+    (where its subrule's two half-stacks meet), subrule depth and whether
+    it is a self piece of the diagonal block."""
+    c = 0.0 if chord_sq is None else chord_sq
+    q, P = mesh.order, mesh.panels
+    s, edges = mesh.nodes, mesh.edges
+    # closest kernel approach of every (target, panel) pair
+    t_hat = np.clip(s[:, None] * (1.0 - 0.5 * c), edges[:-1], edges[1:])
+    rho_min = _rho(s[:, None], t_hat, c)
+    widths = np.diff(edges)
+    owner = np.repeat(np.arange(P), q)
+    near = rho_min < NEAR_RATIO * widths * (1.0 - _TIE_TOL)
+    targets, panels = np.nonzero(near)
+    # subrule depth: 3 segments, plus one per halving from the panel
+    # width down to the closest approach; the self pieces of the
+    # diagonal block (closest approach 0) take 3 on either side
+    with np.errstate(divide="ignore"):
+        ratio = widths[panels] / rho_min[targets, panels]
+    depth = np.minimum(3 + np.ceil(np.log2(ratio) - _TIE_TOL), _MAX_SEG).astype(int)
+    is_self = (panels == owner[targets]) & (chord_sq is None)
+    depth[is_self] = 3
+    return targets, panels, t_hat[targets, panels], depth, is_self
+
+
+def _half_stacks(mesh: Mesh, panels, split):
+    """Lower and upper ends of the two half-stacks of each piece, [panel
+    start, split] and [split, panel end], as two (pieces, 2) arrays."""
+    a = np.stack([mesh.edges[panels], split], axis=1)
+    b = np.stack([split, mesh.edges[panels + 1]], axis=1)
+    return a, b
+
+
+def batch_entries(mesh: Mesh, chord_sq: float | None) -> int:
+    """Entries of the sparse correction batch of one block, at most: order
+    times ``_SUB_ORDER`` times the segments of every piece's present
+    half-stacks (``correction_layout``).  Nothing of the batch is built."""
+    _, panels, split, depth, _ = correction_layout(mesh, chord_sq)
+    a, b = _half_stacks(mesh, panels, split)
+    return mesh.order * _SUB_ORDER * int(((a < b).sum(axis=1) * depth).sum())
+
+
 class BlockAssembler:
     """Assembles one M x M block of the Birman-Schwinger matrix at any kappa.
 
@@ -207,32 +258,18 @@ class BlockAssembler:
         self.mesh = mesh
         self.chord_sq = chord_sq
         self._c = 0.0 if chord_sq is None else chord_sq
-        q, P, M = mesh.order, mesh.panels, mesh.size
+        q, M = mesh.order, mesh.size
         s, w, edges = mesh.nodes, mesh.weights, mesh.edges
-        D = self._rho_of(s[:, None], s[None, :])
+        D = _rho(s[:, None], s[None, :], self._c)
         if chord_sq is None:
             np.fill_diagonal(D, 1.0)  # self-panel entries come from the batch
         self._dist = D
         sw = np.sqrt(w)
         self._fold = sw[:, None] * sw[None, :]
 
-        # closest kernel approach of every (target, panel) pair
-        t_hat = np.clip(s[:, None] * (1.0 - 0.5 * self._c), edges[:-1], edges[1:])
-        rho_min = self._rho_of(s[:, None], t_hat)
-        widths = np.diff(edges)
-        owner = np.repeat(np.arange(P), q)
-        near = rho_min < NEAR_RATIO * widths * (1.0 - _TIE_TOL)
-        targets, panels = np.nonzero(near)
-        # subrule depth: 3 segments, plus one per halving from the panel
-        # width down to the closest approach; the self pieces of the
-        # diagonal block (closest approach 0) take 3 on either side
-        with np.errstate(divide="ignore"):
-            ratio = widths[panels] / rho_min[targets, panels]
-        depth = np.minimum(3 + np.ceil(np.log2(ratio) - _TIE_TOL), _MAX_SEG).astype(int)
-        is_self = (panels == owner[targets]) & (chord_sq is None)
-        depth[is_self] = 3
+        targets, panels, split, depth, is_self = correction_layout(mesh, chord_sq)
         order, self._rho, data, indices, sizes, w_over_rho = self._subrules(
-            targets, panels, t_hat[targets, panels], depth
+            targets, panels, split, depth
         )
         targets, panels, is_self = targets[order], panels[order], is_self[order]
         # self panel: sum_j W_j f(t_j)/|x-t_j| integrates the kernel;
@@ -256,10 +293,6 @@ class BlockAssembler:
         self._flat_idx = (targets[:, None] * M + cols).ravel()
         self._base = base.ravel()
 
-    def _rho_of(self, x, t):
-        """Kernel distance between points x and t on the two arms."""
-        return np.sqrt((x - t) ** 2 + x * t * self._c)
-
     def _subrules(self, targets, panels, split, depth):
         """Subrules of all pieces, one array pass per (depth, halves) group.
 
@@ -282,8 +315,7 @@ class BlockAssembler:
         bw = _bary_weights(panel_nodes)
         node_w = mesh.weights.reshape(-1, q)
         x_gl, w_gl = _leggauss(_SUB_ORDER)
-        a = np.stack([mesh.edges[panels], split], axis=1)
-        b = np.stack([split, mesh.edges[panels + 1]], axis=1)
+        a, b = _half_stacks(mesh, panels, split)
         present = a < b
         halves = present.sum(axis=1)
         bound = int((halves * depth).sum()) * _SUB_ORDER
@@ -312,7 +344,7 @@ class BlockAssembler:
                 mid = edges[:, :, :-1] + h
                 t = (mid[..., None] + h[..., None] * x_gl).reshape(n, -1)
                 w_sub = (h[..., None] * w_gl).reshape(n, -1)
-                rho = self._rho_of(mesh.nodes[targets[idx], None], t)
+                rho = _rho(mesh.nodes[targets[idx], None], t, self._c)
                 live = np.repeat(seg.reshape(n, -1) > 0.0, _SUB_ORDER, axis=1) & (rho > 0.0)
                 # Lagrange basis of the piece's panel at its subrule points
                 p = panels[idx]
@@ -347,17 +379,32 @@ class BlockAssembler:
 
     # -- assembly ---------------------------------------------------------------
 
-    def kernel_matrix(self, kappa: float) -> np.ndarray:
-        """Corrected kernel sample matrix (without weight folding or 1/4pi)."""
-        K = np.exp(-kappa * self._dist) / self._dist
-        K.flat[self._flat_idx] = (
-            self._S @ (np.exp(-kappa * self._rho) / self._rho) + self._base
-        )
-        return K
+    def kernel_matrix(self, kappa: float, derivative: bool = False):
+        """Corrected kernel sample matrix (without weight folding or 1/4pi);
+        with ``derivative``, also its derivative in kappa, from the same
+        exponentials: d/dkappa e^{-kappa r}/r = -e^{-kappa r}, so -e^{-kappa D}
+        on the dense part and S (-e^{-kappa rho}) on the batch (the
+        regularizer is kappa-free)."""
+        K = np.exp(-kappa * self._dist)
+        dK = -K if derivative else None
+        K /= self._dist
+        e = np.exp(-kappa * self._rho)
+        K.flat[self._flat_idx] = self._S @ (e / self._rho) + self._base
+        if not derivative:
+            return K
+        dK.flat[self._flat_idx] = self._S @ np.negative(e, out=e)
+        return K, dK
 
-    def weighted_block(self, kappa: float) -> np.ndarray:
-        """Symmetric weighted block D^{1/2} K D^{1/2} / (4 pi)."""
-        B = self._fold * self.kernel_matrix(kappa) / FOUR_PI
+    def weighted_block(self, kappa: float, derivative: bool = False):
+        """Symmetric weighted block D^{1/2} K D^{1/2} / (4 pi); with
+        ``derivative``, also its derivative in kappa (``kernel_matrix``)."""
+        if not derivative:
+            return self._weigh(self.kernel_matrix(kappa))
+        K, dK = self.kernel_matrix(kappa, derivative=True)
+        return self._weigh(K), self._weigh(dK)
+
+    def _weigh(self, K: np.ndarray) -> np.ndarray:
+        B = self._fold * K / FOUR_PI
         return 0.5 * (B + B.T)
 
 
@@ -375,17 +422,35 @@ def chord_groups(directions: np.ndarray):
 
 def star_matrix(N: int, T: np.ndarray, pair_blocks, I, J, group) -> np.ndarray:
     """The N*M x N*M matrix with T on every diagonal block and, for pair k,
-    ``pair_blocks[group[k]]`` at block (I[k], J[k]) and its transpose at
-    (J[k], I[k])."""
+    block group[k] of ``pair_blocks`` at block (I[k], J[k]) and its
+    transpose at (J[k], I[k]).  The blocks are read once, in group order,
+    so an iterable that makes them one at a time holds one at a time."""
     M = T.shape[0]
     A = np.empty((N * M, N * M))
     for i in range(N):
         A[i * M : (i + 1) * M, i * M : (i + 1) * M] = T
-    for i, j, g in zip(I.tolist(), J.tolist(), group.tolist()):
-        B = pair_blocks[g]
-        A[i * M : (i + 1) * M, j * M : (j + 1) * M] = B
-        A[j * M : (j + 1) * M, i * M : (i + 1) * M] = B.T
+    for g, B in enumerate(pair_blocks):
+        for k in np.nonzero(group == g)[0].tolist():
+            i, j = int(I[k]), int(J[k])
+            A[i * M : (i + 1) * M, j * M : (j + 1) * M] = B
+            A[j * M : (j + 1) * M, i * M : (i + 1) * M] = B.T
     return A
+
+
+def star_form(N: int, T: np.ndarray, pair_blocks, I, J, group):
+    """The quadratic form v -> v^T A v of ``star_matrix(N, T, pair_blocks,
+    I, J, group)``, summed block by block: the diagonal blocks give
+    sum_i v_i^T T v_i, pair k gives 2 v_I^T B v_J.  A is never formed."""
+    members = [np.nonzero(group == g)[0] for g in range(len(pair_blocks))]
+
+    def form(v: np.ndarray) -> float:
+        V = v.reshape(N, -1)
+        total = np.sum((V @ T) * V)
+        for B, k in zip(pair_blocks, members):
+            total += 2.0 * np.sum((V[I[k]] @ B) * V[J[k]])
+        return float(total)
+
+    return form
 
 
 class StarAssembler:
@@ -418,20 +483,52 @@ class StarAssembler:
         np.add.at(counts, (J, group), 1)
         self.group_counts = counts[0] if np.all(counts == counts[0]) else None
 
-    def _blocks(self, kappa: float):
-        return (self.diag.weighted_block(kappa),
-                [asm.weighted_block(kappa) for asm in self._offdiag])
+    def _blocks(self, kappa: float, derivative: bool = False):
+        """(T, [B_g]); with ``derivative``, that pair and the same pair of
+        the blocks' derivatives in kappa (``BlockAssembler.weighted_block``)."""
+        blocks = [asm.weighted_block(kappa, derivative)
+                  for asm in (self.diag, *self._offdiag)]
+        if not derivative:
+            return blocks[0], blocks[1:]
+        values, slopes = zip(*blocks)
+        return (values[0], list(values[1:])), (slopes[0], list(slopes[1:]))
 
-    def matrix(self, kappa: float) -> np.ndarray:
-        T, pair_blocks = self._blocks(kappa)
+    def matrix(self, kappa: float, blocks=None) -> np.ndarray:
+        """The full matrix at kappa, filled from ``blocks``, (T, pair blocks
+        in group order), if given (``sloped_matrix``)."""
+        T, pair_blocks = self._blocks(kappa) if blocks is None else blocks
         return star_matrix(self.config.n_arms, T, pair_blocks, *self._pairs)
 
-    def sector_matrices(self, kappa: float) -> tuple[np.ndarray, ...]:
+    def sloped_matrix(self, kappa: float):
+        """``matrix(kappa)`` and the quadratic form v -> v^T (dA/dkappa) v of
+        its derivative, summed over the derivative blocks (``star_form``).
+        Each pair block is placed as soon as it is made, and the derivative
+        blocks share one array, so they take about the memory that the pair
+        blocks would have held."""
+        T, dT = self.diag.weighted_block(kappa, derivative=True)
+        d_pair_blocks = np.empty((len(self._offdiag),) + T.shape)
+
+        def pair_blocks():
+            for g, asm in enumerate(self._offdiag):
+                B, d_pair_blocks[g] = asm.weighted_block(kappa, derivative=True)
+                yield B
+
+        A = self.matrix(kappa, (T, pair_blocks()))
+        return A, star_form(self.config.n_arms, dT, d_pair_blocks, *self._pairs)
+
+    def sector_matrices(self, kappa: float, derivative: bool = False):
         """For an arm-regular star, the M x M matrices of ``matrix(kappa)`` on
         its arm-symmetric vectors (u, ..., u), ``T + sum_g n_g B_g``, and for
         two arms also on the antisymmetric ones (u, -u), ``T - B``; the
-        latter two sectors split the two-arm matrix exactly."""
-        T, pair_blocks = self._blocks(kappa)
+        latter two sectors split the two-arm matrix exactly.  With
+        ``derivative``, each comes paired with its derivative in kappa: the
+        sectors are linear in the blocks, so the derivative blocks give it."""
+        if not derivative:
+            return self._sectors(*self._blocks(kappa))
+        values, slopes = self._blocks(kappa, derivative=True)
+        return tuple(zip(self._sectors(*values), self._sectors(*slopes)))
+
+    def _sectors(self, T, pair_blocks):
         S = T.copy()
         for n, B in zip(self.group_counts.tolist(), pair_blocks):
             S += n * B

@@ -62,7 +62,8 @@ class NoCrossing(NumericalError):
 
 
 class BracketFailure(NumericalError):
-    """Root bracketing exhausted its expansion budget."""
+    """A root solve found no upper end of its bracket, or no root within
+    its budget of evaluations."""
 
 
 class NotConverged(NumericalError):

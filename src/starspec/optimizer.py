@@ -40,7 +40,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .discretization import (
-    FOUR_PI, BlockAssembler, Mesh, build_mesh, chord_groups, star_matrix,
+    FOUR_PI, BlockAssembler, Mesh, build_mesh, chord_groups, star_form, star_matrix,
 )
 from .errors import AllStartsFailed, BracketFailure, DomainError, NoCrossing
 from .geometry import SHARP_SIZES, congruent, make_star, sharp_configuration
@@ -97,6 +97,11 @@ def search_mesh(L: float) -> Mesh:
     return build_mesh(L, 3, 5, 2.0)
 
 
+def local_max_mesh(L: float) -> Mesh:
+    """Default mesh of ``verify_sharp_local_max``."""
+    return build_mesh(L, 12, 8, 2.0)
+
+
 def gauge_embed(params, N: int) -> np.ndarray:
     """Map 2N-3 unconstrained angles to N unit directions, rotations fixed.
 
@@ -136,8 +141,9 @@ def objective(
     """Ground-state energy of the embedded star, or -inf.
 
     The sentinel is returned when a pairwise angle falls below 1e-3 rad,
-    when no bound state exists, or when the crossing escapes the bracketing
-    budget (the energy diverges to -infinity in the closing-angle limit).
+    when no bound state exists, or when the root solve gives up
+    (``BracketFailure``; the energy diverges to -infinity in the
+    closing-angle limit).
     """
     dirs = gauge_embed(params, N)
     if _min_pair_angle(dirs) < MIN_PAIR_ANGLE:
@@ -145,7 +151,7 @@ def objective(
     config = make_star(dirs, L, alpha)
     solver = _star_solver(config, mesh)
     try:
-        _, energy, _ = _solve_level(solver, alpha, 1, kappa_tol)
+        _, energy, _, _ = _solve_level(solver, alpha, 1, kappa_tol)
     except (NoCrossing, BracketFailure):
         return SENTINEL
     return energy
@@ -189,33 +195,44 @@ class _WarmObjective:
 
     def matrix(self, directions: np.ndarray):
         """``kappa -> matrix`` of one star; one broadcast gives the blocks of
-        all its distinct chords."""
+        all its distinct chords.  With ``slope``, it also gives the quadratic
+        form of the derivative in kappa (``star_form``): the plain samples'
+        derivative is -sqrt(w_s w_t) e^{-kappa D} / (4 pi)."""
         chords, pairs = chord_groups(directions)
+        N = directions.shape[0]
         D = np.sqrt(self._diff_sq + self._st * chords[:, None, None])
+        fold = self._diag._fold
 
-        def matrix(kappa: float) -> np.ndarray:
-            B = self._diag._fold * (np.exp(-kappa * D) / D) / FOUR_PI
-            T = self._T if kappa == self.kappa else self._diag.weighted_block(kappa)
-            return star_matrix(directions.shape[0], T, B, *pairs)
+        def matrix(kappa: float, slope: bool = False):
+            E = np.exp(-kappa * D)
+            B = fold * (E / D) / FOUR_PI
+            if not slope:
+                T = self._T if kappa == self.kappa else self._diag.weighted_block(kappa)
+                return star_matrix(N, T, B, *pairs)
+            T, dT = self._diag.weighted_block(kappa, derivative=True)
+            return (star_matrix(N, T, B, *pairs),
+                    star_form(N, dT, -fold * E / FOUR_PI, *pairs))
 
         return matrix
 
-    def _solver(self, params) -> _CurveSolver | None:
-        """The curve solver of the star at ``params``; None below the
-        minimal pair angle."""
+    def _solver(self, params, slopes: bool = False) -> _CurveSolver | None:
+        """The curve solver of the star at ``params``, for values only unless
+        ``slopes``; None below the minimal pair angle."""
         dirs = gauge_embed(params, self.N)
         if _min_pair_angle(dirs) < MIN_PAIR_ANGLE:
             return None
-        return _CurveSolver(self.matrix(dirs))
+        matrix = self.matrix(dirs)
+        sloped = (lambda kappa: matrix(kappa, slope=True)) if slopes else None
+        return _CurveSolver(matrix, sloped=sloped)
 
     def crossing(self, params, upper: float | None = None) -> float | None:
         """The crossing kappa(x) to ``kappa_tol``, bracketed from above by
         ``upper`` if given; None where it does not exist."""
-        solver = self._solver(params)
+        solver = self._solver(params, slopes=True)
         if solver is None:
             return None
         try:
-            kappa, _, _ = _solve_level(solver, self.alpha, 1, self.kappa_tol, upper)
+            kappa, _, _, _ = _solve_level(solver, self.alpha, 1, self.kappa_tol, upper)
         except (NoCrossing, BracketFailure):
             return None
         return kappa
@@ -367,11 +384,11 @@ def verify_sharp_local_max(
     degenerate (vacuous pass).
     """
     if mesh is None:
-        mesh = build_mesh(L, 12, 8, 2.0)
+        mesh = local_max_mesh(L)
     sharp = sharp_configuration(N)
     # each solver is dropped as soon as its energy is known, so no two
     # stars' correction batches are held at once
-    kappa, e_sharp, _ = _solve_level(
+    kappa, e_sharp, _, _ = _solve_level(
         _star_solver(make_star(sharp, L, alpha), mesh), alpha, 1, kappa_tol
     )
     if scale == 0.0:
@@ -394,10 +411,10 @@ def verify_sharp_local_max(
             d[i] = d[i] + scale * t / nt
             d[i] /= np.linalg.norm(d[i])
         try:
-            # the sharp star's crossing is the smallest, so the search
-            # starts just below it
-            _, e_pert, _ = _solve_level(
-                _star_solver(make_star(d, L, alpha), mesh), alpha, 1, kappa_tol, 0.8 * kappa
+            # the sharp star's crossing is the smallest, and a perturbed
+            # star's lies just above it
+            _, e_pert, _, _ = _solve_level(
+                _star_solver(make_star(d, L, alpha), mesh), alpha, 1, kappa_tol, kappa
             )
         except (NoCrossing, BracketFailure):
             e_pert = SENTINEL

@@ -7,17 +7,27 @@ kappa = 0 crosses it exactly once; the crossing gives the energy
 E_j = -kappa_j^2.  The bound states are exactly these crossings (the
 Birman-Schwinger principle), so the number of lambda_j(0) above alpha is
 the exact level count of the discrete operator.
+
+The curves are smooth, and each eigensolve gives the slope as well.  For
+the symmetric matrix A(kappa) and a unit eigenvector v of lambda_j,
+differentiating A v = lambda_j v and multiplying by v^T gives
+v^T A' v + v^T A v' = lambda_j' + lambda_j v^T v'; v^T A = lambda_j v^T
+cancels the v' terms, so lambda_j'(kappa) = v^T A'(kappa) v
+(Hellmann-Feynman).  The correction batches do not depend on kappa, so A'
+comes from the same exponentials as A (``BlockAssembler.kernel_matrix``),
+and v^T A' v is summed block by block, without forming A'.  A root is then
+found by safeguarded Newton iteration in ln kappa (``_solve_level``).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
-from scipy.optimize import brentq
 
 from .discretization import Mesh, StarAssembler, build_mesh
 from .errors import (
@@ -33,9 +43,8 @@ DEFAULT_ORDER = 12
 DEFAULT_GRADING = 2.0
 DEFAULT_KAPPA_TOL = 1e-10
 
-#: where a root's bracket search begins when the caller has no guess; not a
-#: floor: a search that finds no crossing above it steps down to kappa = 0
-_START_KAPPA = 1e-4
+#: most lambda evaluations of one root solve
+_MAX_EVALUATIONS = 100
 
 #: above this dimension the top eigenvalue comes from ARPACK instead of LAPACK
 _DENSE_MAX = 1000
@@ -73,16 +82,43 @@ class SpectralResult:
     #: given), "dense" (LAPACK on the full matrix) or "arpack"; ``dim`` is
     #: the dimension solved
     eigensolver: dict
+    #: lambda evaluations of the ground state's root solve
+    root_evaluations: int
 
     @property
     def ground_energy(self) -> float:
         return self.levels[0].energy
 
 
+@dataclass(frozen=True)
+class _Evaluation:
+    """One eigensolve of level j at kappa: value, slope d lambda_j / d
+    kappa, unit eigenvector of the full matrix and sector (``_CurveSolver``)."""
+
+    kappa: float
+    j: int
+    value: float
+    slope: float
+    vector: np.ndarray
+    sector: int | None
+
+
+def _form(M: np.ndarray):
+    """The quadratic form u -> u^T M u."""
+    return lambda u: float(u @ M @ u)
+
+
 class _CurveSolver:
     """Eigenvalue curves of one star: ``matrix`` maps kappa to its symmetric
-    Birman-Schwinger matrix; ARPACK solves start from the constant vector,
-    then warm-start from the last top eigenvector.
+    Birman-Schwinger matrix A; ``sloped``, if given, maps kappa to A and the
+    quadratic form v -> v^T (dA/dkappa) v of its derivative.  ARPACK solves
+    start from the constant vector, then warm-start from the last top
+    eigenvector.
+
+    A solver with ``sloped`` solves each level with its eigenvector v and
+    keeps the evaluation in ``last``, with the slope d lambda_j / d kappa =
+    v^T (dA/dkappa) v (Hellmann-Feynman, module docstring); one without
+    solves for values only.
 
     Given an arm-regular ``StarAssembler``, the top eigenpair comes from its
     M x M sector matrices instead.  The arm-symmetric vectors span an
@@ -95,9 +131,11 @@ class _CurveSolver:
     premise.  Lower levels and level counts use the full matrix.
     """
 
-    def __init__(self, matrix, star: StarAssembler | None = None):
+    def __init__(self, matrix, star: StarAssembler | None = None, sloped=None):
         self.matrix = matrix
+        self.sloped = sloped
         self.star = star if star is not None and star.group_counts is not None else None
+        self.last: _Evaluation | None = None
         self._warm: np.ndarray | None = None
 
     def _eigh(self, A: np.ndarray, first: int = 1, last: int | None = 1,
@@ -133,37 +171,55 @@ class _CurveSolver:
         except (sla.LinAlgError, spla.ArpackError) as exc:
             raise EigensolveFailure(str(exc)) from exc
 
-    def _top(self, kappa: float, vectors: bool):
-        """Top eigenvalue, its unit eigenvector of the full matrix (if asked)
-        and the index of the sector holding it (None off the sector path)."""
-        if self.star is None:
-            matrices = (self.matrix(kappa),)
-        else:
-            matrices = self.star.sector_matrices(kappa)
+    def _matrices(self, kappa: float, j: int, slope: bool):
+        """The matrices that hold level j at kappa, each with the quadratic
+        form of its derivative in kappa if ``slope`` (else None): the
+        sectors for the top of an arm-regular star, else the full matrix."""
+        if j == 1 and self.star is not None:
+            if slope:
+                return [(S, _form(dS))
+                        for S, dS in self.star.sector_matrices(kappa, derivative=True)]
+            return [(S, None) for S in self.star.sector_matrices(kappa)]
+        if slope:
+            return [self.sloped(kappa)]
+        return [(self.matrix(kappa), None)]
+
+    def _solve(self, kappa: float, j: int, vectors: bool, slope: bool = False):
+        """Level j at kappa: (value, unit eigenvector of the full matrix (if
+        asked), index of the sector holding it (None off the sector path),
+        slope (if asked))."""
         best = None
-        for k, A in enumerate(matrices):
-            out = self._eigh(A, vectors=vectors)
+        for k, (A, form) in enumerate(self._matrices(kappa, j, slope)):
+            out = self._eigh(A, j, j, vectors=vectors)
             val = float(out[0][0] if vectors else out[0])
             if best is None or val > best[0]:
-                best = (val, out[1][:, 0] if vectors else None, k)
-        val, u, k = best
-        if self.star is None:
-            return val, u, None
+                u = out[1][:, 0] if vectors else None
+                best = (val, u, k, None if form is None else form(u))
+        val, u, k, d = best
+        if self.star is None or j > 1:
+            return val, u, None, d
         if vectors:
             n_arms = self.star.config.n_arms
             signs = np.ones(n_arms) if k == 0 else np.array([1.0, -1.0])
             u = np.kron(signs, u) / np.sqrt(n_arms)
-        return val, u, k
+        return val, u, k, d
 
     def lam(self, kappa: float, j: int = 1) -> float:
-        """j-th largest eigenvalue of Q_kappa (j = 1 is the top)."""
-        if j == 1:
-            return self._top(kappa, vectors=False)[0]
-        return float(self._eigh(self.matrix(kappa), j, j)[0])
+        """j-th largest eigenvalue of Q_kappa (j = 1 is the top); a solver
+        with ``sloped`` keeps the whole evaluation in ``last``."""
+        if self.sloped is None:
+            return self._solve(kappa, j, vectors=False)[0]
+        value, vector, sector, slope = self._solve(kappa, j, vectors=True, slope=True)
+        self.last = _Evaluation(kappa, j, value, slope, vector, sector)
+        return value
 
     def top_pair(self, kappa: float) -> tuple[float, np.ndarray, int | None]:
-        """Top eigenvalue, unit eigenvector and sector (``_top``)."""
-        return self._top(kappa, vectors=True)
+        """Top eigenvalue, unit eigenvector and sector (``_solve``); those of
+        ``last`` if it is the top at this kappa, with no new eigensolve."""
+        last = self.last
+        if last is not None and last.j == 1 and last.kappa == kappa:
+            return last.value, last.vector, last.sector
+        return self._solve(kappa, 1, vectors=True)[:3]
 
     def record(self, n: int) -> dict:
         """The ``eigensolver`` record of a top solve with an n-vector."""
@@ -176,7 +232,7 @@ class _CurveSolver:
 
 def _star_solver(config: StarConfig, mesh: Mesh) -> _CurveSolver:
     asm = StarAssembler(config, mesh)
-    return _CurveSolver(asm.matrix, asm)
+    return _CurveSolver(asm.matrix, asm, asm.sloped_matrix)
 
 
 def lambda_curve(
@@ -197,72 +253,97 @@ def count_bound_states(config: StarConfig, mesh: Mesh, alpha: float) -> int:
     return bound_states(config, mesh, alpha, 0)[0]
 
 
-def _excess(kappa: float, solver: _CurveSolver, j: int, alpha: float,
-            seen: dict[float, float]) -> float:
-    """lambda_j(kappa) - alpha, each kappa evaluated once per ``seen``."""
-    f = seen.get(kappa)
-    if f is None:
-        f = seen[kappa] = solver.lam(kappa, j) - alpha
-    return f
-
-
 def _solve_level(
     solver: _CurveSolver,
     alpha: float,
     j: int,
     kappa_tol: float,
     start: float | None = None,
-) -> tuple[float, float, float]:
-    """Root of lambda_j(kappa) = alpha: returns (kappa_j, E_j, residual).
+) -> tuple[float, float, float, int]:
+    """Root of lambda_j(kappa) = alpha: returns (kappa_j, E_j, residual,
+    evaluations).
 
-    The bracket search starts at ``start`` (``_START_KAPPA`` if None or 0):
-    a guess of the root, such as 0.8 times a nearby star's crossing, or a
-    kappa at or above it, such as the crossing of level j - 1 (lambda_j <=
-    lambda_{j-1}).  Where lambda_j(start) > alpha it doubles upward;
-    otherwise it halves, then quarters, down to ``_START_KAPPA`` and then
-    to 0, where the bracket always closes: a level crosses exactly when
-    lambda_j(0) > alpha, else ``NoCrossing``.
+    Newton's method in x = ln kappa on f(x) = lambda_j(e^x) - alpha, whose
+    derivative is kappa lambda_j'(kappa), with lambda_j' = v^T (dA/dkappa) v
+    from the eigenvector of each evaluation (module docstring).  In ln kappa
+    the curve is nearly straight wherever the state is smaller than the
+    arms, lambda ~ -ln(kappa)/(2 pi), so Newton converges there from far
+    away.  The iteration starts at ``start``: a guess of the root, such as
+    the crossing of a nearby star, or a kappa above it, such as the crossing
+    of level j - 1 (lambda_j <= lambda_{j-1}).  Without one it starts at 0,
+    where the step is Newton's in kappa itself; that needs a negative slope
+    at 0, which the top level has, but a level whose state is odd under a
+    symmetry of the star has slope 0 there, so lower levels take a start.
+
+    Every evaluated kappa closes one end of the bracket [lo, hi], with
+    f(lo) > 0 >= f(hi).  The curve is strictly decreasing, so the root lies
+    inside, whatever the iterates did before.  A Newton step that would
+    leave the bracket becomes a bisection instead: geometric between two
+    evaluated ends, the evaluation of 0 itself while 0 is not yet one, and
+    Newton's step in kappa where only an overflow of the step in ln kappa
+    leaves the still open upper end.  So every iterate lies inside an
+    interval that certainly holds the root.  The bracket closes at kappa =
+    0: a level crosses exactly when lambda_j(0) > alpha, else
+    ``NoCrossing``.
+
+    The root returned is the last kappa evaluated, so its residual and the
+    solver's ``last`` eigenvector belong to it.  It is returned once the
+    Newton step that reached it moved kappa by at most ``kappa_tol``
+    relative, so by Newton's quadratic convergence it lies far closer than
+    that to the root; once Newton's next step rounds to nothing; or once
+    the bracket is narrower than ``kappa_tol``.
     """
-    seen: dict[float, float] = {}
-    args = (solver, j, alpha, seen)
-
-    k = start or _START_KAPPA
-    if _excess(k, *args) > 0.0:
-        lo, hi = k, 2.0 * k
-        expansions = 0
-        while _excess(hi, *args) > 0.0:
-            lo = hi
-            hi *= 2.0
-            expansions += 1
-            if expansions > 60:
-                raise BracketFailure("eigenvalue curve did not fall below alpha")
-    else:
-        hi, step = k, 0.5
-        while True:
-            k = max(_START_KAPPA, step * k) if k > _START_KAPPA else 0.0
-            step = 0.25
-            if _excess(k, *args) > 0.0:
-                lo = k
-                break
-            if k == 0.0:
-                raise NoCrossing(
-                    f"level {j} does not cross alpha={alpha} at this discretization"
-                )
+    lo, hi = 0.0, math.inf  # f(lo) > 0 >= f(hi) once evaluated
+    k = start or 0.0
+    zero_seen = k == 0.0
+    prev = None  # where the Newton step to k came from
+    for evaluations in range(1, _MAX_EVALUATIONS + 1):
+        f = solver.lam(k, j) - alpha
+        slope = solver.last.slope
+        if f > 0.0:
+            lo = k
+        elif k == 0.0:
+            raise NoCrossing(
+                f"level {j} does not cross alpha={alpha} at this discretization"
+            )
+        else:
             hi = k
-    # the curve is monotone, so the bracket is certain; Brent interleaves
-    # bisection steps with secant/inverse-quadratic polish inside it.  Brent
-    # evaluates both bracket ends again and returns a kappa it has
-    # evaluated, so ``seen`` serves those three from the loop above and
-    # from Brent's own iterates instead of solving them again.  The solver
-    # goes in ``args``: brentq wraps its function in a closure that refers
-    # to itself, and a closure over the solver would keep the solver and
-    # its correction batches alive until the cyclic collector runs
-    kappa_j = brentq(
-        _excess, lo, hi, args=args,
-        xtol=1e-14 * hi, rtol=max(kappa_tol, 1e-15), disp=False,
+        target = _newton_target(k, f, slope)
+        if (target == k or hi - lo <= kappa_tol * lo
+                or prev is not None and abs(k - prev) <= kappa_tol * k):
+            return k, -k * k, abs(f), evaluations
+        if lo < target < hi:
+            prev, k = k, target
+            continue
+        prev = None
+        if hi == math.inf:
+            # Newton's step in kappa, which stops short of the root where
+            # the curve is convex in kappa
+            target = k - f / slope if slope < 0.0 else math.inf
+            if not k < target < math.inf:
+                raise BracketFailure("eigenvalue curve did not fall below alpha")
+            k = target
+        elif lo > 0.0:
+            k = math.sqrt(lo) * math.sqrt(hi)
+        else:
+            k = hi / 2.0 if zero_seen else 0.0
+            zero_seen = True
+    raise BracketFailure(
+        f"no root to kappa_tol={kappa_tol} in {_MAX_EVALUATIONS} evaluations"
     )
-    residual = abs(seen[kappa_j])
-    return kappa_j, -kappa_j * kappa_j, residual
+
+
+def _newton_target(k: float, f: float, slope: float) -> float:
+    """Newton's next kappa for f = lambda - alpha with d lambda / d kappa =
+    ``slope`` at k: the step is taken in ln kappa, and at k = 0 in kappa;
+    NaN unless the slope is negative."""
+    d = k * slope if k > 0.0 else slope
+    if not d < 0.0:
+        return math.nan
+    if k == 0.0:
+        return -f / d
+    with np.errstate(over="ignore"):
+        return float(k * np.exp(-f / d))
 
 
 def solve_energy(
@@ -272,10 +353,18 @@ def solve_energy(
     j: int = 1,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> tuple[float, float]:
-    """Solve lambda_j(kappa) = alpha for level j; returns (kappa_j, E_j)."""
+    """Solve lambda_j(kappa) = alpha for level j; returns (kappa_j, E_j).
+    Level j > 1 is solved after the levels above it (``bound_states``)."""
+    if j > 1:
+        count, res = bound_states(config, mesh, alpha, j, kappa_tol)
+        if count < j:
+            raise NoCrossing(
+                f"level {j} does not cross alpha={alpha} at this discretization"
+            )
+        return res.levels[-1].kappa, res.levels[-1].energy
     solver = _star_solver(config, mesh)
-    kappa_j, energy, _ = _solve_level(solver, alpha, j, kappa_tol)
-    return kappa_j, energy
+    kappa_1, energy, _, _ = _solve_level(solver, alpha, 1, kappa_tol)
+    return kappa_1, energy
 
 
 def _diagnostics(config: StarConfig, vec: np.ndarray):
@@ -316,7 +405,9 @@ def principal_eigenvalue(
 
 
 def _ground(solver, config, mesh, alpha, kappa_tol, start=None):
-    kappa_1, energy, residual = _solve_level(solver, alpha, 1, kappa_tol, start)
+    kappa_1, energy, residual, evaluations = _solve_level(
+        solver, alpha, 1, kappa_tol, start
+    )
     _, vec, sector = solver.top_pair(kappa_1)
     positivity, symmetry = _diagnostics(config, vec)
     return SpectralResult(
@@ -327,6 +418,7 @@ def _ground(solver, config, mesh, alpha, kappa_tol, start=None):
         mesh_metadata=mesh.metadata(),
         residual=residual,
         eigensolver=solver.record(vec.size),
+        root_evaluations=evaluations,
     )
 
 
@@ -352,7 +444,7 @@ def bound_states(
     kappa_j = res.levels[0].kappa
     for j in range(2, wanted + 1):
         # lambda_j <= lambda_{j-1}, so level j crosses at or below kappa_{j-1}
-        kappa_j, energy_j, _ = _solve_level(solver, alpha, j, kappa_tol, kappa_j)
+        kappa_j, energy_j, _, _ = _solve_level(solver, alpha, j, kappa_tol, kappa_j)
         excited.append(Level(index=j, kappa=kappa_j, energy=energy_j))
     return count, replace(res, levels=res.levels + tuple(excited))
 
@@ -383,7 +475,7 @@ def refine_until(
         solver = _star_solver(config, mesh)
         res = _ground(solver, config, mesh, alpha, DEFAULT_KAPPA_TOL, start)
         # the next rung's root lies near this one's
-        start = 0.8 * res.levels[0].kappa
+        start = res.levels[0].kappa
         energies.append(res.ground_energy)
         results.append(res)
         if len(energies) >= 2 and abs(energies[-1] - energies[-2]) <= e_tol:

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from starspec import discretization
-from starspec.cli import COMMANDS, main, parse_job, render_json, run
+from starspec.cli import COMMANDS, MAX_BATCH_ENTRIES, main, parse_job, render_json, run
 from starspec.discretization import build_mesh
 from starspec.errors import ParseError
 from starspec.geometry import make_star, sharp_configuration
@@ -47,6 +49,17 @@ class TestParseJob:
         assert blocks
         for block in blocks:
             parse_job(block)
+
+    def test_benchmark_jobs_parse(self, tmp_path):
+        path = os.path.join(os.path.dirname(README), "bench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        jobs = [w(str(tmp_path)) for w in workloads.WORKLOADS.values()
+                if hasattr(w, "document")]
+        assert jobs
+        for w in jobs:
+            parse_job(json.dumps(w.document(w.default_seed)))
 
     def test_minimal_defaults(self):
         job = parse_job(job_text(**MINIMAL_SPECTRUM))
@@ -106,6 +119,35 @@ class TestParseJob:
                                  star={"directions": [[0, 0, 1], [0, 0, -1]]},
                                  design={"order": 1}))
         assert job.doc["star"]["directions"] == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+
+
+class TestBatchBound:
+    """Correction batches are bounded at parse time, from the layout alone."""
+
+    def test_general_star_at_the_size_caps_exits_2_unallocated(self, tmp_path, capsys):
+        # 8 arms at 128 panels of order 16 fill MAX_ROWS; their 28 distinct
+        # chords and diagonal block would ask for batches of 4.5e8 entries
+        # (5 GiB)
+        dirs = [[math.sin(t) * math.cos(3 * t), math.sin(t) * math.sin(3 * t), math.cos(t)]
+                for t in (0.2, 0.6, 1.0, 1.4, 1.8, 2.2, 2.6, 3.0)]
+        bad = tmp_path / "bad.json"
+        bad.write_text(job_text(command="spectrum", star={"directions": dirs},
+                                alpha=0.0, arm_length=1.0,
+                                mesh={"panels": 128, "order": 16}))
+        tracemalloc.start()
+        try:
+            code = main(["--job", str(bad), "--out", str(tmp_path / "out.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"more than {MAX_BATCH_ENTRIES} entries" in capsys.readouterr().err
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("sharp", [4, 6])
+    def test_sharp_stars_at_the_size_caps_parse(self, sharp):
+        parse_job(job_text(command="spectrum", star={"sharp": sharp}, alpha=0.0,
+                           arm_length=5.0, mesh={"panels": 128, "order": 16}))
 
 
 class TestRun:
@@ -206,6 +248,19 @@ class TestRun:
         assert run(job) == 0
         assert json.loads(out.read_text())["diagnostics"]["eigensolver"] == record
 
+    def test_spectrum_root_evaluations(self, tmp_path):
+        # the ground root's lambda evaluations, as the library counts them
+        out = tmp_path / "res.json"
+        job = parse_job(job_text(
+            command="spectrum", star={"sharp": 4}, alpha=0.0, arm_length=5.0,
+            mesh={"panels": 6, "order": 8}, output={"path": str(out)},
+        ))
+        assert run(job) == 0
+        star = make_star(sharp_configuration(4), 5.0, 0.0)
+        res = bound_states(star, build_mesh(5.0, 6, 8, 2.0), 0.0)[1]
+        assert 1 <= res.root_evaluations <= 6
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert diagnostics["root_evaluations"] == res.root_evaluations
 
     def test_verify_applies_solver_group(self, tmp_path):
         out = tmp_path / "res.json"
@@ -346,7 +401,7 @@ class TestOneSolverPerStar:
         levels = doc["results"]["levels"]
         # 17-digit output of the solver that built one assembler per call;
         # level 1 comes from the 48-row sector matrix
-        assert levels[0] == {"j": 1, "kappa": 4.087130620703613, "energy": -16.7046367106931}
+        assert levels[0] == {"j": 1, "kappa": 4.087130620703254, "energy": -16.704636710690167}
         # level 2 comes from the full 192-row matrix, whose eigensolve rounds
         # differently with the BLAS thread count: check it against the
         # library in this process

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from scipy.integrate import quad
 
 from starspec.discretization import (
-    BlockAssembler, StarAssembler, build_mesh, chord_groups, star_matrix,
+    BlockAssembler, StarAssembler, batch_entries, build_mesh, chord_groups, star_matrix,
 )
 from starspec.errors import BadParameters
 from starspec.geometry import chord_sq, make_star, sharp_configuration
@@ -257,6 +257,16 @@ class TestCorrectionBatch:
             asm = BlockAssembler(mesh, c2)
             row_sums = asm._S @ np.ones(asm._rho.size)
             assert np.abs(row_sums - 1.0).max() <= 1e-9, c2
+
+    @pytest.mark.parametrize(
+        "L, panels, order", [(0.01, 3, 5), (1.0, 8, 12), (3.0, 12, 8), (1e6, 20, 9)]
+    )
+    def test_layout_counts_the_built_batch(self, L, panels, order):
+        # the parse-time bound counts, from the layout alone, the entries
+        # that the constructor allocates for the batch
+        mesh = build_mesh(L, panels, order, 2.0)
+        for c2 in (None, 8.0 / 3.0, 4.0, 1e-3, 1e-12):
+            assert batch_entries(mesh, c2) == BlockAssembler(mesh, c2)._S.nnz, c2
 
 
 class TestChordGroups:

@@ -272,11 +272,24 @@ def dense_solver(name, L=2.0):
     """A full-matrix (LAPACK) solver for ``ROOT_STARS[name]`` on a small mesh."""
     cfg = ss.make_star(ROOT_STARS[name], L, 0.0)
     asm = StarAssembler(cfg, ss.build_mesh(L, 4, 6, 2.0))
-    return _CurveSolver(asm.matrix)
+    return _CurveSolver(asm.matrix, sloped=asm.sloped_matrix)
+
+
+def counted(solver):
+    """``solver`` with its ``lam`` recording each kappa it is called at."""
+    lam, calls = solver.lam, []
+
+    def counting(kappa, j=1):
+        calls.append(kappa)
+        return lam(kappa, j)
+
+    solver.lam = counting
+    return calls
 
 
 class TestSolveLevel:
-    """The root finder evaluates each kappa once and returns Brent's root."""
+    """The root finder evaluates each kappa once and returns Newton's root,
+    a kappa it has evaluated."""
 
     @pytest.fixture(scope="class")
     def roots(self):
@@ -286,49 +299,30 @@ class TestSolveLevel:
 
     @pytest.mark.parametrize("hint_factor", [None, 1.1, 4.0])
     @pytest.mark.parametrize("name", sorted(ROOT_STARS))
-    def test_brent_root_and_no_repeated_kappa(self, name, hint_factor, roots,
-                                              monkeypatch):
-        # a caller with a guess starts the search at 0.8 times it
-        start = None if hint_factor is None else 0.8 * hint_factor * roots[name]
+    def test_brent_root_and_no_repeated_kappa(self, name, hint_factor, roots):
+        # a caller with a guess starts at it; the reference is Brent's root
+        # to the last bits of kappa
+        start = None if hint_factor is None else hint_factor * roots[name]
         solver = dense_solver(name)
-        lam, calls = solver.lam, []
-
-        def counted(kappa, j=1):
-            calls.append(kappa)
-            return lam(kappa, j)
-
-        solver.lam = counted
-        brackets = []
-
-        def recorded(f, a, b, **kw):
-            brackets.append((a, b, kw))
-            return brentq(f, a, b, **kw)
-
-        monkeypatch.setattr(spectral, "brentq", recorded)
-        kappa, energy, residual = _solve_level(solver, 0.0, 1, 1e-10, start)
-        assert len(calls) == len(set(calls))
+        calls = counted(solver)
+        kappa, energy, residual, evaluations = _solve_level(solver, 0.0, 1, 1e-10, start)
+        assert len(calls) == len(set(calls)) == evaluations
+        assert calls[-1] == kappa
         assert energy == -kappa * kappa
-        # the same bracket and tolerances on the un-memoized excess
-        (a, b, kw), = brackets
-        kw.pop("args")
-        assert brentq(lambda k: lam(k, 1), a, b, **kw) == kappa
-        # the residual is the dense path's excess at the root
+        ref = brentq(dense_solver(name).lam, 0.5 * roots[name], 2.0 * roots[name],
+                     xtol=1e-15 * roots[name], rtol=1e-15)
+        assert abs(kappa - ref) <= 1e-13 * ref
+        # the residual is the excess at the returned kappa
         assert residual == abs(dense_solver(name).lam(kappa))
 
     @pytest.mark.parametrize("upper_factor", [0.999, 1.0, 1.3, 5.0])
     @pytest.mark.parametrize("name", sorted(ROOT_STARS))
     def test_upper_end_brackets_the_root(self, name, upper_factor, roots):
-        # above the root the upper end closes the bracket; below it (a
-        # rounding error's worth, or more) the bracket expands upward
+        # a start above the root, at it, or below it by a rounding error's
+        # worth or more, each reaches the same root
         solver = dense_solver(name)
-        lam, calls = solver.lam, []
-
-        def counted(kappa, j=1):
-            calls.append(kappa)
-            return lam(kappa, j)
-
-        solver.lam = counted
-        kappa, _, _ = _solve_level(solver, 0.0, 1, 1e-10, upper_factor * roots[name])
+        calls = counted(solver)
+        kappa, _, _, _ = _solve_level(solver, 0.0, 1, 1e-10, upper_factor * roots[name])
         assert len(calls) == len(set(calls))
         assert kappa == pytest.approx(roots[name], rel=1e-9)
 
@@ -400,6 +394,70 @@ class TestNearThreshold:
             except NoCrossing:
                 crosses = False
             assert (count_bound_states(config, mesh, alpha) >= j) == crosses
+
+
+class TestSlope:
+    """The slope lambda_j'(kappa) = v^T (dA/dkappa) v of each evaluation,
+    against a central difference of ``lam``, on every eigensolver path."""
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("name", sorted(NEAR_THRESHOLD))
+    def test_matches_central_difference(self, name, j):
+        dirs, L, panels, order, _ = NEAR_THRESHOLD[name]
+        solver = _star_solver(ss.make_star(dirs, L, 0.0), ss.build_mesh(L, panels, order, 2.0))
+        for kappa in (0.3, 2.0):
+            solver.lam(kappa, j)
+            slope = solver.last.slope
+            h = 1e-4 * kappa
+            diff = (solver.lam(kappa + h, j) - solver.lam(kappa - h, j)) / (2.0 * h)
+            assert abs(slope - diff) <= 1e-6 * abs(diff)
+
+    def test_warm_objective_slope(self):
+        # the search's plain-sample matrix gives its slope the same way
+        from starspec.optimizer import _WarmObjective
+
+        warm = _WarmObjective(3, 0.0, ss.build_mesh(2.0, 3, 5, 2.0), 1e-10)
+        matrix = warm.matrix(ROOT_STARS["irregular-3"])
+        solver = _CurveSolver(matrix, sloped=lambda kappa: matrix(kappa, slope=True))
+        solver.lam(1.5)
+        slope, h = solver.last.slope, 1e-4
+        diff = (solver.lam(1.5 + h) - solver.lam(1.5 - h)) / (2.0 * h)
+        assert slope == pytest.approx(diff, rel=1e-6)
+
+
+class TestGroundVector:
+    """The ground state's vector is the root's own evaluation: refining
+    ``ladder-tetra``'s ladder makes one eigensolve per lambda evaluation."""
+
+    LADDER = (40, 48, 56)
+
+    def test_one_eigensolve_per_evaluation(self, monkeypatch):
+        eigh, solves, evaluations = sla.eigh, [], []
+        lam = _CurveSolver.lam
+
+        def counting_eigh(*args, **kwargs):
+            solves.append(args[0].shape[0])
+            return eigh(*args, **kwargs)
+
+        def counting_lam(solver, kappa, j=1):
+            evaluations.append(kappa)
+            return lam(solver, kappa, j)
+
+        monkeypatch.setattr(sla, "eigh", counting_eigh)
+        monkeypatch.setattr(_CurveSolver, "lam", counting_lam)
+        ladder = [ss.build_mesh(5.0, p, 12, 2.0) for p in self.LADDER]
+        res = refine_until(tetra(5.0, 0.0), 0.0, 1e-6, ladder)
+        assert len(solves) == len(evaluations)
+        assert res.root_evaluations <= 6
+
+    def test_top_pair_at_root_is_a_fresh_solve(self):
+        config, mesh = tetra(5.0, 0.0), ss.build_mesh(5.0, self.LADDER[0], 12, 2.0)
+        solver = _star_solver(config, mesh)
+        kappa, _, _, _ = _solve_level(solver, 0.0, 1, 1e-10)
+        kept = solver.top_pair(kappa)
+        fresh = _star_solver(config, mesh).top_pair(kappa)
+        assert kept[0] == fresh[0] and kept[2] == fresh[2]
+        assert np.array_equal(kept[1], fresh[1])
 
 
 class TestEigensolverFallback:
