@@ -453,6 +453,11 @@ def star_form(N: int, T: np.ndarray, pair_blocks, I, J, group):
     return form
 
 
+def _form(M: np.ndarray):
+    """The quadratic form u -> u^T M u."""
+    return lambda u: float(u @ M @ u)
+
+
 class StarAssembler:
     """Cached-geometry assembler for the full N-arm matrix at any kappa.
 
@@ -461,10 +466,8 @@ class StarAssembler:
 
     ``group_counts[g]`` is n_g, the number of pairs of chord group g that
     contain one arm, when that number is the same for every arm (the star
-    is arm-regular), and None otherwise.  Every block is symmetric, so for
-    an arm-regular star the arm-symmetric vectors (u, ..., u) span an
-    invariant subspace of ``matrix(kappa)``, on which it acts as the
-    M x M matrix ``T + sum_g n_g B_g`` (``sector_matrices``).
+    is arm-regular), and None otherwise.  ``pieces`` is the one place that
+    decides the sectors of an arm-regular star, the two-arm odd one included.
     """
 
     def __init__(self, config: StarConfig, mesh: Mesh):
@@ -483,28 +486,45 @@ class StarAssembler:
         np.add.at(counts, (J, group), 1)
         self.group_counts = counts[0] if np.all(counts == counts[0]) else None
 
-    def _blocks(self, kappa: float, derivative: bool = False):
-        """(T, [B_g]); with ``derivative``, that pair and the same pair of
-        the blocks' derivatives in kappa (``BlockAssembler.weighted_block``)."""
-        blocks = [asm.weighted_block(kappa, derivative)
-                  for asm in (self.diag, *self._offdiag)]
-        if not derivative:
-            return blocks[0], blocks[1:]
-        values, slopes = zip(*blocks)
-        return (values[0], list(values[1:])), (slopes[0], list(slopes[1:]))
+    def _blocks(self, kappa: float):
+        """(T, [B_g]) at kappa (``BlockAssembler.weighted_block``)."""
+        return (self.diag.weighted_block(kappa),
+                [asm.weighted_block(kappa) for asm in self._offdiag])
 
     def matrix(self, kappa: float, blocks=None) -> np.ndarray:
         """The full matrix at kappa, filled from ``blocks``, (T, pair blocks
-        in group order), if given (``sloped_matrix``)."""
+        in group order), if given (``pieces``)."""
         T, pair_blocks = self._blocks(kappa) if blocks is None else blocks
         return star_matrix(self.config.n_arms, T, pair_blocks, *self._pairs)
 
-    def sloped_matrix(self, kappa: float):
-        """``matrix(kappa)`` and the quadratic form v -> v^T (dA/dkappa) v of
-        its derivative, summed over the derivative blocks (``star_form``).
-        Each pair block is placed as soon as it is made, and the derivative
-        blocks share one array, so they take about the memory that the pair
-        blocks would have held."""
+    def pieces(self, kappa: float, j: int):
+        """The invariant pieces of ``matrix(kappa)`` whose largest j-th
+        eigenvalue is its j-th, each a tuple (M, form, signs): a symmetric
+        matrix, the quadratic form u -> u^T (dM/dkappa) u, and the arm signs
+        s that lift a unit vector u of M to the unit vector kron(s, u) /
+        sqrt(N) of the full matrix, or None where M is the full matrix.
+
+        Every block is symmetric, so for an arm-regular star the vectors
+        (u, ..., u) span an invariant subspace, on which the matrix acts as
+        the M x M sector ``T + sum_g n_g B_g``; its orthogonal complement
+        (arm slices summing to zero) is invariant too.  The top eigenvalue is
+        simple with a positive eigenvector (Perron-Frobenius), which lies in
+        one of the two and cannot lie in the complement.  For two arms the
+        sectors of (u, u) and (u, -u), ``T + B`` and ``T - B``, split the
+        matrix exactly, with no premise.  Lower levels, and all levels of an
+        irregular star, come from the full matrix.  The sectors are linear in
+        the blocks, so the derivative blocks give their derivatives.
+        """
+        N = self.config.n_arms
+        if j == 1 and self.group_counts is not None:
+            values, slopes = zip(*(asm.weighted_block(kappa, derivative=True)
+                                   for asm in (self.diag, *self._offdiag)))
+            signs = (np.ones(N), np.array([1.0, -1.0]))
+            return [(S, _form(dS), s) for S, dS, s in
+                    zip(self._sectors(values), self._sectors(slopes), signs)]
+        # each pair block is placed as soon as it is made, and the
+        # derivative blocks share one array, so they take about the memory
+        # that the pair blocks would have held
         T, dT = self.diag.weighted_block(kappa, derivative=True)
         d_pair_blocks = np.empty((len(self._offdiag),) + T.shape)
 
@@ -514,21 +534,12 @@ class StarAssembler:
                 yield B
 
         A = self.matrix(kappa, (T, pair_blocks()))
-        return A, star_form(self.config.n_arms, dT, d_pair_blocks, *self._pairs)
+        return [(A, star_form(N, dT, d_pair_blocks, *self._pairs), None)]
 
-    def sector_matrices(self, kappa: float, derivative: bool = False):
-        """For an arm-regular star, the M x M matrices of ``matrix(kappa)`` on
-        its arm-symmetric vectors (u, ..., u), ``T + sum_g n_g B_g``, and for
-        two arms also on the antisymmetric ones (u, -u), ``T - B``; the
-        latter two sectors split the two-arm matrix exactly.  With
-        ``derivative``, each comes paired with its derivative in kappa: the
-        sectors are linear in the blocks, so the derivative blocks give it."""
-        if not derivative:
-            return self._sectors(*self._blocks(kappa))
-        values, slopes = self._blocks(kappa, derivative=True)
-        return tuple(zip(self._sectors(*values), self._sectors(*slopes)))
-
-    def _sectors(self, T, pair_blocks):
+    def _sectors(self, blocks):
+        """The sectors of an arm-regular star's blocks (T, B_0, B_1, ...):
+        ``T + sum_g n_g B_g`` and, for two arms, ``T - B_0``."""
+        T, *pair_blocks = blocks
         S = T.copy()
         for n, B in zip(self.group_counts.tolist(), pair_blocks):
             S += n * B

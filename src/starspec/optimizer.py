@@ -44,7 +44,7 @@ from .discretization import (
 )
 from .errors import AllStartsFailed, BracketFailure, DomainError, NoCrossing
 from .geometry import SHARP_SIZES, congruent, make_star, sharp_configuration
-from .spectral import DEFAULT_KAPPA_TOL, _CurveSolver, _solve_level, _star_solver
+from .spectral import DEFAULT_KAPPA_TOL, _CurveSolver, _eigh, _solve_level, _star_solver
 
 SENTINEL = float("-inf")
 MIN_PAIR_ANGLE = 1e-3
@@ -193,59 +193,59 @@ class _WarmObjective:
         self._diff_sq = (s[:, None] - s[None, :]) ** 2
         self._st = np.outer(s, s)
 
-    def matrix(self, directions: np.ndarray):
-        """``kappa -> matrix`` of one star; one broadcast gives the blocks of
-        all its distinct chords.  With ``slope``, it also gives the quadratic
-        form of the derivative in kappa (``star_form``): the plain samples'
-        derivative is -sqrt(w_s w_t) e^{-kappa D} / (4 pi)."""
-        chords, pairs = chord_groups(directions)
-        N = directions.shape[0]
-        D = np.sqrt(self._diff_sq + self._st * chords[:, None, None])
-        fold = self._diag._fold
-
-        def matrix(kappa: float, slope: bool = False):
-            E = np.exp(-kappa * D)
-            B = fold * (E / D) / FOUR_PI
-            if not slope:
-                T = self._T if kappa == self.kappa else self._diag.weighted_block(kappa)
-                return star_matrix(N, T, B, *pairs)
-            T, dT = self._diag.weighted_block(kappa, derivative=True)
-            return (star_matrix(N, T, B, *pairs),
-                    star_form(N, dT, -fold * E / FOUR_PI, *pairs))
-
-        return matrix
-
-    def _solver(self, params, slopes: bool = False) -> _CurveSolver | None:
-        """The curve solver of the star at ``params``, for values only unless
-        ``slopes``; None below the minimal pair angle."""
+    def _directions(self, params) -> np.ndarray | None:
+        """The star's directions at ``params``; None below the minimal pair
+        angle."""
         dirs = gauge_embed(params, self.N)
-        if _min_pair_angle(dirs) < MIN_PAIR_ANGLE:
-            return None
-        matrix = self.matrix(dirs)
-        sloped = (lambda kappa: matrix(kappa, slope=True)) if slopes else None
-        return _CurveSolver(matrix, sloped=sloped)
+        return None if _min_pair_angle(dirs) < MIN_PAIR_ANGLE else dirs
+
+    def _distances(self, directions: np.ndarray):
+        """The kernel distances D of every distinct chord of the star, in
+        one broadcast, and its pairs (``chord_groups``)."""
+        chords, pairs = chord_groups(directions)
+        return np.sqrt(self._diff_sq + self._st * chords[:, None, None]), pairs
+
+    def pieces(self, directions: np.ndarray):
+        """The star's ``(kappa, j) -> pieces`` (``_CurveSolver``): its full
+        search matrix alone, with the quadratic form of the derivative in
+        kappa (``star_form``); the plain samples' derivative is
+        -sqrt(w_s w_t) e^{-kappa D} / (4 pi)."""
+        D, pairs = self._distances(directions)
+        N, fold = self.N, self._diag._fold
+
+        def pieces(kappa: float, j: int):
+            E = np.exp(-kappa * D)
+            T, dT = self._diag.weighted_block(kappa, derivative=True)
+            A = star_matrix(N, T, fold * (E / D) / FOUR_PI, *pairs)
+            return [(A, star_form(N, dT, -fold * E / FOUR_PI, *pairs), None)]
+
+        return pieces
 
     def crossing(self, params, upper: float | None = None) -> float | None:
         """The crossing kappa(x) to ``kappa_tol``, bracketed from above by
         ``upper`` if given; None where it does not exist."""
-        solver = self._solver(params, slopes=True)
-        if solver is None:
+        dirs = self._directions(params)
+        if dirs is None:
             return None
         try:
-            kappa, _, _, _ = _solve_level(solver, self.alpha, 1, self.kappa_tol, upper)
+            kappa, _, _, _ = _solve_level(
+                _CurveSolver(self.pieces(dirs)), self.alpha, 1, self.kappa_tol, upper
+            )
         except (NoCrossing, BracketFailure):
             return None
         return kappa
 
     def negative(self, params) -> float:
         """lambda(x, kappa) - alpha at the step's fixed kappa, from one
-        eigensolve: negative exactly where x crosses below kappa, that is,
-        where x beats the current iterate; +inf below the minimal pair
-        angle."""
-        solver = self._solver(params)
-        if solver is None:
+        eigensolve for the value alone: negative exactly where x crosses
+        below kappa, that is, where x beats the current iterate; +inf below
+        the minimal pair angle."""
+        dirs = self._directions(params)
+        if dirs is None:
             return float("inf")
-        return solver.lam(self.kappa) - self.alpha
+        D, pairs = self._distances(dirs)
+        B = self._diag._fold * (np.exp(-self.kappa * D) / D) / FOUR_PI
+        return float(_eigh(star_matrix(self.N, self._T, B, *pairs))[0]) - self.alpha
 
     def search(self, x0, xatol: float, fatol: float, maxfev: int):
         """The fixed-kappa iteration from ``x0`` (module docstring): returns

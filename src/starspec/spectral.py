@@ -31,7 +31,9 @@ import scipy.sparse.linalg as spla
 
 from .discretization import Mesh, StarAssembler, build_mesh
 from .errors import (
+    BadParameters,
     BracketFailure,
+    DomainError,
     EigensolveFailure,
     NoCrossing,
     NotConverged,
@@ -103,144 +105,109 @@ class _Evaluation:
     sector: int | None
 
 
-def _form(M: np.ndarray):
-    """The quadratic form u -> u^T M u."""
-    return lambda u: float(u @ M @ u)
+def _eigh(A: np.ndarray, first: int = 1, last: int | None = 1,
+          vectors: bool = False, v0: np.ndarray | None = None):
+    """The ``first``-th to ``last``-th largest eigenvalues of ``A`` (all for
+    ``last=None``), ascending, with eigenvectors if asked.  ARPACK gives the
+    top one alone above ``_DENSE_MAX``, from ``v0`` or else the constant
+    vector, not ARPACK's random one, so that runs repeat bitwise; LAPACK
+    gives everything else."""
+    n = A.shape[0]
+    try:
+        if n > _DENSE_MAX and first == last == 1:
+            vals, vecs = spla.eigsh(A, k=1, which="LA", v0=np.ones(n) if v0 is None else v0,
+                                    tol=1e-12)
+            return (vals, vecs) if vectors else vals
+        kw = dict(eigvals_only=not vectors, check_finite=False)
+        if last is None:
+            return sla.eigh(A, **kw)
+        lo, hi = n - last, n - first + 1
+        try:
+            out = sla.eigh(A, subset_by_index=[lo, hi - 1], **kw)
+        except sla.LinAlgError:
+            out = None
+        if out is not None and len(out[0] if vectors else out) == hi - lo:
+            return out
+        # the subset driver (evr) fails on some tiny, nearly scalar
+        # matrices: "Internal Error." for values alone, no eigenpair with
+        # vectors; the full driver (evd) does not.  A is intact, since it
+        # was not handed over for overwriting
+        out = sla.eigh(A, driver="evd", **kw)
+        return (out[0][lo:hi], out[1][:, lo:hi]) if vectors else out[lo:hi]
+    except (sla.LinAlgError, spla.ArpackError) as exc:
+        raise EigensolveFailure(str(exc)) from exc
 
 
 class _CurveSolver:
-    """Eigenvalue curves of one star: ``matrix`` maps kappa to its symmetric
-    Birman-Schwinger matrix A; ``sloped``, if given, maps kappa to A and the
-    quadratic form v -> v^T (dA/dkappa) v of its derivative.  ARPACK solves
-    start from the constant vector, then warm-start from the last top
-    eigenvector.
+    """Eigenvalue curves of one star, given by ``pieces``: (kappa, j) -> the
+    invariant pieces of its symmetric Birman-Schwinger matrix A(kappa) that
+    hold level j, each a tuple (matrix, quadratic form u -> u^T (dA/dkappa) u
+    on it, arm signs or None), as ``StarAssembler.pieces`` makes them; the
+    sectors of an arm-regular star and the two-arm odd sector are decided
+    there.
 
-    A solver with ``sloped`` solves each level with its eigenvector v and
-    keeps the evaluation in ``last``, with the slope d lambda_j / d kappa =
-    v^T (dA/dkappa) v (Hellmann-Feynman, module docstring); one without
-    solves for values only.
-
-    Given an arm-regular ``StarAssembler``, the top eigenpair comes from its
-    M x M sector matrices instead.  The arm-symmetric vectors span an
-    invariant subspace of the symmetric full matrix, so their orthogonal
-    complement (the vectors whose arm slices sum to zero) is invariant too.
-    The top eigenvalue is simple with a positive eigenvector
-    (Perron-Frobenius), so that vector lies in one of the two subspaces,
-    and no positive vector lies in the complement.  For two arms the two
-    sectors split the matrix and the top is the larger of theirs, with no
-    premise.  Lower levels and level counts use the full matrix.
+    Each evaluation solves every piece for level j with its eigenvector,
+    keeps the largest, lifts its vector to the full matrix and keeps value,
+    slope d lambda_j / d kappa = v^T (dA/dkappa) v (Hellmann-Feynman, module
+    docstring), vector and sector in ``last``.  ARPACK solves of the top
+    start from the constant vector, then from the last top eigenvector.
     """
 
-    def __init__(self, matrix, star: StarAssembler | None = None, sloped=None):
-        self.matrix = matrix
-        self.sloped = sloped
-        self.star = star if star is not None and star.group_counts is not None else None
+    def __init__(self, pieces):
+        self.pieces = pieces
         self.last: _Evaluation | None = None
         self._warm: np.ndarray | None = None
 
-    def _eigh(self, A: np.ndarray, first: int = 1, last: int | None = 1,
-              vectors: bool = False):
-        """The ``first``-th to ``last``-th largest eigenvalues of ``A`` (all
-        for ``last=None``), ascending, with eigenvectors if asked.  ARPACK
-        gives the top one alone above ``_DENSE_MAX``, LAPACK everything else.
-        The constant start vector, not ARPACK's random one, makes runs repeat
-        bitwise."""
-        n = A.shape[0]
-        try:
-            if n > _DENSE_MAX and first == last == 1:
-                v0 = np.ones(n) if self._warm is None else self._warm
-                vals, vecs = spla.eigsh(A, k=1, which="LA", v0=v0, tol=1e-12)
-                self._warm = vecs[:, 0]
-                return (vals, vecs) if vectors else vals
-            kw = dict(eigvals_only=not vectors, check_finite=False)
-            if last is None:
-                return sla.eigh(A, **kw)
-            lo, hi = n - last, n - first + 1
-            try:
-                out = sla.eigh(A, subset_by_index=[lo, hi - 1], **kw)
-            except sla.LinAlgError:
-                out = None
-            if out is not None and len(out[0] if vectors else out) == hi - lo:
-                return out
-            # the subset driver (evr) fails on some tiny, nearly scalar
-            # matrices: "Internal Error." for values alone, no eigenpair with
-            # vectors; the full driver (evd) does not.  A is intact, since it
-            # was not handed over for overwriting
-            out = sla.eigh(A, driver="evd", **kw)
-            return (out[0][lo:hi], out[1][:, lo:hi]) if vectors else out[lo:hi]
-        except (sla.LinAlgError, spla.ArpackError) as exc:
-            raise EigensolveFailure(str(exc)) from exc
-
-    def _matrices(self, kappa: float, j: int, slope: bool):
-        """The matrices that hold level j at kappa, each with the quadratic
-        form of its derivative in kappa if ``slope`` (else None): the
-        sectors for the top of an arm-regular star, else the full matrix."""
-        if j == 1 and self.star is not None:
-            if slope:
-                return [(S, _form(dS))
-                        for S, dS in self.star.sector_matrices(kappa, derivative=True)]
-            return [(S, None) for S in self.star.sector_matrices(kappa)]
-        if slope:
-            return [self.sloped(kappa)]
-        return [(self.matrix(kappa), None)]
-
-    def _solve(self, kappa: float, j: int, vectors: bool, slope: bool = False):
-        """Level j at kappa: (value, unit eigenvector of the full matrix (if
-        asked), index of the sector holding it (None off the sector path),
-        slope (if asked))."""
-        best = None
-        for k, (A, form) in enumerate(self._matrices(kappa, j, slope)):
-            out = self._eigh(A, j, j, vectors=vectors)
-            val = float(out[0][0] if vectors else out[0])
-            if best is None or val > best[0]:
-                u = out[1][:, 0] if vectors else None
-                best = (val, u, k, None if form is None else form(u))
-        val, u, k, d = best
-        if self.star is None or j > 1:
-            return val, u, None, d
-        if vectors:
-            n_arms = self.star.config.n_arms
-            signs = np.ones(n_arms) if k == 0 else np.array([1.0, -1.0])
-            u = np.kron(signs, u) / np.sqrt(n_arms)
-        return val, u, k, d
-
     def lam(self, kappa: float, j: int = 1) -> float:
-        """j-th largest eigenvalue of Q_kappa (j = 1 is the top); a solver
-        with ``sloped`` keeps the whole evaluation in ``last``."""
-        if self.sloped is None:
-            return self._solve(kappa, j, vectors=False)[0]
-        value, vector, sector, slope = self._solve(kappa, j, vectors=True, slope=True)
-        self.last = _Evaluation(kappa, j, value, slope, vector, sector)
+        """j-th largest eigenvalue of Q_kappa (j = 1 is the top); the whole
+        evaluation is kept in ``last``."""
+        best = None
+        for k, (A, form, signs) in enumerate(self.pieces(kappa, j)):
+            vals, vecs = _eigh(A, j, j, vectors=True, v0=self._warm)
+            if j == 1:
+                self._warm = vecs[:, 0]
+            if best is None or vals[0] > best[0]:
+                best = (float(vals[0]), vecs[:, 0], k, form, signs)
+        value, u, k, form, signs = best
+        slope = form(u)
+        if signs is not None:
+            u = np.kron(signs, u) / np.sqrt(signs.size)
+        self.last = _Evaluation(kappa, j, value, slope, u, None if signs is None else k)
         return value
 
     def top_pair(self, kappa: float) -> tuple[float, np.ndarray, int | None]:
-        """Top eigenvalue, unit eigenvector and sector (``_solve``); those of
-        ``last`` if it is the top at this kappa, with no new eigensolve."""
+        """Top eigenvalue, unit eigenvector of the full matrix and sector at
+        kappa, read from ``last``: a root solve of the top level ends on an
+        evaluation of its root."""
         last = self.last
-        if last is not None and last.j == 1 and last.kappa == kappa:
-            return last.value, last.vector, last.sector
-        return self._solve(kappa, 1, vectors=True)[:3]
+        if last is None or (last.j, last.kappa) != (1, kappa):
+            raise ValueError(f"the last evaluation is not the top at kappa={kappa}")
+        return last.value, last.vector, last.sector
 
-    def record(self, n: int) -> dict:
-        """The ``eigensolver`` record of a top solve with an n-vector."""
-        if self.star is not None:
-            return {"path": "sector", "dim": n // self.star.config.n_arms,
-                    "group_counts": self.star.group_counts.tolist()}
-        return {"path": "arpack" if n > _DENSE_MAX else "dense", "dim": n,
-                "group_counts": None}
+
+def _record(star: StarAssembler) -> dict:
+    """The ``eigensolver`` record of a star's top solve."""
+    M = star.diag.mesh.size
+    if star.group_counts is not None:
+        return {"path": "sector", "dim": M, "group_counts": star.group_counts.tolist()}
+    n = star.config.n_arms * M
+    return {"path": "arpack" if n > _DENSE_MAX else "dense", "dim": n,
+            "group_counts": None}
 
 
 def _star_solver(config: StarConfig, mesh: Mesh) -> _CurveSolver:
-    asm = StarAssembler(config, mesh)
-    return _CurveSolver(asm.matrix, asm, asm.sloped_matrix)
+    return _CurveSolver(StarAssembler(config, mesh).pieces)
 
 
 def lambda_curve(
     config: StarConfig, mesh: Mesh, kappa: float, count: int = 1
 ) -> np.ndarray:
     """Top ``count`` eigenvalues of the assembled operator, descending."""
+    n = config.n_arms * mesh.size
+    if not 1 <= count <= n:
+        raise BadParameters(f"count must lie in [1, {n}] (N * M), got {count}")
     A = StarAssembler(config, mesh).matrix(kappa)
-    return _CurveSolver(None)._eigh(A, 1, count)[::-1]
+    return _eigh(A, 1, count)[::-1]
 
 
 def count_bound_states(config: StarConfig, mesh: Mesh, alpha: float) -> int:
@@ -293,6 +260,8 @@ def _solve_level(
     that to the root; once Newton's next step rounds to nothing; or once
     the bracket is narrower than ``kappa_tol``.
     """
+    if not (math.isfinite(kappa_tol) and kappa_tol > 0.0):
+        raise BadParameters(f"kappa_tol must be positive and finite, got {kappa_tol}")
     lo, hi = 0.0, math.inf  # f(lo) > 0 >= f(hi) once evaluated
     k = start or 0.0
     zero_seen = k == 0.0
@@ -355,6 +324,8 @@ def solve_energy(
 ) -> tuple[float, float]:
     """Solve lambda_j(kappa) = alpha for level j; returns (kappa_j, E_j).
     Level j > 1 is solved after the levels above it (``bound_states``)."""
+    if j < 1:
+        raise DomainError(f"level index j must be >= 1, got {j}")
     if j > 1:
         count, res = bound_states(config, mesh, alpha, j, kappa_tol)
         if count < j:
@@ -400,24 +371,26 @@ def principal_eigenvalue(
     """
     if alpha is None:
         alpha = config.coupling
-    solver = _star_solver(config, mesh)
-    return _ground(solver, config, mesh, alpha, kappa_tol)
+    star = StarAssembler(config, mesh)
+    return _ground(_CurveSolver(star.pieces), star, alpha, kappa_tol)
 
 
-def _ground(solver, config, mesh, alpha, kappa_tol, start=None):
+def _ground(solver: _CurveSolver, star: StarAssembler, alpha, kappa_tol, start=None):
+    """The ground state of ``star`` on its ``solver``, with diagnostics."""
     kappa_1, energy, residual, evaluations = _solve_level(
         solver, alpha, 1, kappa_tol, start
     )
     _, vec, sector = solver.top_pair(kappa_1)
+    config = star.config
     positivity, symmetry = _diagnostics(config, vec)
     return SpectralResult(
         levels=(Level(index=1, kappa=kappa_1, energy=energy),),
         ground_vector_positivity=positivity,
         arm_symmetry_residual=symmetry,
         parity=("symmetric", "antisymmetric")[sector] if config.n_arms == 2 else None,
-        mesh_metadata=mesh.metadata(),
+        mesh_metadata=star.diag.mesh.metadata(),
         residual=residual,
-        eigensolver=solver.record(vec.size),
+        eigensolver=_record(star),
         root_evaluations=evaluations,
     )
 
@@ -434,12 +407,13 @@ def bound_states(
     diagnostics (``principal_eigenvalue``) followed by levels 2..``levels``,
     each bracketed from above by the crossing of the level before it; else
     None in its place."""
-    solver = _star_solver(config, mesh)
-    count = int(np.sum(solver._eigh(solver.matrix(0.0), last=None) > alpha))
+    star = StarAssembler(config, mesh)
+    count = int(np.sum(_eigh(star.matrix(0.0), last=None) > alpha))
     wanted = min(levels, count)
     if wanted < 1:
         return count, None
-    res = _ground(solver, config, mesh, alpha, kappa_tol)
+    solver = _CurveSolver(star.pieces)
+    res = _ground(solver, star, alpha, kappa_tol)
     excited = []
     kappa_j = res.levels[0].kappa
     for j in range(2, wanted + 1):
@@ -472,8 +446,8 @@ def refine_until(
     start = None
     converged = False
     for mesh in mesh_ladder:
-        solver = _star_solver(config, mesh)
-        res = _ground(solver, config, mesh, alpha, DEFAULT_KAPPA_TOL, start)
+        star = StarAssembler(config, mesh)
+        res = _ground(_CurveSolver(star.pieces), star, alpha, DEFAULT_KAPPA_TOL, start)
         # the next rung's root lies near this one's
         start = res.levels[0].kappa
         energies.append(res.ground_energy)

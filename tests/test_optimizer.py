@@ -107,7 +107,7 @@ class TestSearchAssembly:
             np.random.default_rng(N).uniform(0.3, 2.8, 2 * N - 3), N
         )
         warm = _WarmObjective(N, 0.0, mesh, 1e-10)
-        A = warm.matrix(dirs)(kappa)
+        (A, _, _), = warm.pieces(dirs)(kappa, 1)
         assert A.shape == (N * M, N * M)
         assert np.array_equal(A, A.T)
         T = BlockAssembler(mesh, None).weighted_block(kappa)
@@ -243,8 +243,8 @@ class TestFixedKappaFact:
         dirs = gauge_embed(params, N)
         assume(_min_pair_angle(dirs) >= MIN_PAIR_ANGLE)
         warm = _WarmObjective(N, 0.0, search_mesh(L), 1e-10)
-        lam = _CurveSolver(warm.matrix(dirs)).lam(kappa)
-        lam_sharp = _CurveSolver(warm.matrix(ss.sharp_configuration(N))).lam(kappa)
+        lam = _CurveSolver(warm.pieces(dirs)).lam(kappa)
+        lam_sharp = _CurveSolver(warm.pieces(ss.sharp_configuration(N))).lam(kappa)
         assert lam >= lam_sharp - 1e-12 * max(1.0, abs(lam_sharp))
 
 

@@ -1,7 +1,6 @@
 import gc
 import math
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from scipy.optimize import brentq
 import starspec as ss
 import starspec.spectral as spectral
 from starspec.discretization import StarAssembler
-from starspec.errors import NoCrossing, NotConverged
+from starspec.errors import BadParameters, DomainError, NoCrossing, NotConverged
 from starspec.kernels import point_eigenvalue
 from starspec.spectral import (
     _CurveSolver,
@@ -48,6 +47,18 @@ class TestLambdaCurve:
         top3 = lambda_curve(cfg, mesh, 1.0, count=3)
         T = ss.BlockAssembler(mesh).weighted_block(1.0)
         assert np.allclose(top3, sla.eigvalsh(T)[-3:][::-1], atol=1e-14)
+
+    @pytest.mark.parametrize("count", [0, 97])
+    def test_count_outside_the_spectrum(self, count):
+        # the antipodal pair on an 8x6 mesh has N * M = 96 rows
+        mesh = ss.build_mesh(1.0, 8, 6, 2.0)
+        with pytest.raises(BadParameters, match=r"count must lie in \[1, 96\]"):
+            lambda_curve(antipodal(1.0, 0.0), mesh, 1.0, count=count)
+
+    def test_count_of_the_whole_spectrum(self):
+        mesh = ss.build_mesh(1.0, 8, 6, 2.0)
+        vals = lambda_curve(antipodal(1.0, 0.0), mesh, 1.0, count=96)
+        assert np.all(np.diff(vals) <= 0.0) and vals.size == 96
 
     def test_decreasing_in_kappa(self):
         mesh = ss.default_mesh(1.0)
@@ -92,6 +103,37 @@ class TestSolveEnergy:
         cfg = segment(1.0, 1.0)
         with pytest.raises(NoCrossing):
             solve_energy(cfg, ss.default_mesh(1.0), 1.0, 1)
+
+    @pytest.mark.parametrize("j", [0, -3])
+    def test_level_index_below_one(self, j):
+        mesh = ss.build_mesh(2.0, 4, 6, 2.0)
+        with pytest.raises(DomainError, match="level index"):
+            solve_energy(tetra(2.0, 0.0), mesh, 0.0, j)
+
+    @pytest.mark.parametrize("kappa_tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_bad_kappa_tol_before_any_eigensolve(self, kappa_tol, monkeypatch):
+        # every public root solve rejects it at once, not after 100
+        # evaluations with a BracketFailure
+        calls = []
+        monkeypatch.setattr(spectral, "_eigh", lambda *a, **k: calls.append(a))
+        cfg, mesh = tetra(2.0, 0.0), ss.build_mesh(2.0, 4, 6, 2.0)
+        solves = [
+            lambda: solve_energy(cfg, mesh, 0.0, 1, kappa_tol),
+            lambda: principal_eigenvalue(cfg, mesh, 0.0, kappa_tol),
+            lambda: ss.objective([2.0, 2.0, 1.0, 2.0, 4.0], 4, 2.0, 0.0, mesh, kappa_tol),
+            lambda: ss.verify_sharp_local_max(4, 2.0, 0.0, 0.1, 2, mesh=mesh,
+                                              kappa_tol=kappa_tol),
+        ]
+        for solve in solves:
+            with pytest.raises(BadParameters, match="kappa_tol"):
+                solve()
+        assert calls == []
+
+    def test_bad_kappa_tol_in_bound_states(self):
+        # the level count comes first; the root solve of level 1 rejects it
+        cfg, mesh = tetra(2.0, 0.0), ss.build_mesh(2.0, 4, 6, 2.0)
+        with pytest.raises(BadParameters, match="kappa_tol"):
+            spectral.bound_states(cfg, mesh, 0.0, 1, 0.0)
 
     def test_level_ordering(self):
         cfg = antipodal(6.0, -0.05)
@@ -194,9 +236,10 @@ SECTOR_MESHES = [(5.0, 8, 12), (3.0, 12, 8), (1.0, 16, 12)]
 
 
 class TestSectorReduction:
-    """The top of an arm-regular star from its M x M sector matrices, against
-    the full N*M matrix (``StarAssembler.matrix``), which the solver only
-    uses for lower levels and counts."""
+    """The top of an arm-regular star from its M x M sector pieces
+    (``StarAssembler.pieces``), against the full N*M matrix
+    (``StarAssembler.matrix``), which the solver only uses for lower levels
+    and counts."""
 
     @pytest.mark.parametrize("mesh_args", SECTOR_MESHES, ids=lambda m: "x".join(map(str, m)))
     @pytest.mark.parametrize("name", sorted(REGULAR_STARS))
@@ -205,15 +248,16 @@ class TestSectorReduction:
         cfg = ss.make_star(REGULAR_STARS[name], L, 0.0)
         asm = StarAssembler(cfg, ss.build_mesh(*mesh_args, 2.0))
         assert asm.group_counts is not None
-        solver = _CurveSolver(asm.matrix, asm)
+        solver = _CurveSolver(asm.pieces)
         for kappa in (1e-4, 1.0, 30.0):
             A = asm.matrix(kappa)
             n = A.shape[0]
             vals, vecs = sla.eigh(A, subset_by_index=[n - 1, n - 1])
             full, v = vals[0], vecs[:, 0]
+            value = solver.lam(kappa)
             lam, u, sector = solver.top_pair(kappa)
             assert abs(lam - full) <= 1e-12 * abs(full)
-            assert solver.lam(kappa) == lam
+            assert value == lam
             assert abs(u @ v) == pytest.approx(1.0, abs=1e-8)
             # the full matrix's own top vector is arm-symmetric
             assert _diagnostics(cfg, v)[1] < 1e-8
@@ -223,19 +267,21 @@ class TestSectorReduction:
         cfg = ss.make_star([(0, 0, 1), (1, 0, 0)], 4.0, 0.0)
         asm = StarAssembler(cfg, ss.build_mesh(4.0, 6, 8, 2.0))
         A = asm.matrix(0.7)
-        sym, anti = asm.sector_matrices(0.7)
+        (sym, _, plus), (anti, _, minus) = asm.pieces(0.7, 1)
+        assert plus.tolist() == [1.0, 1.0] and minus.tolist() == [1.0, -1.0]
         both = np.concatenate([sla.eigvalsh(sym), sla.eigvalsh(anti)])
         assert np.allclose(np.sort(both), sla.eigvalsh(A), rtol=0, atol=1e-12)
 
     def test_antisymmetric_top_gives_odd_vector(self):
         # a two-arm star whose exchange-odd sector holds the top
         sym, anti = np.diag([1.0, 2.0]), np.diag([3.0, 0.5])
-        star = SimpleNamespace(
-            group_counts=np.array([1]),
-            config=SimpleNamespace(n_arms=2),
-            sector_matrices=lambda kappa: (sym.copy(), anti.copy()),
-        )
-        lam, vec, sector = _CurveSolver(None, star).top_pair(1.0)
+        def pieces(kappa, j):
+            return [(sym.copy(), lambda u: 0.0, np.array([1.0, 1.0])),
+                    (anti.copy(), lambda u: 0.0, np.array([1.0, -1.0]))]
+
+        solver = _CurveSolver(pieces)
+        assert solver.lam(1.0) == 3.0
+        lam, vec, sector = solver.top_pair(1.0)
         assert (lam, sector) == (3.0, 1)
         assert np.allclose(np.abs(vec), 0.5 ** 0.5 * np.array([1, 0, 1, 0]))
         assert vec[0] == -vec[2]
@@ -269,10 +315,12 @@ ROOT_STARS = {
 
 
 def dense_solver(name, L=2.0):
-    """A full-matrix (LAPACK) solver for ``ROOT_STARS[name]`` on a small mesh."""
+    """A full-matrix (LAPACK) solver for ``ROOT_STARS[name]`` on a small mesh:
+    the star is treated as irregular, so no level takes the sectors."""
     cfg = ss.make_star(ROOT_STARS[name], L, 0.0)
     asm = StarAssembler(cfg, ss.build_mesh(L, 4, 6, 2.0))
-    return _CurveSolver(asm.matrix, sloped=asm.sloped_matrix)
+    asm.group_counts = None
+    return _CurveSolver(asm.pieces)
 
 
 def counted(solver):
@@ -330,7 +378,7 @@ class TestSolveLevel:
     def test_solver_freed_once_dropped(self, name):
         cfg = ss.make_star(ROOT_STARS[name], 2.0, 0.0)
         solver = _star_solver(cfg, ss.build_mesh(2.0, 4, 6, 2.0))
-        refs = [weakref.ref(solver), weakref.ref(solver.matrix.__self__)]
+        refs = [weakref.ref(solver), weakref.ref(solver.pieces.__self__)]
         gc.disable()
         try:
             _solve_level(solver, 0.0, 1, 1e-10)
@@ -363,8 +411,7 @@ class TestNearThreshold:
         dirs, L, panels, order, path = NEAR_THRESHOLD[request.param]
         config = ss.make_star(dirs, L, 0.0)
         mesh = ss.build_mesh(L, panels, order, 2.0)
-        n = config.n_arms * mesh.nodes.size
-        assert _star_solver(config, mesh).record(n)["path"] == path
+        assert spectral._record(StarAssembler(config, mesh))["path"] == path
         return config, mesh, lambda_curve(config, mesh, 0.0, count=2)
 
     def test_crossing_just_below_threshold(self, star):
@@ -396,14 +443,22 @@ class TestNearThreshold:
             assert (count_bound_states(config, mesh, alpha) >= j) == crosses
 
 
+#: ``NEAR_THRESHOLD`` and a two-sector star: (directions, L, panels, order, path)
+SLOPE_STARS = {
+    **NEAR_THRESHOLD,
+    "right-angle-2": (ROOT_STARS["right-angle-2"], 2.0, 8, 12, "sector"),
+}
+
+
 class TestSlope:
     """The slope lambda_j'(kappa) = v^T (dA/dkappa) v of each evaluation,
-    against a central difference of ``lam``, on every eigensolver path."""
+    against a central difference of ``lam``, on every eigensolver path and
+    on the two sectors of a two-arm star."""
 
     @pytest.mark.parametrize("j", [1, 2])
-    @pytest.mark.parametrize("name", sorted(NEAR_THRESHOLD))
+    @pytest.mark.parametrize("name", sorted(SLOPE_STARS))
     def test_matches_central_difference(self, name, j):
-        dirs, L, panels, order, _ = NEAR_THRESHOLD[name]
+        dirs, L, panels, order, _ = SLOPE_STARS[name]
         solver = _star_solver(ss.make_star(dirs, L, 0.0), ss.build_mesh(L, panels, order, 2.0))
         for kappa in (0.3, 2.0):
             solver.lam(kappa, j)
@@ -417,8 +472,7 @@ class TestSlope:
         from starspec.optimizer import _WarmObjective
 
         warm = _WarmObjective(3, 0.0, ss.build_mesh(2.0, 3, 5, 2.0), 1e-10)
-        matrix = warm.matrix(ROOT_STARS["irregular-3"])
-        solver = _CurveSolver(matrix, sloped=lambda kappa: matrix(kappa, slope=True))
+        solver = _CurveSolver(warm.pieces(ROOT_STARS["irregular-3"]))
         solver.lam(1.5)
         slope, h = solver.last.slope, 1e-4
         diff = (solver.lam(1.5 + h) - solver.lam(1.5 - h)) / (2.0 * h)
@@ -455,7 +509,9 @@ class TestGroundVector:
         solver = _star_solver(config, mesh)
         kappa, _, _, _ = _solve_level(solver, 0.0, 1, 1e-10)
         kept = solver.top_pair(kappa)
-        fresh = _star_solver(config, mesh).top_pair(kappa)
+        fresh_solver = _star_solver(config, mesh)
+        fresh_solver.lam(kappa)
+        fresh = fresh_solver.top_pair(kappa)
         assert kept[0] == fresh[0] and kept[2] == fresh[2]
         assert np.array_equal(kept[1], fresh[1])
 
@@ -469,14 +525,19 @@ class TestEigensolverFallback:
 
         L = 1.2313601059970256
         objective = _WarmObjective(2, 0.0, ss.build_mesh(L, 2, 2, 1.0), 1e-10)
-        matrix = objective.matrix(ss.sharp_configuration(2))
-        solver = _CurveSolver(matrix)
+        pieces = objective.pieces(ss.sharp_configuration(2))
+        solver = _CurveSolver(pieces)
         for kappa in np.geomspace(10.0, 5000.0, 200):
-            want = np.linalg.eigvalsh(matrix(kappa))[::-1]
-            assert solver.lam(kappa) == pytest.approx(want[0], rel=1e-14, abs=0)
+            (A, _, _), = pieces(kappa, 1)
+            want = np.linalg.eigvalsh(A)[::-1]
+            # values alone, as the search's fixed-kappa calls solve them
+            for j in (1, 2):
+                value = spectral._eigh(A, j, j)[0]
+                assert value == pytest.approx(want[j - 1], rel=1e-14, abs=0)
             assert solver.lam(kappa, 2) == pytest.approx(want[1], rel=1e-14, abs=0)
+            assert solver.lam(kappa) == pytest.approx(want[0], rel=1e-14, abs=0)
             val, vec, _ = solver.top_pair(kappa)
-            assert np.linalg.norm(matrix(kappa) @ vec - val * vec) <= 1e-14
+            assert np.linalg.norm(A @ vec - val * vec) <= 1e-14
 
 
 class TestExcitedLevels:
