@@ -70,7 +70,6 @@ _GROUPS = {
     "optimize": {
         "starts": (int, OptSettings.starts, ("optimize",)),
         "seed": (int, OptSettings.seed, ("optimize", "verify-sharp")),
-        "simplex_tol": (float, OptSettings.simplex_tol, ("optimize",)),
     },
     "sweep": {
         "phi_min": (float, None, ("sweep-angle",)),
@@ -213,7 +212,7 @@ def parse_job(document: str) -> JobSpec:
                          f"to {MAX_PANELS} and {MAX_ORDER}, grading >= 1)")
     if solver and (solver["kappa_tol"] <= 0 or solver.get("levels", 1) < 1):
         raise ParseError(f"invalid solver parameters: {solver}")
-    if opt and (opt.get("starts", 1) < 1 or opt.get("simplex_tol", 1.0) <= 0):
+    if opt and opt.get("starts", 1) < 1:
         raise ParseError(f"invalid optimize parameters: {opt}")
     if command == "sweep-angle":
         sweep = doc["sweep"]
@@ -408,7 +407,6 @@ def _run_optimize(job: JobSpec) -> tuple[dict, dict]:
     settings = OptSettings(
         starts=doc["optimize"]["starts"],
         seed=doc["optimize"]["seed"],
-        simplex_tol=doc["optimize"]["simplex_tol"],
         mesh=_job_mesh(doc, doc["arm_length"]) if job.mesh_given else None,
         kappa_tol=doc["solver"]["kappa_tol"],
     )

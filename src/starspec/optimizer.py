@@ -1,29 +1,41 @@
 """Maximization of the ground-state energy over arm directions.
 
 The search runs in gauge-fixed spherical coordinates (rotations quotiented
-out), uses multi-start Nelder-Mead, and verifies the result against the
-sharp configuration of the same size.  Near-degenerate configurations and
-configurations without a bound state map to a -inf sentinel, consistent
-with maximization: closing an angle drives the energy to -infinity.
+out), uses multi-start quasi-Newton descent, and verifies the result
+against the sharp configuration of the same size.  Near-degenerate
+configurations and configurations without a bound state map to a -inf
+sentinel, consistent with maximization: closing an angle drives the energy
+to -infinity.
 
 Each start searches at fixed kappa, as Dinkelbach's method does for a
 fractional program.  Write lambda(x, kappa) for the top eigenvalue of the
 search matrix of the star with gauge parameters x, and kappa(x) for its
 crossing, lambda(x, kappa(x)) = alpha; the energy is -kappa(x)^2, so
 maximizing it means minimizing kappa(x).  From kappa_0 = kappa(x_0), outer
-step k runs Nelder-Mead on x -> lambda(x, kappa_k) from x_k, one eigensolve
-per call, and sets kappa_{k+1} = kappa(x_{k+1}).
+step k runs L-BFGS on x -> lambda(x, kappa_k) from x_k, one eigensolve per
+evaluation, and sets kappa_{k+1} = kappa(x_{k+1}).
 
-The iteration is monotone.  lambda(x, .) is strictly decreasing, and
-Nelder-Mead returns no point worse than its start, so lambda(x_{k+1},
-kappa_k) <= lambda(x_k, kappa_k) = alpha gives kappa_{k+1} <= kappa_k:
-kappa_k is an upper end of the next root's bracket, and the energy never
-falls.  Its fixed points are optimal: if min_x lambda(x, kappa_k) = alpha
-and some x' had kappa(x') < kappa_k, then lambda(x', kappa_k) <
-lambda(x', kappa(x')) = alpha, a contradiction.  The sharp configuration
-minimizes lambda(., kappa) at every kappa (its top vector is positive and
-arm-symmetric, and the pairwise kernel-sum inequality holds entrywise at
-the quadrature nodes), so every inner problem shares the energy's argmax.
+The gradient costs no extra eigensolve.  The matrix depends on x only
+through the squared chords c_ij = |d_i - d_j|^2 of the directions d =
+``gauge_embed(x)``, and pair (i, j) holds the block B(c_ij) and its
+transpose.  For the unit top vector v with arm slices v_i, Hellmann-Feynman
+gives dlambda/dc_ij = 2 v_i^T (dB/dc)(c_ij) v_j.  The search's pair blocks
+are plain samples sqrt(w_s w_t) e^{-kappa D} / (4 pi D) with D^2 = (s-t)^2
++ s t c, so dB/dc = -sqrt(w_s w_t) e^{-kappa D} (kappa D + 1) s t /
+(8 pi D^3).  The chain rule through dc_ij/dd_i = 2 (d_i - d_j) and the
+Jacobian of ``gauge_embed`` gives the gradient in x.
+
+The iteration is monotone.  lambda(x, .) is strictly decreasing, and the
+descent returns no point worse than its start (its line search accepts
+only steps that lower lambda), so lambda(x_{k+1}, kappa_k) <=
+lambda(x_k, kappa_k) = alpha gives kappa_{k+1} <= kappa_k: kappa_k is an
+upper end of the next root's bracket, and the energy never falls.  Its
+fixed points are optimal: if min_x lambda(x, kappa_k) = alpha and some x'
+had kappa(x') < kappa_k, then lambda(x', kappa_k) < lambda(x', kappa(x'))
+= alpha, a contradiction.  The sharp configuration minimizes lambda(.,
+kappa) at every kappa (its top vector is positive and arm-symmetric, and
+the pairwise kernel-sum inequality holds entrywise at the quadrature
+nodes), so every inner problem shares the energy's argmax.
 
 A start stops when a step lowers kappa by no more than the root tolerance,
 and keeps x_k when a step raises kappa (lambda(x_k, kappa_k) = alpha holds
@@ -37,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .discretization import (
     FOUR_PI, BlockAssembler, Mesh, build_mesh, chord_groups, star_form, star_matrix,
@@ -54,16 +65,28 @@ CONGRUENCE_TOL = 5e-3
 SEARCH_KAPPA_TOL = 1e-6
 #: most outer (fixed-kappa) steps of one search
 _MAX_OUTER_STEPS = 10
-#: Nelder-Mead evaluations of one start, over all its outer steps, per
-#: search parameter; the polish of the best start gets twice as many
+#: evaluations of ``_WarmObjective.negative`` in one start, over all its
+#: outer steps, per search parameter; the polish of the best start gets
+#: twice as many
 MAXFEV_PER_PARAM = 200
+#: the descent of one outer step stops once no entry of the gradient of
+#: lambda(., kappa_k) exceeds this
+_GRAD_TOL = 1e-7
+#: the longest step of the descent, in radians per angle
+_MAX_STEP = 0.5
+#: a line search gives up below this step, in radians
+_MIN_STEP = 1e-9
+#: steps kept by L-BFGS
+_MEMORY = 10
+#: the line search accepts a step t along p from x once
+#: f(x + t p) <= f(x) + _ARMIJO t g(x).p
+_ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
 class OptSettings:
     starts: int = 8
     seed: int = 0
-    simplex_tol: float = 1e-5
     mesh: Mesh | None = None
     kappa_tol: float = DEFAULT_KAPPA_TOL
 
@@ -124,6 +147,21 @@ def gauge_embed(params, N: int) -> np.ndarray:
     return dirs
 
 
+def _gauge_pullback(params, G: np.ndarray) -> np.ndarray:
+    """The gradient in the parameters of a function of the directions whose
+    gradient in them is ``G`` (N x 3): G contracted with the Jacobian of
+    ``gauge_embed``."""
+    params = np.asarray(params, dtype=float)
+    grad = np.empty(params.size)
+    grad[0] = G[1, 0] * math.cos(params[0]) - G[1, 2] * math.sin(params[0])
+    for k in range(2, G.shape[0]):
+        theta, phi = params[2 * k - 3], params[2 * k - 2]
+        ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+        grad[2 * k - 3] = ct * (G[k, 0] * cp + G[k, 1] * sp) - st * G[k, 2]
+        grad[2 * k - 2] = st * (G[k, 1] * cp - G[k, 0] * sp)
+    return grad
+
+
 def _min_pair_angle(dirs: np.ndarray) -> float:
     g = dirs @ dirs.T
     iu = np.triu_indices(dirs.shape[0], k=1)
@@ -157,6 +195,24 @@ def objective(
     return energy
 
 
+def _two_loop(steps, q: np.ndarray) -> np.ndarray:
+    """H q for the L-BFGS inverse Hessian H of the steps (s, y), oldest
+    first, each with s.y > 0; q itself when there are none (Nocedal &
+    Wright, *Numerical Optimization*, 2006, algorithm 7.4)."""
+    q = q.copy()
+    coef = []
+    for s, y in reversed(steps):
+        a = (s @ q) / (s @ y)
+        coef.append(a)
+        q -= a * y
+    if steps:
+        s, y = steps[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y), a in zip(steps, reversed(coef)):
+        q += (a - (y @ q) / (s @ y)) * s
+    return q
+
+
 def _draw_start(rng: np.random.Generator, N: int) -> np.ndarray:
     for _ in range(200):
         params = np.empty(2 * N - 3)
@@ -187,6 +243,7 @@ class _WarmObjective:
         self.N, self.alpha = N, alpha
         self.kappa_tol = kappa_tol
         self.kappa: float | None = None
+        self.gradient: np.ndarray | None = None
         self._T: np.ndarray | None = None
         self._diag = BlockAssembler(mesh, chord_sq=None)
         s = mesh.nodes
@@ -237,17 +294,68 @@ class _WarmObjective:
 
     def negative(self, params) -> float:
         """lambda(x, kappa) - alpha at the step's fixed kappa, from one
-        eigensolve for the value alone: negative exactly where x crosses
-        below kappa, that is, where x beats the current iterate; +inf below
-        the minimal pair angle."""
+        eigensolve with its vector: negative exactly where x crosses below
+        kappa, that is, where x beats the current iterate; +inf below the
+        minimal pair angle.  Its gradient in x (module docstring) goes to
+        ``gradient``, None at the sentinel."""
         dirs = self._directions(params)
+        self.gradient = None
         if dirs is None:
             return float("inf")
-        D, pairs = self._distances(dirs)
-        B = self._diag._fold * (np.exp(-self.kappa * D) / D) / FOUR_PI
-        return float(_eigh(star_matrix(self.N, self._T, B, *pairs))[0]) - self.alpha
+        D, (I, J, group) = self._distances(dirs)
+        kappa, fold = self.kappa, self._diag._fold
+        E = np.exp(-kappa * D)
+        vals, vecs = _eigh(star_matrix(self.N, self._T, fold * (E / D) / FOUR_PI, I, J, group),
+                           vectors=True)
+        dB = fold * E * (kappa * D + 1.0) * self._st / (-2.0 * FOUR_PI * D**3)
+        V = vecs[:, 0].reshape(self.N, -1)
+        dc = np.empty(I.size)  # dlambda/dc_ij of each pair
+        for g, block in enumerate(dB):
+            k = np.nonzero(group == g)[0]
+            dc[k] = 2.0 * np.sum((V[I[k]] @ block) * V[J[k]], axis=1)
+        G = np.zeros_like(dirs)  # dlambda/dd_i, from dc_ij/dd_i = 2 (d_i - d_j)
+        delta = 2.0 * dc[:, None] * (dirs[I] - dirs[J])
+        np.add.at(G, I, delta)
+        np.add.at(G, J, -delta)
+        self.gradient = _gauge_pullback(params, G)
+        return float(vals[0]) - self.alpha
 
-    def search(self, x0, xatol: float, fatol: float, maxfev: int):
+    def _descend(self, x, maxfev: int):
+        """L-BFGS on ``negative`` from ``x``: returns a point no worse than
+        ``x`` and the evaluations spent, at most ``maxfev``.
+
+        The direction is -H g, with H the inverse Hessian of the last
+        ``_MEMORY`` steps (s, y) by the two-loop recursion, scaled by
+        s.y / y.y of the last one.  Each line search halves its step until
+        it lowers ``negative`` enough (Armijo's condition), which the
+        sentinel never does.  The descent stops once no entry of the
+        gradient exceeds ``_GRAD_TOL``, or a line search falls below
+        ``_MIN_STEP``."""
+        f, g = self.negative(x), self.gradient
+        used, steps = 1, []
+        while used < maxfev and np.abs(g).max() > _GRAD_TOL:
+            p = _two_loop(steps, -g)
+            slope = float(g @ p)
+            if not slope < 0.0:
+                p, slope, steps = -g, -float(g @ g), []
+            size = np.abs(p).max()
+            t = min(1.0, _MAX_STEP / size)
+            while True:
+                x1 = x + t * p
+                f1 = self.negative(x1)
+                used += 1
+                if f1 < f and f1 <= f + _ARMIJO * t * slope:
+                    break
+                t *= 0.5
+                if used >= maxfev or t * size <= _MIN_STEP:
+                    return x, used
+            s, y = x1 - x, self.gradient - g
+            if s @ y > 0.0:
+                steps = (steps + [(s, y)])[-_MEMORY:]
+            x, f, g = x1, f1, self.gradient
+        return x, used
+
+    def search(self, x0, maxfev: int):
         """The fixed-kappa iteration from ``x0`` (module docstring): returns
         the crossings kappa_0 >= kappa_1 >= ... of the accepted steps and the
         last accepted point; no crossings if ``x0`` has none.  ``maxfev``
@@ -260,19 +368,15 @@ class _WarmObjective:
             if maxfev < 1:
                 break
             self.kappa, self._T = kappa, self._diag.weighted_block(kappa)
-            with np.errstate(invalid="ignore"):  # inf sentinels inside the simplex
-                res = minimize(
-                    self.negative, x, method="Nelder-Mead",
-                    options={"xatol": xatol, "fatol": fatol, "maxfev": maxfev},
-                )
-            maxfev -= res.nfev
+            x1, used = self._descend(x, maxfev)
+            maxfev -= used
             # lambda(x_{k+1}, kappa_k) <= alpha, so kappa_k is an upper end;
             # the root returns kappa_k itself when the gain is below tolerance
-            new = self.crossing(res.x, upper=kappa)
+            new = self.crossing(x1, upper=kappa)
             if new is None or new > kappa:
                 break
             kappas.append(new)
-            x = res.x
+            x = x1
             if kappa - new <= self.kappa_tol * kappa:
                 break
             kappa = new
@@ -284,10 +388,10 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
 
     Each start runs the fixed-kappa iteration (module docstring) with root
     tolerance ``SEARCH_KAPPA_TOL``; the best start is polished by the same
-    iteration with a tighter simplex at ``settings.kappa_tol``, and every
-    start's result is scored by ``objective`` on the corrected matrix.
-    ``MAXFEV_PER_PARAM`` per parameter bounds the fixed-kappa evaluations
-    of each start, the polish gets twice that.
+    iteration at ``settings.kappa_tol``, and every start's result is scored
+    by ``objective`` on the corrected matrix.  ``MAXFEV_PER_PARAM`` per
+    parameter bounds the fixed-kappa evaluations of each start, the polish
+    gets twice that.
 
     Deterministic for a fixed seed: each start draws its initial point from
     an independent substream keyed by (seed, start index).  For N in the
@@ -308,7 +412,7 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
         rng = np.random.default_rng([settings.seed, start])
         x0 = _draw_start(rng, N)
         warm = _WarmObjective(N, alpha, mesh, SEARCH_KAPPA_TOL)
-        kappas, x = warm.search(x0, settings.simplex_tol, 1e-8, maxfev)
+        kappas, x = warm.search(x0, maxfev)
         search_kappas.append(kappas)
         finals.append((-kappas[-1] ** 2 if kappas else SENTINEL, x))
     if all(v == SENTINEL for v, _ in finals):
@@ -322,10 +426,10 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
     best_params = finals[best_idx][1]
     best_value = trace[best_idx]
 
-    # continue the winning start with a tighter simplex, then score it at
-    # full accuracy so best_energy = max(per_start_trace) stays exact
+    # continue the winning start at the tighter root tolerance, then score it
+    # at full accuracy so best_energy = max(per_start_trace) stays exact
     warm = _WarmObjective(N, alpha, mesh, settings.kappa_tol)
-    kappas, x = warm.search(best_params, settings.simplex_tol * 0.1, 0.0, 2 * maxfev)
+    kappas, x = warm.search(best_params, 2 * maxfev)
     if len(kappas) > 1:
         polished = full_objective(x)
         if polished > best_value:

@@ -22,6 +22,7 @@ found by safeguarded Newton iteration in ln kappa (``_solve_level``).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -195,6 +196,20 @@ def _record(star: StarAssembler) -> dict:
             "group_counts": None}
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer, NumPy's included; else
+    ``BadParameters`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParameters(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_kappa_tol(kappa_tol: float) -> None:
+    if not (math.isfinite(kappa_tol) and kappa_tol > 0.0):
+        raise BadParameters(f"kappa_tol must be positive and finite, got {kappa_tol}")
+
+
 def _star_solver(config: StarConfig, mesh: Mesh) -> _CurveSolver:
     return _CurveSolver(StarAssembler(config, mesh).pieces)
 
@@ -204,6 +219,7 @@ def lambda_curve(
 ) -> np.ndarray:
     """Top ``count`` eigenvalues of the assembled operator, descending."""
     n = config.n_arms * mesh.size
+    count = _integer("count", count)
     if not 1 <= count <= n:
         raise BadParameters(f"count must lie in [1, {n}] (N * M), got {count}")
     A = StarAssembler(config, mesh).matrix(kappa)
@@ -260,8 +276,7 @@ def _solve_level(
     that to the root; once Newton's next step rounds to nothing; or once
     the bracket is narrower than ``kappa_tol``.
     """
-    if not (math.isfinite(kappa_tol) and kappa_tol > 0.0):
-        raise BadParameters(f"kappa_tol must be positive and finite, got {kappa_tol}")
+    _check_kappa_tol(kappa_tol)
     lo, hi = 0.0, math.inf  # f(lo) > 0 >= f(hi) once evaluated
     k = start or 0.0
     zero_seen = k == 0.0
@@ -324,6 +339,7 @@ def solve_energy(
 ) -> tuple[float, float]:
     """Solve lambda_j(kappa) = alpha for level j; returns (kappa_j, E_j).
     Level j > 1 is solved after the levels above it (``bound_states``)."""
+    j = _integer("j", j)
     if j < 1:
         raise DomainError(f"level index j must be >= 1, got {j}")
     if j > 1:
@@ -406,7 +422,10 @@ def bound_states(
     and, if ``levels`` >= 1 and a level crosses, the ground state with its
     diagnostics (``principal_eigenvalue``) followed by levels 2..``levels``,
     each bracketed from above by the crossing of the level before it; else
-    None in its place."""
+    None in its place.  ``levels`` and ``kappa_tol`` are checked before the
+    count."""
+    levels = _integer("levels", levels)
+    _check_kappa_tol(kappa_tol)
     star = StarAssembler(config, mesh)
     count = int(np.sum(_eigh(star.matrix(0.0), last=None) > alpha))
     wanted = min(levels, count)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import starspec as ss
+from starspec import optimizer
 from starspec.cli import parse_job, run
 from starspec.discretization import BlockAssembler
 from starspec.errors import AllStartsFailed, SizeMismatch
@@ -192,8 +193,12 @@ class TestFixedKappaSearch:
     def test_maxfev_bounds_a_whole_start(self, monkeypatch):
         # each search is one _WarmObjective; record the fixed kappa of every
         # evaluation, so the outer steps show as runs of one kappa.  A
-        # simplex tolerance of 1e-12 keeps Nelder-Mead going until the
-        # budget of the start's one parameter runs out
+        # gradient tolerance of 0 keeps each descent going until a line
+        # search fails: the starts then take 11 + 2 and 10 + 2 evaluations.
+        # A budget of 11 for the start's one parameter cuts the first in
+        # its first step and the second in its second step
+        monkeypatch.setattr(optimizer, "_GRAD_TOL", 0.0)
+        monkeypatch.setattr(optimizer, "MAXFEV_PER_PARAM", 11)
         seen = {}
         negative = _WarmObjective.negative
 
@@ -202,14 +207,89 @@ class TestFixedKappaSearch:
             return negative(self, params)
 
         monkeypatch.setattr(_WarmObjective, "negative", recorded)
-        res = optimize(2, 5.0, 0.0, OptSettings(starts=2, seed=1, simplex_tol=1e-12))
+        res = optimize(2, 5.0, 0.0, OptSettings(starts=2, seed=1))
         *starts, polish = seen.values()
         assert len(starts) == 2
-        assert [len(kappas) for kappas in starts] == [MAXFEV_PER_PARAM] * 2
-        assert len(polish) <= 2 * MAXFEV_PER_PARAM
+        assert [len(kappas) for kappas in starts] == [optimizer.MAXFEV_PER_PARAM] * 2
+        assert len(polish) <= 2 * optimizer.MAXFEV_PER_PARAM
         # the first step leaves budget over for a second one
         assert any(len(set(kappas)) >= 2 for kappas in starts)
         assert res.congruent_to_sharp
+
+
+#: the polar angle of the tetrahedron's arms 2 to 4 when arm 1 is the pole
+TETRA_ANGLE = math.acos(-1 / 3)
+
+
+class TestGradientSearch:
+    """The descent of each outer step runs on the Hellmann-Feynman gradient
+    of ``_WarmObjective.negative``."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 6])
+    @pytest.mark.parametrize("kappa", [0.5, 5.0, 50.0])
+    def test_gradient_matches_central_difference(self, N, kappa):
+        rng = np.random.default_rng([N, int(kappa * 10)])
+        warm = _WarmObjective(N, 0.0, search_mesh(5.0), 1e-10)
+        warm.kappa, warm._T = kappa, warm._diag.weighted_block(kappa)
+        for _ in range(3):
+            params = rng.uniform(0.0, 2 * math.pi, 2 * N - 3)
+            while _min_pair_angle(gauge_embed(params, N)) < 0.2:
+                params = rng.uniform(0.0, 2 * math.pi, 2 * N - 3)
+            warm.negative(params)
+            grad = warm.gradient
+            h = 1e-6
+            fd = np.array([
+                (warm.negative(params + h * e) - warm.negative(params - h * e)) / (2 * h)
+                for e in np.eye(params.size)
+            ])
+            assert np.allclose(grad, fd, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("N, params", [
+        (2, [math.pi]),
+        (3, [2 * math.pi / 3, 2 * math.pi / 3, math.pi]),
+        (4, [TETRA_ANGLE, TETRA_ANGLE, 2 * math.pi / 3, TETRA_ANGLE, 4 * math.pi / 3]),
+    ])
+    def test_confirming_step_is_short(self, N, params, monkeypatch):
+        # the gradient vanishes at the sharp configuration, so an outer step
+        # from it only confirms the fixed point
+        assert ss.congruent(gauge_embed(params, N), ss.sharp_configuration(N))
+        seen = []
+        negative = _WarmObjective.negative
+
+        def recorded(self, x):
+            seen.append(self.kappa)
+            return negative(self, x)
+
+        monkeypatch.setattr(_WarmObjective, "negative", recorded)
+        warm = _WarmObjective(N, 0.0, search_mesh(5.0), 1e-10)
+        kappas, x = warm.search(np.array(params), MAXFEV_PER_PARAM * (2 * N - 3))
+        # a step that gains nothing ends the search, whether its crossing
+        # rounds to kappa_k or just above it
+        assert seen and set(seen) <= set(kappas)
+        for kappa in set(seen):
+            assert seen.count(kappa) <= 2
+        assert ss.congruent(gauge_embed(x, N), ss.sharp_configuration(N))
+
+    def test_first_trial_in_sentinel_region(self, monkeypatch):
+        # arm 2 sits 0.002 rad from arm 1, and arm 3 where the capped first
+        # steepest-descent step puts arm 2: the first trial point has two
+        # coincident arms, and the line search must back off from it
+        N, x0 = 3, np.array([0.002, 0.502, 0.0])
+        values = []
+        negative = _WarmObjective.negative
+
+        def recorded(self, x):
+            values.append(negative(self, x))
+            return values[-1]
+
+        monkeypatch.setattr(_WarmObjective, "negative", recorded)
+        warm = _WarmObjective(N, 0.0, search_mesh(5.0), 1e-6)
+        kappas, x = warm.search(x0, MAXFEV_PER_PARAM * (2 * N - 3))
+        assert math.isfinite(values[0]) and values[1] == math.inf
+        assert len(kappas) >= 2
+        assert all(b <= a for a, b in zip(kappas, kappas[1:]))
+        assert warm.crossing(x) <= kappas[0]
+        assert _min_pair_angle(gauge_embed(x, N)) >= MIN_PAIR_ANGLE
 
 
 class TestFixedKappaFact:

@@ -129,11 +129,39 @@ class TestSolveEnergy:
                 solve()
         assert calls == []
 
-    def test_bad_kappa_tol_in_bound_states(self):
-        # the level count comes first; the root solve of level 1 rejects it
+    def test_bad_kappa_tol_in_bound_states(self, monkeypatch):
+        # rejected before the kappa = 0 count, whether a level crosses
+        # (alpha = 0) or none does (alpha = 10, which returned (0, None))
+        calls = []
+        monkeypatch.setattr(spectral, "_eigh", lambda *a, **k: calls.append(a))
         cfg, mesh = tetra(2.0, 0.0), ss.build_mesh(2.0, 4, 6, 2.0)
-        with pytest.raises(BadParameters, match="kappa_tol"):
-            spectral.bound_states(cfg, mesh, 0.0, 1, 0.0)
+        for alpha in (0.0, 10.0):
+            for kappa_tol in (0.0, -1e-10, math.nan):
+                with pytest.raises(BadParameters, match="kappa_tol"):
+                    spectral.bound_states(cfg, mesh, alpha, 1, kappa_tol)
+        assert calls == []
+
+    @pytest.mark.parametrize("name, solve", [
+        ("count", lambda cfg, mesh: lambda_curve(cfg, mesh, 1.0, count=2.5)),
+        ("j", lambda cfg, mesh: solve_energy(cfg, mesh, 0.0, j=1.5)),
+        ("j", lambda cfg, mesh: solve_energy(cfg, mesh, 0.0, j=np.float64(2.0))),
+        ("levels", lambda cfg, mesh: spectral.bound_states(cfg, mesh, 0.0, levels=2.5)),
+    ])
+    def test_non_integer_level_arguments(self, name, solve, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectral, "_eigh", lambda *a, **k: calls.append(a))
+        cfg, mesh = tetra(2.0, 0.0), ss.build_mesh(2.0, 4, 6, 2.0)
+        with pytest.raises(BadParameters, match=f"{name} must be an integer"):
+            solve(cfg, mesh)
+        assert calls == []
+
+    def test_numpy_integer_level_arguments(self):
+        cfg, mesh = tetra(2.0, 0.0), ss.build_mesh(2.0, 4, 6, 2.0)
+        assert np.array_equal(lambda_curve(cfg, mesh, 1.0, count=np.int64(2)),
+                              lambda_curve(cfg, mesh, 1.0, count=2))
+        assert solve_energy(cfg, mesh, 0.0, j=np.int32(2)) == solve_energy(cfg, mesh, 0.0, j=2)
+        count, res = spectral.bound_states(cfg, mesh, 0.0, levels=np.int64(2))
+        assert count >= 2 and len(res.levels) == 2
 
     def test_level_ordering(self):
         cfg = antipodal(6.0, -0.05)
