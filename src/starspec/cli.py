@@ -391,11 +391,11 @@ def _run_sweep(job: JobSpec) -> list[tuple[float, float | None, float]]:
     doc = job.doc
     sw, alpha, L = doc["sweep"], doc["alpha"], doc["arm_length"]
     phis = np.linspace(sw["phi_min"], sw["phi_max"], sw["count"])
+    mesh = _job_mesh(doc, L)
     rows = []
     for phi in phis:
         dirs = [(0.0, 0.0, 1.0), (math.sin(phi), 0.0, math.cos(phi))]
         config = make_star(dirs, L, alpha)
-        mesh = _job_mesh(doc, config.arm_length)
         upper = small_angle_bounds(alpha, L, phi, 1, 1.0).upper
         _, res = bound_states(config, mesh, alpha, 1, doc["solver"]["kappa_tol"])
         rows.append((float(phi), None if res is None else res.ground_energy, upper))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import asinh, comb, cos, cosh, exp, pi, sin, sinh, sqrt
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, GridTooCoarse, ZeroDistance
 
@@ -100,6 +99,8 @@ def offdiag_norm_bound(phi: float, rel_tol: float = 1e-10) -> float:
     peak of width phi at u = 0 and its endpoint singularity at u = pi/2 get
     one substitution each.
     """
+    from scipy.integrate import quad  # its only user; a slow import
+
     if not 0.0 < phi <= pi:
         raise DomainError(f"angle must be in (0, pi], got {phi}")
     h = 2.0 * sin(0.5 * phi) ** 2

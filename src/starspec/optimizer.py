@@ -60,14 +60,13 @@ from .spectral import DEFAULT_KAPPA_TOL, _CurveSolver, _eigh, _solve_level, _sta
 SENTINEL = float("-inf")
 MIN_PAIR_ANGLE = 1e-3
 CONGRUENCE_TOL = 5e-3
-#: root tolerance inside the multi-start sweep; the final polish and the
-#: public objective use ``OptSettings.kappa_tol``
+#: root tolerance of the fixed-kappa search; the scoring ``objective`` uses
+#: ``OptSettings.kappa_tol``
 SEARCH_KAPPA_TOL = 1e-6
 #: most outer (fixed-kappa) steps of one search
 _MAX_OUTER_STEPS = 10
 #: evaluations of ``_WarmObjective.negative`` in one start, over all its
-#: outer steps, per search parameter; the polish of the best start gets
-#: twice as many
+#: outer steps, per search parameter
 MAXFEV_PER_PARAM = 200
 #: the descent of one outer step stops once no entry of the gradient of
 #: lambda(., kappa_k) exceeds this
@@ -226,8 +225,8 @@ def _draw_start(rng: np.random.Generator, N: int) -> np.ndarray:
 
 
 class _WarmObjective:
-    """The fixed-kappa iteration of one search, on the mesh-only geometry
-    shared by all its stars.
+    """The fixed-kappa iteration, on the mesh-only geometry shared by every
+    star of every start.
 
     Off-diagonal blocks are plain Nystrom samples sqrt(w_s w_t) e^{-kappa D}
     / (4 pi D), D = sqrt((s-t)^2 + s t c), symmetric as sampled: the
@@ -236,12 +235,12 @@ class _WarmObjective:
     product-integration corrections; the search only needs the argmax.
 
     ``kappa`` is the fixed kappa of the current outer step; its diagonal
-    block is computed once per step, not once per evaluation.
+    block is computed once per step, not once per evaluation.  ``search``
+    sets both before its first evaluation, so one object serves every start.
     """
 
-    def __init__(self, N, alpha, mesh, kappa_tol):
+    def __init__(self, N, alpha, mesh):
         self.N, self.alpha = N, alpha
-        self.kappa_tol = kappa_tol
         self.kappa: float | None = None
         self.gradient: np.ndarray | None = None
         self._T: np.ndarray | None = None
@@ -279,14 +278,14 @@ class _WarmObjective:
         return pieces
 
     def crossing(self, params, upper: float | None = None) -> float | None:
-        """The crossing kappa(x) to ``kappa_tol``, bracketed from above by
-        ``upper`` if given; None where it does not exist."""
+        """The crossing kappa(x) to ``SEARCH_KAPPA_TOL``, bracketed from
+        above by ``upper`` if given; None where it does not exist."""
         dirs = self._directions(params)
         if dirs is None:
             return None
         try:
             kappa, _, _, _ = _solve_level(
-                _CurveSolver(self.pieces(dirs)), self.alpha, 1, self.kappa_tol, upper
+                _CurveSolver(self.pieces(dirs)), self.alpha, 1, SEARCH_KAPPA_TOL, upper
             )
         except (NoCrossing, BracketFailure):
             return None
@@ -355,15 +354,16 @@ class _WarmObjective:
             x, f, g = x1, f1, self.gradient
         return x, used
 
-    def search(self, x0, maxfev: int):
+    def search(self, x0):
         """The fixed-kappa iteration from ``x0`` (module docstring): returns
         the crossings kappa_0 >= kappa_1 >= ... of the accepted steps and the
-        last accepted point; no crossings if ``x0`` has none.  ``maxfev``
-        bounds the evaluations of ``negative`` over all steps."""
+        last accepted point; no crossings if ``x0`` has none.
+        ``MAXFEV_PER_PARAM`` per parameter bounds the evaluations of
+        ``negative`` over all steps."""
         kappa = self.crossing(x0)
         if kappa is None:
             return (), x0
-        kappas, x = [kappa], x0
+        kappas, x, maxfev = [kappa], x0, MAXFEV_PER_PARAM * x0.size
         for _ in range(_MAX_OUTER_STEPS):
             if maxfev < 1:
                 break
@@ -377,7 +377,7 @@ class _WarmObjective:
                 break
             kappas.append(new)
             x = x1
-            if kappa - new <= self.kappa_tol * kappa:
+            if kappa - new <= SEARCH_KAPPA_TOL * kappa:
                 break
             kappa = new
         return tuple(kappas), x
@@ -387,11 +387,10 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
     """Multi-start search for the energy-maximizing directions.
 
     Each start runs the fixed-kappa iteration (module docstring) with root
-    tolerance ``SEARCH_KAPPA_TOL``; the best start is polished by the same
-    iteration at ``settings.kappa_tol``, and every start's result is scored
-    by ``objective`` on the corrected matrix.  ``MAXFEV_PER_PARAM`` per
-    parameter bounds the fixed-kappa evaluations of each start, the polish
-    gets twice that.
+    tolerance ``SEARCH_KAPPA_TOL`` and at most ``MAXFEV_PER_PARAM``
+    fixed-kappa evaluations per parameter, all on one ``_WarmObjective``.
+    Every start's result is scored by ``objective`` on the corrected matrix
+    at ``settings.kappa_tol``, and the best score is ``best_energy``.
 
     Deterministic for a fixed seed: each start draws its initial point from
     an independent substream keyed by (seed, start index).  For N in the
@@ -403,40 +402,24 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
         raise DomainError("optimization needs at least two arms")
     settings = settings or OptSettings()
     mesh = settings.mesh or search_mesh(L)
-    nparams = 2 * N - 3
-    maxfev = MAXFEV_PER_PARAM * nparams
+    warm = _WarmObjective(N, alpha, mesh)
 
     finals: list[tuple[float, np.ndarray]] = []
     search_kappas = []
     for start in range(settings.starts):
         rng = np.random.default_rng([settings.seed, start])
-        x0 = _draw_start(rng, N)
-        warm = _WarmObjective(N, alpha, mesh, SEARCH_KAPPA_TOL)
-        kappas, x = warm.search(x0, maxfev)
+        kappas, x = warm.search(_draw_start(rng, N))
         search_kappas.append(kappas)
         finals.append((-kappas[-1] ** 2 if kappas else SENTINEL, x))
     if all(v == SENTINEL for v, _ in finals):
         raise AllStartsFailed("every start ended in the sentinel region")
 
-    def full_objective(params):
-        return objective(params, N, L, alpha, mesh, settings.kappa_tol)
-
-    trace = [full_objective(p) if v > SENTINEL else SENTINEL for v, p in finals]
+    trace = [
+        objective(p, N, L, alpha, mesh, settings.kappa_tol) if v > SENTINEL else SENTINEL
+        for v, p in finals
+    ]
     best_idx = int(np.argmax(trace))
-    best_params = finals[best_idx][1]
-    best_value = trace[best_idx]
-
-    # continue the winning start at the tighter root tolerance, then score it
-    # at full accuracy so best_energy = max(per_start_trace) stays exact
-    warm = _WarmObjective(N, alpha, mesh, settings.kappa_tol)
-    kappas, x = warm.search(best_params, 2 * maxfev)
-    if len(kappas) > 1:
-        polished = full_objective(x)
-        if polished > best_value:
-            best_value = polished
-            best_params = x
-    trace[best_idx] = best_value
-    best_dirs = gauge_embed(best_params, N)
+    best_dirs = gauge_embed(finals[best_idx][1], N)
     verdict = None
     gap = None
     if N in SHARP_SIZES:
@@ -447,7 +430,7 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
         gap = kernel_sum_compare(best_dirs, sharp, 1.0, samples).min_gap
     return OptResult(
         best_directions=best_dirs,
-        best_energy=best_value,
+        best_energy=trace[best_idx],
         starts=settings.starts,
         per_start_trace=tuple(trace),
         congruent_to_sharp=verdict,

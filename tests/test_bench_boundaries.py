@@ -55,7 +55,7 @@ def test_objective_boundaries_return_floats(params, sentinel):
     # spans.py counts the sentinels of "optimizer.objective" with
     # math.isinf on the result of objective and _WarmObjective.negative
     mesh = search_mesh(5.0)
-    warm = _WarmObjective(3, 0.0, mesh, 1e-6)
+    warm = _WarmObjective(3, 0.0, mesh)
     warm.kappa, warm._T = 1.0, warm._diag.weighted_block(1.0)
     for value in (objective(params, 3, 5.0, 0.0, mesh), warm.negative(np.array(params))):
         assert type(value) is float

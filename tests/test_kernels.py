@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
+import starspec
 from starspec.errors import DomainError, GridTooCoarse, ZeroDistance
 from starspec.kernels import (
     PSI_ONE,
@@ -163,6 +168,18 @@ class TestOffdiagNormBound:
         slope = (taus[2] - taus[1]) / (logs[2] - logs[1])
         assert slope <= math.sqrt(2) / FOUR_PI + 1e-4
         assert slope == pytest.approx(1.0 / FOUR_PI, rel=5e-2)
+
+
+def test_cli_import_leaves_out_quadrature():
+    # scipy.integrate is slow to import and only offdiag_norm_bound uses it
+    src = str(Path(starspec.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, starspec.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def symbolic_pair_kernel_derivatives(max_order: int):

@@ -12,7 +12,6 @@ from starspec.discretization import BlockAssembler
 from starspec.errors import AllStartsFailed, SizeMismatch
 from starspec.kernels import arm_distance, green_kernel
 from starspec.optimizer import (
-    MAXFEV_PER_PARAM,
     MIN_PAIR_ANGLE,
     OptSettings,
     _WarmObjective,
@@ -107,7 +106,7 @@ class TestSearchAssembly:
         dirs = ss.sharp_configuration(N) if N == 6 else gauge_embed(
             np.random.default_rng(N).uniform(0.3, 2.8, 2 * N - 3), N
         )
-        warm = _WarmObjective(N, 0.0, mesh, 1e-10)
+        warm = _WarmObjective(N, 0.0, mesh)
         (A, _, _), = warm.pieces(dirs)(kappa, 1)
         assert A.shape == (N * M, N * M)
         assert np.array_equal(A, A.T)
@@ -191,30 +190,58 @@ class TestFixedKappaSearch:
         assert len(docs[0]["diagnostics"]["search_kappas"]) == 2
 
     def test_maxfev_bounds_a_whole_start(self, monkeypatch):
-        # each search is one _WarmObjective; record the fixed kappa of every
-        # evaluation, so the outer steps show as runs of one kappa.  A
-        # gradient tolerance of 0 keeps each descent going until a line
-        # search fails: the starts then take 11 + 2 and 10 + 2 evaluations.
-        # A budget of 11 for the start's one parameter cuts the first in
-        # its first step and the second in its second step
+        # record the fixed kappa of every evaluation, one list per search
+        # (start), so the outer steps show as runs of one kappa.  A gradient
+        # tolerance of 0 keeps each descent going until a line search fails:
+        # the starts then take 11 + 2 and 10 + 2 evaluations.  A budget of
+        # 11 for the start's one parameter cuts the first in its first step
+        # and the second in its second step
         monkeypatch.setattr(optimizer, "_GRAD_TOL", 0.0)
         monkeypatch.setattr(optimizer, "MAXFEV_PER_PARAM", 11)
-        seen = {}
-        negative = _WarmObjective.negative
+        starts = []
+        search, negative = _WarmObjective.search, _WarmObjective.negative
+
+        def recorded_search(self, x0):
+            starts.append([])
+            return search(self, x0)
 
         def recorded(self, params):
-            seen.setdefault(self, []).append(self.kappa)
+            starts[-1].append(self.kappa)
             return negative(self, params)
 
+        monkeypatch.setattr(_WarmObjective, "search", recorded_search)
         monkeypatch.setattr(_WarmObjective, "negative", recorded)
         res = optimize(2, 5.0, 0.0, OptSettings(starts=2, seed=1))
-        *starts, polish = seen.values()
-        assert len(starts) == 2
         assert [len(kappas) for kappas in starts] == [optimizer.MAXFEV_PER_PARAM] * 2
-        assert len(polish) <= 2 * optimizer.MAXFEV_PER_PARAM
         # the first step leaves budget over for a second one
         assert any(len(set(kappas)) >= 2 for kappas in starts)
         assert res.congruent_to_sharp
+
+    def test_one_search_object_per_optimize(self, monkeypatch):
+        built = []
+        init = _WarmObjective.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(_WarmObjective, "__init__", counted)
+        optimize(2, 5.0, 0.0, OptSettings(starts=3, seed=0))
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("N, seed", [(2, 0), (3, 1), (4, 1)])
+    def test_shared_object_keeps_no_state(self, N, seed):
+        # a start searched after another on the same object ends where it
+        # ends on a fresh object, bit for bit
+        mesh = search_mesh(5.0)
+        first, second = (optimizer._draw_start(np.random.default_rng([seed, k]), N)
+                         for k in range(2))
+        shared = _WarmObjective(N, 0.0, mesh)
+        assert len(shared.search(first)[0]) >= 2
+        kappas, x = shared.search(second)
+        fresh_kappas, fresh_x = _WarmObjective(N, 0.0, mesh).search(second)
+        assert kappas == fresh_kappas
+        assert np.array_equal(x, fresh_x)
 
 
 #: the polar angle of the tetrahedron's arms 2 to 4 when arm 1 is the pole
@@ -229,7 +256,7 @@ class TestGradientSearch:
     @pytest.mark.parametrize("kappa", [0.5, 5.0, 50.0])
     def test_gradient_matches_central_difference(self, N, kappa):
         rng = np.random.default_rng([N, int(kappa * 10)])
-        warm = _WarmObjective(N, 0.0, search_mesh(5.0), 1e-10)
+        warm = _WarmObjective(N, 0.0, search_mesh(5.0))
         warm.kappa, warm._T = kappa, warm._diag.weighted_block(kappa)
         for _ in range(3):
             params = rng.uniform(0.0, 2 * math.pi, 2 * N - 3)
@@ -261,8 +288,8 @@ class TestGradientSearch:
             return negative(self, x)
 
         monkeypatch.setattr(_WarmObjective, "negative", recorded)
-        warm = _WarmObjective(N, 0.0, search_mesh(5.0), 1e-10)
-        kappas, x = warm.search(np.array(params), MAXFEV_PER_PARAM * (2 * N - 3))
+        warm = _WarmObjective(N, 0.0, search_mesh(5.0))
+        kappas, x = warm.search(np.array(params))
         # a step that gains nothing ends the search, whether its crossing
         # rounds to kappa_k or just above it
         assert seen and set(seen) <= set(kappas)
@@ -283,8 +310,8 @@ class TestGradientSearch:
             return values[-1]
 
         monkeypatch.setattr(_WarmObjective, "negative", recorded)
-        warm = _WarmObjective(N, 0.0, search_mesh(5.0), 1e-6)
-        kappas, x = warm.search(x0, MAXFEV_PER_PARAM * (2 * N - 3))
+        warm = _WarmObjective(N, 0.0, search_mesh(5.0))
+        kappas, x = warm.search(x0)
         assert math.isfinite(values[0]) and values[1] == math.inf
         assert len(kappas) >= 2
         assert all(b <= a for a, b in zip(kappas, kappas[1:]))
@@ -322,7 +349,7 @@ class TestFixedKappaFact:
                                     min_size=2 * N - 3, max_size=2 * N - 3))
         dirs = gauge_embed(params, N)
         assume(_min_pair_angle(dirs) >= MIN_PAIR_ANGLE)
-        warm = _WarmObjective(N, 0.0, search_mesh(L), 1e-10)
+        warm = _WarmObjective(N, 0.0, search_mesh(L))
         lam = _CurveSolver(warm.pieces(dirs)).lam(kappa)
         lam_sharp = _CurveSolver(warm.pieces(ss.sharp_configuration(N))).lam(kappa)
         assert lam >= lam_sharp - 1e-12 * max(1.0, abs(lam_sharp))

@@ -499,7 +499,7 @@ class TestSlope:
         # the search's plain-sample matrix gives its slope the same way
         from starspec.optimizer import _WarmObjective
 
-        warm = _WarmObjective(3, 0.0, ss.build_mesh(2.0, 3, 5, 2.0), 1e-10)
+        warm = _WarmObjective(3, 0.0, ss.build_mesh(2.0, 3, 5, 2.0))
         solver = _CurveSolver(warm.pieces(ROOT_STARS["irregular-3"]))
         solver.lam(1.5)
         slope, h = solver.last.slope, 1e-4
@@ -552,7 +552,7 @@ class TestEigensolverFallback:
         from starspec.optimizer import _WarmObjective
 
         L = 1.2313601059970256
-        objective = _WarmObjective(2, 0.0, ss.build_mesh(L, 2, 2, 1.0), 1e-10)
+        objective = _WarmObjective(2, 0.0, ss.build_mesh(L, 2, 2, 1.0))
         pieces = objective.pieces(ss.sharp_configuration(2))
         solver = _CurveSolver(pieces)
         for kappa in np.geomspace(10.0, 5000.0, 200):
