@@ -27,7 +27,7 @@ from .geometry import (
     SHARP_SIZES, make_star, sharp_configuration, spherical_design_check, unit_directions,
 )
 from .optimizer import (
-    MIN_PAIR_ANGLE, OptSettings, local_max_mesh, optimize, search_mesh, verify_sharp_local_max,
+    LOCAL_MAX_MESH, MIN_PAIR_ANGLE, SEARCH_MESH, OptSettings, optimize, verify_sharp_local_max,
 )
 from .spectral import (
     DEFAULT_GRADING, DEFAULT_KAPPA_TOL, DEFAULT_ORDER, DEFAULT_PANELS, bound_states,
@@ -40,8 +40,9 @@ COMMANDS = ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds", "de
 MAX_ROWS = 16_384
 #: entries of the correction batches of one star, held at once: one batch for
 #: the diagonal block and one per distinct pair chord, each of 4e7 to 7e7
-#: entries at 128 panels of order 16 (``_batch_entries``).  An entry takes
-#: 12 bytes (value and column index), so this is about 2 GiB
+#: entries at 128 panels of order 16.  ``batch_entries`` counts a batch's
+#: entries exactly, from the layout alone (``_batch_entries``).  An entry
+#: takes 12 bytes (value and column index), so this is about 2 GiB
 MAX_BATCH_ENTRIES = 180_000_000
 #: arms per star, for every command: ``bounds`` and ``design-check`` build no
 #: matrix, but their work on the arm pairs grows as the square of this
@@ -98,9 +99,6 @@ def _readers(commands) -> str:
 class JobSpec:
     #: the normalized job document, defaults filled in; echoed as ``job_echo``
     doc: dict
-    #: whether the document carried an explicit mesh group (optimization and
-    #: verification pick their own coarse meshes unless one was given)
-    mesh_given: bool = False
 
 
 def _require_keys(obj: dict, allowed, context: str) -> None:
@@ -204,6 +202,9 @@ def parse_job(document: str) -> JobSpec:
             doc[name] = _group(raw, name, command)
         elif name in raw:
             raise ParseError(f"'{name}' is only valid for {_readers(readers)}, not {command}")
+    if command in ("optimize", "verify-sharp") and "mesh" not in raw:
+        # without a mesh group these commands solve on their own coarse mesh
+        doc["mesh"] = dict(SEARCH_MESH if command == "optimize" else LOCAL_MAX_MESH)
 
     mesh, solver, opt = doc.get("mesh"), doc.get("solver"), doc.get("optimize")
     if mesh and not (2 <= mesh["panels"] <= MAX_PANELS and 2 <= mesh["order"] <= MAX_ORDER
@@ -256,15 +257,15 @@ def parse_job(document: str) -> JobSpec:
         if rows > MAX_ROWS:
             raise ParseError(f"the job's matrix has {rows} rows; at most {MAX_ROWS}")
         entries = 0
-        for n in _batch_entries(doc, "mesh" in raw):
+        for n in _batch_entries(doc):
             entries += n
             if entries > MAX_BATCH_ENTRIES:
                 raise ParseError(f"the job's correction batches hold more than "
                                  f"{MAX_BATCH_ENTRIES} entries")
-    return JobSpec(doc, mesh_given="mesh" in raw)
+    return JobSpec(doc)
 
 
-def _batch_entries(doc: dict, mesh_given: bool):
+def _batch_entries(doc: dict):
     """The entries of the correction batches that one star of the job holds
     at once, at most, batch by batch, from the layout alone
     (``batch_entries``): the diagonal block's, then one per distinct pair
@@ -276,10 +277,7 @@ def _batch_entries(doc: dict, mesh_given: bool):
     mesh or star that the run rejects before it builds a batch."""
     command, L = doc["command"], doc["arm_length"]
     try:
-        if mesh_given or command in ("spectrum", "sweep-angle"):
-            mesh = _job_mesh(doc, L)
-        else:
-            mesh = search_mesh(L) if command == "optimize" else local_max_mesh(L)
+        mesh = _job_mesh(doc, L)
         if command == "sweep-angle":
             n_pairs, chords = 1, [2.0 - 2.0 * math.cos(doc["sweep"]["phi_min"])]
         elif command == "optimize":
@@ -407,7 +405,7 @@ def _run_optimize(job: JobSpec) -> tuple[dict, dict]:
     settings = OptSettings(
         starts=doc["optimize"]["starts"],
         seed=doc["optimize"]["seed"],
-        mesh=_job_mesh(doc, doc["arm_length"]) if job.mesh_given else None,
+        mesh=_job_mesh(doc, doc["arm_length"]),
         kappa_tol=doc["solver"]["kappa_tol"],
     )
     res = optimize(_n_arms(doc["star"]), doc["arm_length"], doc["alpha"], settings)
@@ -435,7 +433,7 @@ def _run_verify(job: JobSpec) -> tuple[dict, dict]:
         scale=doc["verify"]["scale"],
         trials=doc["verify"]["trials"],
         seed=doc["optimize"]["seed"],
-        mesh=_job_mesh(doc, doc["arm_length"]) if job.mesh_given else None,
+        mesh=_job_mesh(doc, doc["arm_length"]),
         kappa_tol=doc["solver"]["kappa_tol"],
     )
     results = {

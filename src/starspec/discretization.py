@@ -172,9 +172,12 @@ def build_mesh(L: float, panels: int, order: int, grading: float) -> Mesh:
 
 
 def _bary_weights(panel_nodes: np.ndarray) -> np.ndarray:
-    """Barycentric weights of the nodes of every panel (rows: panels)."""
+    """Barycentric weights of the nodes of every panel (rows: panels), each
+    row scaled by a power of two against overflow on narrow panels: exact,
+    and divided out by the barycentric formula."""
     q = panel_nodes.shape[1]
     d = panel_nodes[:, :, None] - panel_nodes[:, None, :]
+    d *= np.ldexp(1.0, -np.frexp(d[:, -1, 0])[1])[:, None, None]
     d[:, range(q), range(q)] = 1.0
     return 1.0 / d.prod(axis=2)
 
@@ -234,9 +237,9 @@ def _half_stacks(mesh: Mesh, panels, split):
 
 
 def batch_entries(mesh: Mesh, chord_sq: float | None) -> int:
-    """Entries of the sparse correction batch of one block, at most: order
-    times ``_SUB_ORDER`` times the segments of every piece's present
-    half-stacks (``correction_layout``).  Nothing of the batch is built."""
+    """Entries of the sparse correction batch of one block: order times
+    ``_SUB_ORDER`` times the segments of every piece's present half-stacks
+    (``correction_layout``).  Nothing of the batch is built."""
     _, panels, split, depth, _ = correction_layout(mesh, chord_sq)
     a, b = _half_stacks(mesh, panels, split)
     return mesh.order * _SUB_ORDER * int(((a < b).sum(axis=1) * depth).sum())
@@ -306,8 +309,10 @@ class BlockAssembler:
         points), the subrule sizes and each piece's sum of weight / rho.
 
         Each chunk writes straight into arrays sized for every subrule point,
-        so the batch is held once; the points of zero-width segments and at
-        kernel distance 0 are left out, and the arrays' unused tails with them.
+        so the batch is held once.  A piece's points take consecutive
+        columns, _SUB_ORDER per segment of its present halves.  A point on a
+        zero-width segment or at kernel distance 0 gets weight 0 and
+        distance 1, so it adds an exact 0 to its rows.
         """
         mesh = self.mesh
         q = mesh.order
@@ -318,15 +323,14 @@ class BlockAssembler:
         a, b = _half_stacks(mesh, panels, split)
         present = a < b
         halves = present.sum(axis=1)
-        bound = int((halves * depth).sum()) * _SUB_ORDER
-        idx_type = np.int32 if q * bound < 2**31 else np.int64
-        rho_all = np.empty(bound)
-        data = np.empty(q * bound)
-        indices = np.empty(q * bound, dtype=idx_type)
+        points = int((halves * depth).sum()) * _SUB_ORDER
+        idx_type = np.int32 if q * points < 2**31 else np.int64
+        rho_all = np.empty(points)
+        data = np.empty(q * points)
+        indices = np.empty(q * points, dtype=idx_type)
         order = np.empty(targets.size, dtype=int)
-        sizes = np.empty(targets.size, dtype=int)
         w_over_rho = np.empty(targets.size)
-        pieces = points = 0  # written so far
+        pieces = start = 0  # written so far
         for d, k in sorted(set(zip(depth.tolist(), halves.tolist()))):
             frac = _stack_fractions(d)
             group = np.nonzero((depth == d) & (halves == k))[0]
@@ -334,10 +338,10 @@ class BlockAssembler:
             for i in range(0, group.size, step):
                 idx = group[i : i + step]
                 n = idx.size
-                keep = present[idx]
-                lo = a[idx][keep].reshape(n, k, 1)
-                hi = b[idx][keep].reshape(n, k, 1)
-                f = frac[np.nonzero(keep)[1]].reshape(n, k, d + 1)
+                piece, half = np.nonzero(present[idx])
+                lo = a[idx[piece], half].reshape(n, k, 1)
+                hi = b[idx[piece], half].reshape(n, k, 1)
+                f = frac[half].reshape(n, k, d + 1)
                 edges = lo * (1.0 - f) + hi * f
                 seg = np.diff(edges, axis=2)
                 h = 0.5 * seg
@@ -345,7 +349,9 @@ class BlockAssembler:
                 t = (mid[..., None] + h[..., None] * x_gl).reshape(n, -1)
                 w_sub = (h[..., None] * w_gl).reshape(n, -1)
                 rho = _rho(mesh.nodes[targets[idx], None], t, self._c)
-                live = np.repeat(seg.reshape(n, -1) > 0.0, _SUB_ORDER, axis=1) & (rho > 0.0)
+                dead = ~(np.repeat(seg.reshape(n, -1) > 0.0, _SUB_ORDER, axis=1) & (rho > 0.0))
+                w_sub[dead] = 0.0
+                rho[dead] = 1.0
                 # Lagrange basis of the piece's panel at its subrule points
                 p = panels[idx]
                 diff = t[:, :, None] - panel_nodes[p, None, :]
@@ -353,29 +359,22 @@ class BlockAssembler:
                 diff[hit] = 1.0
                 terms = bw[p, None, :] / diff
                 basis = terms / terms.sum(axis=2, keepdims=True)
-                on_node = hit.any(axis=2)
+                on_node = hit.any(axis=2, keepdims=True)
                 if on_node.any():
-                    basis[on_node] = hit[on_node]
+                    basis = np.where(on_node, hit, basis)
                 vals = (w_sub[:, :, None] * basis / node_w[p, None, :]).transpose(0, 2, 1)
-                # a live point's column: the live points written before it
-                m = live.sum(axis=1)
-                col = np.cumsum(live, axis=1) + (points - 1 + np.cumsum(m) - m)[:, None]
-                rows = np.broadcast_to(live[:, None, :], vals.shape)
-                r = int(m.sum())
-                rho_all[points : points + r] = rho[live]
-                data[q * points : q * (points + r)] = vals[rows]
-                indices[q * points : q * (points + r)] = np.broadcast_to(
-                    col[:, None, :], vals.shape
-                )[rows]
+                r = t.size
+                rho_all[start : start + r] = rho.ravel()
+                entries = slice(q * start, q * (start + r))
+                data[entries].reshape(vals.shape)[...] = vals
+                indices[entries].reshape(vals.shape)[...] = np.arange(
+                    start, start + r).reshape(n, 1, -1)
                 order[pieces : pieces + n] = idx
-                sizes[pieces : pieces + n] = m
-                w_over_rho[pieces : pieces + n] = np.divide(
-                    w_sub, rho, out=np.zeros_like(rho), where=live
-                ).sum(axis=1)
+                w_over_rho[pieces : pieces + n] = (w_sub / rho).sum(axis=1)
                 pieces += n
-                points += r
-        return (order, rho_all[:points], data[: q * points], indices[: q * points],
-                sizes, w_over_rho)
+                start += r
+        sizes = (halves * depth)[order] * _SUB_ORDER
+        return order, rho_all, data, indices, sizes, w_over_rho
 
     # -- assembly ---------------------------------------------------------------
 

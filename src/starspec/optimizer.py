@@ -60,6 +60,10 @@ from .spectral import DEFAULT_KAPPA_TOL, _CurveSolver, _eigh, _solve_level, _sta
 SENTINEL = float("-inf")
 MIN_PAIR_ANGLE = 1e-3
 CONGRUENCE_TOL = 5e-3
+#: the panels, order and grading of ``search_mesh`` and of the default mesh
+#: of ``verify_sharp_local_max``
+SEARCH_MESH = {"panels": 3, "order": 5, "grading": 2.0}
+LOCAL_MAX_MESH = {"panels": 12, "order": 8, "grading": 2.0}
 #: root tolerance of the fixed-kappa search; the scoring ``objective`` uses
 #: ``OptSettings.kappa_tol``
 SEARCH_KAPPA_TOL = 1e-6
@@ -116,12 +120,7 @@ def search_mesh(L: float) -> Mesh:
     so the search mesh only needs to separate configurations, not to resolve
     absolute energies.
     """
-    return build_mesh(L, 3, 5, 2.0)
-
-
-def local_max_mesh(L: float) -> Mesh:
-    """Default mesh of ``verify_sharp_local_max``."""
-    return build_mesh(L, 12, 8, 2.0)
+    return build_mesh(L, **SEARCH_MESH)
 
 
 def gauge_embed(params, N: int) -> np.ndarray:
@@ -471,7 +470,7 @@ def verify_sharp_local_max(
     degenerate (vacuous pass).
     """
     if mesh is None:
-        mesh = local_max_mesh(L)
+        mesh = build_mesh(L, **LOCAL_MAX_MESH)
     sharp = sharp_configuration(N)
     # each solver is dropped as soon as its energy is known, so no two
     # stars' correction batches are held at once

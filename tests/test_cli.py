@@ -331,7 +331,7 @@ ECHOES = {
         {"command": "optimize", "star": {"sharp": 2}, "alpha": 0, "arm_length": 5,
          "optimize": {"starts": 1}},
         {"command": "optimize", "star": {"sharp": 2}, "alpha": 0, "arm_length": 5,
-         "mesh": {"panels": 8, "order": 12, "grading": 2.0},
+         "mesh": {"panels": 3, "order": 5, "grading": 2.0},
          "solver": SOLVER_DEFAULTS,
          "optimize": {"starts": 1, "seed": 0},
          "output": {"format": "json", "path": None}},
@@ -340,7 +340,7 @@ ECHOES = {
         {"command": "verify-sharp", "star": {"sharp": 2}, "alpha": -0.5, "arm_length": 3.0,
          "verify": {"trials": 1}},
         {"command": "verify-sharp", "star": {"sharp": 2}, "alpha": -0.5, "arm_length": 3.0,
-         "mesh": {"panels": 8, "order": 12, "grading": 2.0},
+         "mesh": {"panels": 12, "order": 8, "grading": 2.0},
          "solver": SOLVER_DEFAULTS,
          "optimize": {"seed": 0},
          "verify": {"scale": 0.05, "trials": 1},
@@ -372,6 +372,19 @@ class TestJobEcho:
         echo = json.loads(out.read_text())["job_echo"]
         assert echo == expected
         assert list(echo) == list(expected)
+
+    @pytest.mark.parametrize("command", ["optimize", "verify-sharp"])
+    def test_echo_reruns_the_job(self, command, tmp_path):
+        # the echo names the mesh the command solved on, so running the
+        # echo as the job gives the same answer
+        document, _ = ECHOES[command]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run(parse_job(json.dumps(document)), out_path=str(first)) == 0
+        out = json.loads(first.read_text())
+        assert run(parse_job(json.dumps(out["job_echo"])), out_path=str(second)) == 0
+        again = json.loads(second.read_text())
+        for key in ("results", "diagnostics"):
+            assert again[key] == out[key], key
 
 
 def count_star_assemblers(monkeypatch):

@@ -232,15 +232,17 @@ class TestBsMatrix:
 class TestScaleCovariance:
     def test_diag_block_shift_under_scaling(self):
         # T_{kappa/2, 2L} = T_{kappa, L} + ln(2)/(2 pi) exactly, entrywise up
-        # to the weight scaling
-        kappa = 1.7
-        mesh1 = build_mesh(1.0, 8, 10, 2.0)
-        mesh2 = build_mesh(2.0, 8, 10, 2.0)
-        T1 = BlockAssembler(mesh1).weighted_block(kappa)
-        T2 = BlockAssembler(mesh2).weighted_block(kappa / 2.0)
+        # to the weight scaling, at any L; at 1e-25 the product of an
+        # order-16 panel's node differences underflows
         shift = math.log(2.0) / (2.0 * math.pi)
-        diff = T2 - (T1 + shift * np.eye(mesh1.size))
-        assert np.abs(diff).max() < 1e-13
+        for L, order in ((1.0, 10), (1e-25, 16), (1e25, 16)):
+            kappa = 1.7 / L
+            mesh1 = build_mesh(L, 8, order, 2.0)
+            mesh2 = build_mesh(2.0 * L, 8, order, 2.0)
+            T1 = BlockAssembler(mesh1).weighted_block(kappa)
+            T2 = BlockAssembler(mesh2).weighted_block(kappa / 2.0)
+            diff = T2 - (T1 + shift * np.eye(mesh1.size))
+            assert np.abs(diff).max() < 1e-13, L
 
 
 class TestCorrectionBatch:
@@ -259,12 +261,17 @@ class TestCorrectionBatch:
             assert np.abs(row_sums - 1.0).max() <= 1e-9, c2
 
     @pytest.mark.parametrize(
-        "L, panels, order", [(0.01, 3, 5), (1.0, 8, 12), (3.0, 12, 8), (1e6, 20, 9)]
+        "L, panels, order, grading",
+        [(0.01, 3, 5, 2.0), (1.0, 8, 12, 2.0), (3.0, 12, 8, 2.0), (1e6, 20, 9, 2.0),
+         # deep grading: some points of the diagonal batch lie on zero-width
+         # segments or at kernel distance 0
+         (1.0, 24, 2, 16.0)],
+        ids=["0.01-3-5", "1.0-8-12", "3.0-12-8", "1000000.0-20-9", "1.0-24-2-16.0"],
     )
-    def test_layout_counts_the_built_batch(self, L, panels, order):
-        # the parse-time bound counts, from the layout alone, the entries
-        # that the constructor allocates for the batch
-        mesh = build_mesh(L, panels, order, 2.0)
+    def test_layout_counts_the_built_batch(self, L, panels, order, grading):
+        # the parse-time count, from the layout alone, is the number of
+        # entries that the constructor allocates for the batch
+        mesh = build_mesh(L, panels, order, grading)
         for c2 in (None, 8.0 / 3.0, 4.0, 1e-3, 1e-12):
             assert batch_entries(mesh, c2) == BlockAssembler(mesh, c2)._S.nnz, c2
 
