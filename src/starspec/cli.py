@@ -42,7 +42,7 @@ MAX_ROWS = 16_384
 #: the diagonal block and one per distinct pair chord, each of 4e7 to 7e7
 #: entries at 128 panels of order 16.  ``batch_entries`` counts a batch's
 #: entries exactly, from the layout alone (``_batch_entries``).  An entry
-#: takes 12 bytes (value and column index), so this is about 2 GiB
+#: is one 8-byte value, so this is about 1.3 GiB
 MAX_BATCH_ENTRIES = 180_000_000
 #: arms per star, for every command: ``bounds`` and ``design-check`` build no
 #: matrix, but their work on the arm pairs grows as the square of this

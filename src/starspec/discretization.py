@@ -25,12 +25,13 @@ column-based product integration.
 Which panels are corrected, and how deeply their subrules are refined,
 depends on the geometry only (closest approach against panel width), never
 on kappa.  So each block builds its correction rules once, as one batch:
-one vector of kernel distances and one sparse matrix mapping kernel samples
-to corrected entries.  Every piece of the batch (one target node against
-one panel, near or self) has the same shape, two geometric half-stacks
-meeting at a split point, so one array pass per subrule depth builds all
-pieces of that depth, in chunks of bounded size.  At each kappa the block
-costs one exp over the dense distances and one over the batch's distances.
+one vector of kernel distances and the weights mapping kernel samples to
+corrected entries.  Every piece of the batch (one target node against one
+panel, near or self) has the same shape, two geometric half-stacks meeting
+at a split point, so the pieces of one depth and number of halves form a
+group: one dense array, built in chunks of bounded size and applied as one
+batched matrix-vector product.  At each kappa the block costs one exp over
+the dense distances and one over the batch's distances.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import BadParameters
 from .geometry import StarConfig, chord_sq as _chord_sq
@@ -237,9 +237,9 @@ def _half_stacks(mesh: Mesh, panels, split):
 
 
 def batch_entries(mesh: Mesh, chord_sq: float | None) -> int:
-    """Entries of the sparse correction batch of one block: order times
-    ``_SUB_ORDER`` times the segments of every piece's present half-stacks
-    (``correction_layout``).  Nothing of the batch is built."""
+    """Entries of the correction batch of one block, each one 8-byte value:
+    order times ``_SUB_ORDER`` times the segments of every piece's present
+    half-stacks (``correction_layout``).  Nothing of the batch is built."""
     _, panels, split, depth, _ = correction_layout(mesh, chord_sq)
     a, b = _half_stacks(mesh, panels, split)
     return mesh.order * _SUB_ORDER * int(((a < b).sum(axis=1) * depth).sum())
@@ -271,7 +271,7 @@ class BlockAssembler:
         self._fold = sw[:, None] * sw[None, :]
 
         targets, panels, split, depth, is_self = correction_layout(mesh, chord_sq)
-        order, self._rho, data, indices, sizes, w_over_rho = self._subrules(
+        order, self._rho, self._batch, w_over_rho = self._subrules(
             targets, panels, split, depth
         )
         targets, panels, is_self = targets[order], panels[order], is_self[order]
@@ -282,17 +282,9 @@ class BlockAssembler:
         log_term = np.log(4.0 * (s[m] - edges[p]) * (edges[p + 1] - s[m]))
         base[is_self, m % q] = (log_term - w_over_rho[is_self]) / w[m]
 
-        # one sparse batch: S maps the kernel samples at the subrule
-        # distances rho to the corrected entries flat_idx, base adds the
-        # regularizer.  S is block diagonal, one q x (subrule size) block
-        # per piece, written straight in CSR form.
+        # the batch maps the kernel samples at the subrule distances rho to
+        # the corrected entries flat_idx (``_apply``), base adds the regularizer
         cols = panels[:, None] * q + np.arange(q)
-        row_len = np.repeat(sizes, q)
-        indptr = np.zeros(row_len.size + 1, dtype=indices.dtype)
-        np.cumsum(row_len, dtype=indices.dtype, out=indptr[1:])
-        self._S = sparse.csr_matrix(
-            (data, indices, indptr), shape=(row_len.size, self._rho.size)
-        )
         self._flat_idx = (targets[:, None] * M + cols).ravel()
         self._base = base.ravel()
 
@@ -303,16 +295,17 @@ class BlockAssembler:
         node targets[k], with two geometric half-stacks of depth[k] segments
         on [lo, t] and [t, hi], halving toward t = split[k] (in the panel); a
         half of zero width is left out.  Returns the piece order and, in that
-        order: the subrule points' kernel distances rho, the CSR data and
-        column indices of S (per piece and basis function j: subrule weights
-        times basis j over node weight j, in the columns of the piece's
-        points), the subrule sizes and each piece's sum of weight / rho.
+        order: the subrule points' kernel distances rho, the batch and each
+        piece's sum of weight / rho.  The batch is one dense array per
+        group, of shape (pieces, order, halves * depth * _SUB_ORDER): per
+        piece and basis function j, the subrule weights times basis j over
+        node weight j, against the piece's points.
 
         Each chunk writes straight into arrays sized for every subrule point,
-        so the batch is held once.  A piece's points take consecutive
-        columns, _SUB_ORDER per segment of its present halves.  A point on a
-        zero-width segment or at kernel distance 0 gets weight 0 and
-        distance 1, so it adds an exact 0 to its rows.
+        so the batch is held once.  A group's pieces, and a piece's points
+        (_SUB_ORDER per segment), are consecutive.  A point on a zero-width
+        segment or at kernel distance 0 gets weight 0 and distance 1, so it
+        adds an exact 0 to its rows.
         """
         mesh = self.mesh
         q = mesh.order
@@ -323,18 +316,17 @@ class BlockAssembler:
         a, b = _half_stacks(mesh, panels, split)
         present = a < b
         halves = present.sum(axis=1)
-        points = int((halves * depth).sum()) * _SUB_ORDER
-        idx_type = np.int32 if q * points < 2**31 else np.int64
-        rho_all = np.empty(points)
-        data = np.empty(q * points)
-        indices = np.empty(q * points, dtype=idx_type)
+        rho_all = np.empty(int((halves * depth).sum()) * _SUB_ORDER)
+        batch = []
         order = np.empty(targets.size, dtype=int)
         w_over_rho = np.empty(targets.size)
         pieces = start = 0  # written so far
         for d, k in sorted(set(zip(depth.tolist(), halves.tolist()))):
             frac = _stack_fractions(d)
             group = np.nonzero((depth == d) & (halves == k))[0]
-            step = max(1, _CHUNK // (k * d * _SUB_ORDER * q))
+            W = np.empty((group.size, q, k * d * _SUB_ORDER))
+            batch.append(W)
+            step = max(1, _CHUNK // W[0].size)
             for i in range(0, group.size, step):
                 idx = group[i : i + step]
                 n = idx.size
@@ -362,19 +354,26 @@ class BlockAssembler:
                 on_node = hit.any(axis=2, keepdims=True)
                 if on_node.any():
                     basis = np.where(on_node, hit, basis)
-                vals = (w_sub[:, :, None] * basis / node_w[p, None, :]).transpose(0, 2, 1)
-                r = t.size
-                rho_all[start : start + r] = rho.ravel()
-                entries = slice(q * start, q * (start + r))
-                data[entries].reshape(vals.shape)[...] = vals
-                indices[entries].reshape(vals.shape)[...] = np.arange(
-                    start, start + r).reshape(n, 1, -1)
+                W[i : i + n] = (w_sub[:, :, None] * basis / node_w[p, None, :]).transpose(0, 2, 1)
+                rho_all[start : start + t.size] = rho.ravel()
                 order[pieces : pieces + n] = idx
                 w_over_rho[pieces : pieces + n] = (w_sub / rho).sum(axis=1)
                 pieces += n
-                start += r
-        sizes = (halves * depth)[order] * _SUB_ORDER
-        return order, rho_all, data, indices, sizes, w_over_rho
+                start += t.size
+        return order, rho_all, batch, w_over_rho
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """The batch applied to values x at the subrule points, in
+        ``_flat_idx`` order: one batched matrix-vector product per group."""
+        out = np.empty(self._base.size)
+        row = col = 0
+        for W in self._batch:
+            n, q, r = W.shape
+            np.matmul(W, x[col : col + n * r].reshape(n, r, 1),
+                      out=out[row : row + n * q].reshape(n, q, 1))
+            row += n * q
+            col += n * r
+        return out
 
     # -- assembly ---------------------------------------------------------------
 
@@ -382,16 +381,16 @@ class BlockAssembler:
         """Corrected kernel sample matrix (without weight folding or 1/4pi);
         with ``derivative``, also its derivative in kappa, from the same
         exponentials: d/dkappa e^{-kappa r}/r = -e^{-kappa r}, so -e^{-kappa D}
-        on the dense part and S (-e^{-kappa rho}) on the batch (the
+        on the dense part and the batch applied to -e^{-kappa rho} (the
         regularizer is kappa-free)."""
         K = np.exp(-kappa * self._dist)
         dK = -K if derivative else None
         K /= self._dist
         e = np.exp(-kappa * self._rho)
-        K.flat[self._flat_idx] = self._S @ (e / self._rho) + self._base
+        K.flat[self._flat_idx] = self._apply(e / self._rho) + self._base
         if not derivative:
             return K
-        dK.flat[self._flat_idx] = self._S @ np.negative(e, out=e)
+        dK.flat[self._flat_idx] = self._apply(np.negative(e, out=e))
         return K, dK
 
     def weighted_block(self, kappa: float, derivative: bool = False):

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .discretization import Mesh, StarAssembler, build_mesh
 from .errors import (
@@ -114,11 +113,16 @@ def _eigh(A: np.ndarray, first: int = 1, last: int | None = 1,
     vector, not ARPACK's random one, so that runs repeat bitwise; LAPACK
     gives everything else."""
     n = A.shape[0]
-    try:
-        if n > _DENSE_MAX and first == last == 1:
+    if n > _DENSE_MAX and first == last == 1:
+        import scipy.sparse.linalg as spla  # its only user; a slow import
+
+        try:
             vals, vecs = spla.eigsh(A, k=1, which="LA", v0=np.ones(n) if v0 is None else v0,
                                     tol=1e-12)
-            return (vals, vecs) if vectors else vals
+        except spla.ArpackError as exc:
+            raise EigensolveFailure(str(exc)) from exc
+        return (vals, vecs) if vectors else vals
+    try:
         kw = dict(eigvals_only=not vectors, check_finite=False)
         if last is None:
             return sla.eigh(A, **kw)
@@ -135,7 +139,7 @@ def _eigh(A: np.ndarray, first: int = 1, last: int | None = 1,
         # was not handed over for overwriting
         out = sla.eigh(A, driver="evd", **kw)
         return (out[0][lo:hi], out[1][:, lo:hi]) if vectors else out[lo:hi]
-    except (sla.LinAlgError, spla.ArpackError) as exc:
+    except sla.LinAlgError as exc:
         raise EigensolveFailure(str(exc)) from exc
 
 
@@ -467,6 +471,7 @@ def refine_until(
     for mesh in mesh_ladder:
         star = StarAssembler(config, mesh)
         res = _ground(_CurveSolver(star.pieces), star, alpha, DEFAULT_KAPPA_TOL, start)
+        del star  # so that no two rungs' correction batches are held at once
         # the next rung's root lies near this one's
         start = res.levels[0].kappa
         energies.append(res.ground_energy)

@@ -245,35 +245,58 @@ class TestScaleCovariance:
             assert np.abs(diff).max() < 1e-13, L
 
 
+BATCH_MESHES = pytest.mark.parametrize(
+    "L, panels, order, grading",
+    [(0.01, 3, 5, 2.0), (1.0, 8, 12, 2.0), (3.0, 12, 8, 2.0), (1e6, 20, 9, 2.0),
+     # deep grading: some points of the diagonal batch lie on zero-width
+     # segments or at kernel distance 0
+     (1.0, 24, 2, 16.0)],
+    ids=["0.01-3-5", "1.0-8-12", "3.0-12-8", "1000000.0-20-9", "1.0-24-2-16.0"],
+)
+
+
 class TestCorrectionBatch:
     @pytest.mark.parametrize(
         "L, panels, order",
         [(0.01, 3, 5), (1.0, 8, 12), (3.0, 12, 8), (5.0, 56, 12), (1e6, 20, 9)],
     )
     def test_subrules_integrate_the_lagrange_basis(self, L, panels, order):
-        # row (piece, j) of S holds W_ij / w_j, with W_ij the subrule weight
-        # of point i times basis j; the subrule integrates the panel's basis
-        # exactly, and the integral of basis j is the node weight w_j
+        # row (piece, j) of the batch holds W_ij / w_j, with W_ij the subrule
+        # weight of point i times basis j; the subrule integrates the panel's
+        # basis exactly, and the integral of basis j is the node weight w_j
         mesh = build_mesh(L, panels, order, 2.0)
         for c2 in (None, 8.0 / 3.0, 4.0, 1e-3):
             asm = BlockAssembler(mesh, c2)
-            row_sums = asm._S @ np.ones(asm._rho.size)
+            row_sums = asm._apply(np.ones(asm._rho.size))
             assert np.abs(row_sums - 1.0).max() <= 1e-9, c2
 
-    @pytest.mark.parametrize(
-        "L, panels, order, grading",
-        [(0.01, 3, 5, 2.0), (1.0, 8, 12, 2.0), (3.0, 12, 8, 2.0), (1e6, 20, 9, 2.0),
-         # deep grading: some points of the diagonal batch lie on zero-width
-         # segments or at kernel distance 0
-         (1.0, 24, 2, 16.0)],
-        ids=["0.01-3-5", "1.0-8-12", "3.0-12-8", "1000000.0-20-9", "1.0-24-2-16.0"],
-    )
+    @BATCH_MESHES
     def test_layout_counts_the_built_batch(self, L, panels, order, grading):
         # the parse-time count, from the layout alone, is the number of
-        # entries that the constructor allocates for the batch
+        # values that the constructor stores for the batch
         mesh = build_mesh(L, panels, order, grading)
         for c2 in (None, 8.0 / 3.0, 4.0, 1e-3, 1e-12):
-            assert batch_entries(mesh, c2) == BlockAssembler(mesh, c2)._S.nnz, c2
+            stored = sum(W.size for W in BlockAssembler(mesh, c2)._batch)
+            assert batch_entries(mesh, c2) == stored, c2
+
+    @BATCH_MESHES
+    def test_apply_matches_sparse_reference(self, L, panels, order, grading):
+        # the stored blocks, placed block-diagonally in a sparse matrix S (a
+        # piece's q rows against its consecutive points), give the batch's
+        # product: S @ x sums each row in another order, so they agree to
+        # rounding
+        import scipy.sparse as sparse
+
+        mesh = build_mesh(L, panels, order, grading)
+        rng = np.random.default_rng(7)
+        for c2 in (None, 8.0 / 3.0, 4.0, 1e-3, 1e-12):
+            asm = BlockAssembler(mesh, c2)
+            pieces = [piece for W in asm._batch for piece in W]
+            S = sparse.block_diag(pieces, format="csr")
+            assert S.shape == (asm._base.size, asm._rho.size)
+            for x in (np.exp(-4.68 * asm._rho) / asm._rho, rng.standard_normal(asm._rho.size)):
+                ref = S @ x
+                assert np.abs(asm._apply(x) - ref).max() <= 1e-14 * np.abs(ref).max(), c2
 
 
 class TestChordGroups:

@@ -171,15 +171,24 @@ class TestOffdiagNormBound:
 
 
 def test_cli_import_leaves_out_quadrature():
-    # scipy.integrate is slow to import and only offdiag_norm_bound uses it
+    # scipy.integrate and scipy.sparse are slow to import; no job loads the
+    # first, and only ARPACK solves (above 1,000 rows) load the second
     src = str(Path(starspec.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, json, sys, starspec.cli as cli\n"
+        "job = cli.parse_job(json.dumps({'command': 'spectrum', 'star': {'sharp': 4},\n"
+        "                                'alpha': 0.0, 'arm_length': 5.0}))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(job) == 0\n"
+        "print([m for m in ('scipy.sparse', 'scipy.sparse.linalg', 'scipy.integrate')\n"
+        "       if m in sys.modules])\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, starspec.cli; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def symbolic_pair_kernel_derivatives(max_order: int):

@@ -10,7 +10,9 @@ from scipy.optimize import brentq
 import starspec as ss
 import starspec.spectral as spectral
 from starspec.discretization import StarAssembler
-from starspec.errors import BadParameters, DomainError, NoCrossing, NotConverged
+from starspec.errors import (
+    BadParameters, DomainError, EigensolveFailure, NoCrossing, NotConverged,
+)
 from starspec.kernels import point_eigenvalue
 from starspec.spectral import (
     _CurveSolver,
@@ -248,6 +250,27 @@ class TestRefineUntil:
         with pytest.warns(UserWarning):
             res = refine_until(antipodal(6.0, 0.0), 0.0, 1e-6, ladder)
         assert not res.mesh_metadata["converged"]
+
+    def test_one_rung_held_at_once(self, monkeypatch):
+        # each rung's assembler, with its correction batches, is freed
+        # before the next rung's is built
+        init = StarAssembler.__init__
+        rungs = []
+
+        def tracking_init(self, *args, **kwargs):
+            assert [r() for r in rungs] == [None] * len(rungs)
+            rungs.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StarAssembler, "__init__", tracking_init)
+        ladder = [ss.build_mesh(3.0, p, 6, 2.0) for p in (4, 6, 8)]
+        gc.disable()
+        try:
+            with pytest.raises(NotConverged):
+                refine_until(tetra(3.0, 0.0), 0.0, 0.0, ladder)
+        finally:
+            gc.enable()
+        assert len(rungs) == 3
 
     def test_default_ladder_shape(self):
         meshes = default_ladder(2.0)
@@ -566,6 +589,17 @@ class TestEigensolverFallback:
             assert solver.lam(kappa) == pytest.approx(want[0], rel=1e-14, abs=0)
             val, vec, _ = solver.top_pair(kappa)
             assert np.linalg.norm(A @ vec - val * vec) <= 1e-14
+
+
+    def test_arpack_failure_is_an_eigensolve_failure(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        with pytest.raises(EigensolveFailure, match="no convergence"):
+            spectral._eigh(np.eye(spectral._DENSE_MAX + 1))
 
 
 class TestExcitedLevels:
