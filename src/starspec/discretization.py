@@ -32,6 +32,24 @@ at a split point, so the pieces of one depth and number of halves form a
 group: one dense array, built in chunks of bounded size and applied as one
 batched matrix-vector product.  At each kappa the block costs one exp over
 the dense distances and one over the batch's distances.
+
+A piece's rows in the batch (subrule weights times the panel's Lagrange
+basis over the node weights) involve neither the kernel nor the target,
+only the subrule's layout in its panel: translating and scaling a panel
+scales both weights alike and leaves the basis as it is.  On the diagonal,
+a piece off its target's panel is split at the panel edge nearest the
+target, so its layout is that edge and its depth: the 9,684 such pieces of
+the 56-panel order-12 mesh (and 672 self pieces) have 16 layouts.
+The diagonal batch computes the rows of one prototype per layout and copies
+them to the rest (``batch_prototypes``); every piece keeps its own points
+and kernel distances.  A self piece keeps its own rows too: the regularizer
+subtracts its own sum of weight / rho, which cancels the singular part of
+its rows only when both come from the same points (rows copied across
+panels moved a self entry by 7e-13 of max|K| at the free end of the 8-panel
+order-12 unit mesh, 100 times the error of its own rows).  Pair batches
+keep one prototype per piece, every row computed at its own points; where
+their closest point is a panel edge (every piece at a squared chord of 2
+or more) their rows could be shared the same way.
 """
 
 from __future__ import annotations
@@ -236,6 +254,21 @@ def _half_stacks(mesh: Mesh, panels, split):
     return a, b
 
 
+def batch_prototypes(mesh: Mesh, chord_sq: float | None, panels, split, depth, is_self):
+    """The prototype of every piece of a block's batch (``correction_layout``):
+    the first piece with its layout, whose rows the others copy
+    (``BlockAssembler._subrules``).  On the diagonal, a piece off its
+    target's panel is split at the panel edge nearest the target, so its
+    layout is its depth and that edge; a self piece is its own prototype,
+    and so is every piece of a pair batch."""
+    if chord_sq is not None:
+        return np.arange(panels.size)
+    key = np.where(is_self, -1 - np.arange(panels.size),
+                   2 * depth + (split > mesh.edges[panels]))
+    _, first, layout = np.unique(key, return_index=True, return_inverse=True)
+    return first[layout]
+
+
 def batch_entries(mesh: Mesh, chord_sq: float | None) -> int:
     """Entries of the correction batch of one block, each one 8-byte value:
     order times ``_SUB_ORDER`` times the segments of every piece's present
@@ -271,8 +304,9 @@ class BlockAssembler:
         self._fold = sw[:, None] * sw[None, :]
 
         targets, panels, split, depth, is_self = correction_layout(mesh, chord_sq)
+        proto = batch_prototypes(mesh, chord_sq, panels, split, depth, is_self)
         order, self._rho, self._batch, w_over_rho = self._subrules(
-            targets, panels, split, depth
+            targets, panels, split, depth, proto
         )
         targets, panels, is_self = targets[order], panels[order], is_self[order]
         # self panel: sum_j W_j f(t_j)/|x-t_j| integrates the kernel;
@@ -288,7 +322,7 @@ class BlockAssembler:
         self._flat_idx = (targets[:, None] * M + cols).ravel()
         self._base = base.ravel()
 
-    def _subrules(self, targets, panels, split, depth):
+    def _subrules(self, targets, panels, split, depth, proto):
         """Subrules of all pieces, one array pass per (depth, halves) group.
 
         Piece k integrates the Lagrange basis of panel panels[k] for target
@@ -301,11 +335,19 @@ class BlockAssembler:
         piece and basis function j, the subrule weights times basis j over
         node weight j, against the piece's points.
 
+        These rows involve neither the kernel nor the target, only the
+        subrule's layout in its panel, and both weights scale with the
+        panel width while the basis does not.  So only the prototypes,
+        the pieces k with proto[k] == k, get their rows computed; every
+        other piece copies its prototype's rows whole (proto[k] < k, in
+        the same group).  The points, their kernel distances and the sums
+        of weight / rho are every piece's own.
+
         Each chunk writes straight into arrays sized for every subrule point,
         so the batch is held once.  A group's pieces, and a piece's points
         (_SUB_ORDER per segment), are consecutive.  A point on a zero-width
-        segment or at kernel distance 0 gets weight 0 and distance 1, so it
-        adds an exact 0 to its rows.
+        segment or at kernel distance 0 gets weight 0 and distance 1, in a
+        copied row too, so it adds an exact 0 to its rows.
         """
         mesh = self.mesh
         q = mesh.order
@@ -326,6 +368,8 @@ class BlockAssembler:
             group = np.nonzero((depth == d) & (halves == k))[0]
             W = np.empty((group.size, q, k * d * _SUB_ORDER))
             batch.append(W)
+            # row in W of every piece's prototype
+            src = np.searchsorted(group, proto[group])
             step = max(1, _CHUNK // W[0].size)
             for i in range(0, group.size, step):
                 idx = group[i : i + step]
@@ -344,9 +388,11 @@ class BlockAssembler:
                 dead = ~(np.repeat(seg.reshape(n, -1) > 0.0, _SUB_ORDER, axis=1) & (rho > 0.0))
                 w_sub[dead] = 0.0
                 rho[dead] = 1.0
-                # Lagrange basis of the piece's panel at its subrule points
-                p = panels[idx]
-                diff = t[:, :, None] - panel_nodes[p, None, :]
+                rows = np.arange(i, i + n)
+                own = src[i : i + n] == rows
+                # Lagrange basis of each prototype's panel at its subrule points
+                p = panels[idx[own]]
+                diff = t[own, :, None] - panel_nodes[p, None, :]
                 hit = diff == 0.0
                 diff[hit] = 1.0
                 terms = bw[p, None, :] / diff
@@ -354,7 +400,10 @@ class BlockAssembler:
                 on_node = hit.any(axis=2, keepdims=True)
                 if on_node.any():
                     basis = np.where(on_node, hit, basis)
-                W[i : i + n] = (w_sub[:, :, None] * basis / node_w[p, None, :]).transpose(0, 2, 1)
+                W[rows[own]] = (w_sub[own, :, None] * basis / node_w[p, None, :]).transpose(0, 2, 1)
+                W[rows[~own]] = W[src[rows[~own]]]
+                piece, point = np.nonzero(dead)
+                W[i + piece, :, point] = 0.0
                 rho_all[start : start + t.size] = rho.ravel()
                 order[pieces : pieces + n] = idx
                 w_over_rho[pieces : pieces + n] = (w_sub / rho).sum(axis=1)

@@ -48,6 +48,11 @@ DEFAULT_KAPPA_TOL = 1e-10
 #: most lambda evaluations of one root solve
 _MAX_EVALUATIONS = 100
 
+#: Newton steps within this many units of rounding of kappa are rounding:
+#: at the root, the eigenvalue's own rounding moves Newton's target by a few
+#: units (3 and 5 for the tetrahedron at L = 5 on 6 x 8)
+_ROUNDING_STEP = 8.0 * np.finfo(float).eps
+
 #: above this dimension the top eigenvalue comes from ARPACK instead of LAPACK
 _DENSE_MAX = 1000
 
@@ -277,8 +282,9 @@ def _solve_level(
     solver's ``last`` eigenvector belong to it.  It is returned once the
     Newton step that reached it moved kappa by at most ``kappa_tol``
     relative, so by Newton's quadratic convergence it lies far closer than
-    that to the root; once Newton's next step rounds to nothing; or once
-    the bracket is narrower than ``kappa_tol``.
+    that to the root; once Newton's next step is within the rounding of
+    kappa (``_ROUNDING_STEP``); or once the bracket is narrower than
+    ``kappa_tol``.
     """
     _check_kappa_tol(kappa_tol)
     lo, hi = 0.0, math.inf  # f(lo) > 0 >= f(hi) once evaluated
@@ -297,7 +303,7 @@ def _solve_level(
         else:
             hi = k
         target = _newton_target(k, f, slope)
-        if (target == k or hi - lo <= kappa_tol * lo
+        if (abs(target - k) <= _ROUNDING_STEP * k or hi - lo <= kappa_tol * lo
                 or prev is not None and abs(k - prev) <= kappa_tol * k):
             return k, -k * k, abs(f), evaluations
         if lo < target < hi:

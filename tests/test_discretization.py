@@ -5,8 +5,10 @@ import pytest
 import scipy.linalg as sla
 from scipy.integrate import quad
 
+from starspec import discretization
 from starspec.discretization import (
-    BlockAssembler, StarAssembler, batch_entries, build_mesh, chord_groups, star_matrix,
+    BlockAssembler, StarAssembler, batch_entries, batch_prototypes, build_mesh, chord_groups,
+    correction_layout, star_matrix,
 )
 from starspec.errors import BadParameters
 from starspec.geometry import chord_sq, make_star, sharp_configuration
@@ -297,6 +299,69 @@ class TestCorrectionBatch:
             for x in (np.exp(-4.68 * asm._rho) / asm._rho, rng.standard_normal(asm._rho.size)):
                 ref = S @ x
                 assert np.abs(asm._apply(x) - ref).max() <= 1e-14 * np.abs(ref).max(), c2
+
+
+#: (L, panels, order) at grading 2, against the diagonal block and chords
+#: 8/3, 4, 1e-3 and 0.31 at kappa 0, 1e-4, 1, 37.5 and 594
+GRID_MESHES = [(0.01, 3, 5), (1.0, 8, 12), (5.0, 3, 5), (3.0, 12, 8), (5.0, 40, 12),
+               (5.0, 56, 12), (1e6, 20, 9), (1.0, 7, 3), (2.0, 9, 4)]
+
+
+class TestPrototypes:
+    @pytest.mark.parametrize("L, panels, order", GRID_MESHES)
+    def test_copied_rows_match_per_piece_build(self, L, panels, order, monkeypatch):
+        # the diagonal batch built from prototypes against the same builder
+        # with every piece its own prototype.  Distances, scatter indices and
+        # regularizer are every piece's own, so bitwise equal.  A copied row
+        # was computed at its prototype's points, while its distances come
+        # from the piece's own points, which differ by the rounding of their
+        # coordinates: r = eps * x / width at worst over the panels, largest
+        # in the end stack.  Measured: K moves by up to 0.74 r (r = 4.5e-13
+        # on the 1e6 mesh, else below 1e-14 of max|K|) and dK by up to 32 r
+        # (1.5e-10 of max|dK| on the 56-panel mesh)
+        mesh = build_mesh(L, panels, order, 2.0)
+        r = (np.finfo(float).eps * mesh.edges[1:] / np.diff(mesh.edges)).max()
+        copied = BlockAssembler(mesh)
+        monkeypatch.setattr(discretization, "batch_prototypes",
+                            lambda mesh, chord_sq, panels, *_: np.arange(panels.size))
+        own = BlockAssembler(mesh)
+        for name in ("_rho", "_flat_idx", "_base"):
+            assert np.array_equal(getattr(copied, name), getattr(own, name)), name
+        for kappa in (0.0, 1e-4, 1.0, 37.5, 594.0):
+            K, dK = copied.kernel_matrix(kappa, derivative=True)
+            K0, dK0 = own.kernel_matrix(kappa, derivative=True)
+            assert np.abs(K - K0).max() <= max(1e-14, 2.0 * r) * np.abs(K0).max(), kappa
+            assert np.abs(dK - dK0).max() <= 64.0 * r * np.abs(dK0).max(), kappa
+
+    @pytest.mark.parametrize("panels, order", [(24, 2), (24, 8)])
+    def test_dead_points_add_nothing(self, panels, order):
+        # at grading 16 some copies have points on segments of zero width
+        # where their prototype's are not: such a point keeps distance 1
+        # and must get weight 0 in the copy as well
+        asm = BlockAssembler(build_mesh(1.0, panels, order, 16.0))
+        dead = asm._rho == 1.0
+        assert dead.any()
+        assert np.all(asm._apply(dead.astype(float)) == 0.0)
+
+    @pytest.mark.parametrize("panels, count", [(40, 496), (48, 592), (56, 688)])
+    def test_prototype_counts(self, panels, count):
+        # the ladder rungs' diagonal batches: one prototype per self piece
+        # (panels * order) and 16 for the 6,060 to 10,356 pieces off their
+        # targets' panels; a key that stops merging copies fails here
+        mesh = build_mesh(5.0, panels, 12, 2.0)
+        _, pieces, split, depth, is_self = correction_layout(mesh, None)
+        proto = batch_prototypes(mesh, None, pieces, split, depth, is_self)
+        assert np.unique(proto).size == count
+        # a prototype comes first among its copies and shares their layout
+        assert np.all(proto <= np.arange(proto.size))
+        assert np.array_equal(depth[proto], depth)
+        assert np.array_equal(split[proto] > mesh.edges[pieces[proto]],
+                              split > mesh.edges[pieces])
+        # a pair batch builds every piece's rows
+        for c2 in (8.0 / 3.0, 1e-3):
+            _, pieces, split, depth, is_self = correction_layout(mesh, c2)
+            proto = batch_prototypes(mesh, c2, pieces, split, depth, is_self)
+            assert np.array_equal(proto, np.arange(pieces.size)), c2
 
 
 class TestChordGroups:

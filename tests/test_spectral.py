@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -424,6 +425,26 @@ class TestSolveLevel:
         kappa, _, _, _ = _solve_level(solver, 0.0, 1, 1e-10, upper_factor * roots[name])
         assert len(calls) == len(set(calls))
         assert kappa == pytest.approx(roots[name], rel=1e-9)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-16, 1.5e-16])
+    def test_rounding_floor_costs_no_evaluation(self, noise):
+        # lambda - alpha = 0.04 (r - kappa) plus a rounding error of
+        # alternating sign.  The fifth kappa is within rounding of r, but the
+        # step that reached it exceeds kappa_tol; Newton's step from it is
+        # the rounding error over the slope, 3 to 4 units in the last place
+        # of kappa, and evaluating its target would gain nothing
+        r = 4.0871306207032605
+        calls = []
+
+        def lam(kappa, j=1):
+            calls.append(kappa)
+            solver.last = SimpleNamespace(slope=-0.04)
+            return 0.04 * (r - kappa) + noise * (-1) ** len(calls)
+
+        solver = SimpleNamespace(lam=lam)
+        kappa, _, _, evaluations = _solve_level(solver, 0.0, 1, 1e-13, 4.4)
+        assert evaluations == len(calls) == 5
+        assert abs(kappa - r) <= 1e-15 * r
 
     @pytest.mark.parametrize("name", ["sharp-4", "irregular-3"])
     def test_solver_freed_once_dropped(self, name):
