@@ -39,10 +39,10 @@ only the subrule's layout in its panel: translating and scaling a panel
 scales both weights alike and leaves the basis as it is.  On the diagonal,
 a piece off its target's panel is split at the panel edge nearest the
 target, so its layout is that edge and its depth: the 9,684 such pieces of
-the 56-panel order-12 mesh (and 672 self pieces) have 16 layouts.
-The diagonal batch computes the rows of one prototype per layout and copies
-them to the rest (``batch_prototypes``); every piece keeps its own points
-and kernel distances.  A self piece keeps its own rows too: the regularizer
+the 56-panel order-12 mesh have 16 layouts.  The diagonal batch computes
+the rows of one prototype per layout and copies them to the rest
+(``batch_prototypes``); every piece keeps its own points and kernel
+distances.  A self piece keeps its own rows too: the regularizer
 subtracts its own sum of weight / rho, which cancels the singular part of
 its rows only when both come from the same points (rows copied across
 panels moved a self entry by 7e-13 of max|K| at the free end of the 8-panel
