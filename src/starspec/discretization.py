@@ -36,20 +36,17 @@ the dense distances and one over the batch's distances.
 A piece's rows in the batch (subrule weights times the panel's Lagrange
 basis over the node weights) involve neither the kernel nor the target,
 only the subrule's layout in its panel: translating and scaling a panel
-scales both weights alike and leaves the basis as it is.  On the diagonal,
-a piece off its target's panel is split at the panel edge nearest the
-target, so its layout is that edge and its depth: the 9,684 such pieces of
-the 56-panel order-12 mesh have 16 layouts.  The diagonal batch computes
-the rows of one prototype per layout and copies them to the rest
-(``batch_prototypes``); every piece keeps its own points and kernel
-distances.  A self piece keeps its own rows too: the regularizer
-subtracts its own sum of weight / rho, which cancels the singular part of
-its rows only when both come from the same points (rows copied across
-panels moved a self entry by 7e-13 of max|K| at the free end of the 8-panel
-order-12 unit mesh, 100 times the error of its own rows).  Pair batches
-keep one prototype per piece, every row computed at its own points; where
-their closest point is a panel edge (every piece at a squared chord of 2
-or more) their rows could be shared the same way.
+scales both weights alike and leaves the basis as it is.  Points, basis and
+target distances are all formed relative to the panel's start (a stored
+node minus its panel's start is exact in the end stack, where panels are
+narrow against their distance from 0), so rows keep their digits at any
+distance from the vertex.  A piece split at a panel edge has one half-stack,
+and its layout is that edge and its depth: it copies the rows of the first
+piece with that layout (``batch_prototypes``), on the diagonal and in pair
+batches alike.  A piece split inside its panel builds its own rows; that
+covers every self piece, whose regularizer cancels the singular part of its
+rows only at its own points.  Every piece keeps its own points and kernel
+distances.
 """
 
 from __future__ import annotations
@@ -247,24 +244,26 @@ def correction_layout(mesh: Mesh, chord_sq: float | None):
 
 
 def _half_stacks(mesh: Mesh, panels, split):
-    """Lower and upper ends of the two half-stacks of each piece, [panel
-    start, split] and [split, panel end], as two (pieces, 2) arrays."""
-    a = np.stack([mesh.edges[panels], split], axis=1)
-    b = np.stack([split, mesh.edges[panels + 1]], axis=1)
+    """Lower and upper ends of the two half-stacks of each piece, [0, cut]
+    and [cut, width] relative to its panel's start, cut = split - start, as
+    two (pieces, 2) arrays."""
+    start = mesh.edges[panels]
+    cut = split - start
+    a = np.stack([np.zeros_like(cut), cut], axis=1)
+    b = np.stack([cut, mesh.edges[panels + 1] - start], axis=1)
     return a, b
 
 
-def batch_prototypes(mesh: Mesh, chord_sq: float | None, panels, split, depth, is_self):
+def batch_prototypes(mesh: Mesh, panels, split, depth):
     """The prototype of every piece of a block's batch (``correction_layout``):
     the first piece with its layout, whose rows the others copy
-    (``BlockAssembler._subrules``).  On the diagonal, a piece off its
-    target's panel is split at the panel edge nearest the target, so its
-    layout is its depth and that edge; a self piece is its own prototype,
-    and so is every piece of a pair batch."""
-    if chord_sq is not None:
-        return np.arange(panels.size)
-    key = np.where(is_self, -1 - np.arange(panels.size),
-                   2 * depth + (split > mesh.edges[panels]))
+    (``BlockAssembler._subrules``).  A piece split at a panel edge has one
+    half-stack, so its layout is its depth and that edge; a piece split
+    inside its panel is its own prototype."""
+    a, b = _half_stacks(mesh, panels, split)
+    present = a < b
+    key = np.where(present.all(axis=1), -1 - np.arange(panels.size),
+                   2 * depth + present[:, 0])
     _, first, layout = np.unique(key, return_index=True, return_inverse=True)
     return first[layout]
 
@@ -304,7 +303,7 @@ class BlockAssembler:
         self._fold = sw[:, None] * sw[None, :]
 
         targets, panels, split, depth, is_self = correction_layout(mesh, chord_sq)
-        proto = batch_prototypes(mesh, chord_sq, panels, split, depth, is_self)
+        proto = batch_prototypes(mesh, panels, split, depth)
         order, self._rho, self._batch, w_over_rho = self._subrules(
             targets, panels, split, depth, proto
         )
@@ -335,6 +334,10 @@ class BlockAssembler:
         piece and basis function j, the subrule weights times basis j over
         node weight j, against the piece's points.
 
+        Points u, panel nodes and target x are taken relative to the
+        panel's start e (``_half_stacks``): the distance sqrt((x - e - u)^2
+        + x (e + u) c) then rounds relative to the panel width, not to x.
+
         These rows involve neither the kernel nor the target, only the
         subrule's layout in its panel, and both weights scale with the
         panel width while the basis does not.  So only the prototypes,
@@ -351,7 +354,7 @@ class BlockAssembler:
         """
         mesh = self.mesh
         q = mesh.order
-        panel_nodes = mesh.nodes.reshape(-1, q)
+        panel_nodes = mesh.nodes.reshape(-1, q) - mesh.edges[:-1, None]
         bw = _bary_weights(panel_nodes)
         node_w = mesh.weights.reshape(-1, q)
         x_gl, w_gl = _leggauss(_SUB_ORDER)
@@ -384,7 +387,9 @@ class BlockAssembler:
                 mid = edges[:, :, :-1] + h
                 t = (mid[..., None] + h[..., None] * x_gl).reshape(n, -1)
                 w_sub = (h[..., None] * w_gl).reshape(n, -1)
-                rho = _rho(mesh.nodes[targets[idx], None], t, self._c)
+                x = mesh.nodes[targets[idx], None]
+                e = mesh.edges[panels[idx], None]
+                rho = np.sqrt((x - e - t) ** 2 + x * (e + t) * self._c)
                 dead = ~(np.repeat(seg.reshape(n, -1) > 0.0, _SUB_ORDER, axis=1) & (rho > 0.0))
                 w_sub[dead] = 0.0
                 rho[dead] = 1.0

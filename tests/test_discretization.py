@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -80,7 +81,55 @@ def diag_form_oracle(kappa, L, f, rel=1e-10):
     return val / FOUR_PI
 
 
+def self_panel_oracle(mesh, p, kappa, targets):
+    """Rows ``targets`` (node indices within panel p) of the self-panel
+    block of K and dK by 40-digit tanh-sinh quadrature, against the Lagrange
+    basis l_j on the stored nodes: entry j of row x is
+    (int_a^b (e^{-kappa |x-t|} l_j(t) - l_j(x)) / |x-t| dt
+    + l_j(x) ln(4 (x-a)(b-x))) / w_j, and its derivative in kappa is
+    -int_a^b e^{-kappa |x-t|} l_j(t) dt / w_j.  Each integral runs over the
+    distance from x, so no point of the rule rounds onto x."""
+    q = mesh.order
+    with mpmath.workdps(40):
+        nodes = [mpmath.mpf(float(v)) for v in mesh.nodes[p * q : (p + 1) * q]]
+        a, b = mpmath.mpf(float(mesh.edges[p])), mpmath.mpf(float(mesh.edges[p + 1]))
+        k = mpmath.mpf(kappa)
+        K, dK = np.empty((len(targets), q)), np.empty((len(targets), q))
+        for r, m in enumerate(targets):
+            x = nodes[m]
+            for j in range(q):
+                others = [v for i, v in enumerate(nodes) if i != j]
+                scale = mpmath.fprod(nodes[j] - v for v in others)
+                l = lambda t: mpmath.fprod(t - v for v in others) / scale
+                lx = 1 if j == m else 0
+                vK, vD = lx * mpmath.log(4 * (x - a) * (b - x)), 0
+                for sign, reach in ((-1, x - a), (1, b - x)):
+                    vK += mpmath.quad(lambda d: (mpmath.exp(-k * d) * l(x + sign * d) - lx) / d,
+                                      [0, reach])
+                    vD -= mpmath.quad(lambda d: mpmath.exp(-k * d) * l(x + sign * d), [0, reach])
+                w = mesh.weights[p * q + j]
+                K[r, j], dK[r, j] = float(vK / w), float(vD / w)
+    return K, dK
+
+
 class TestDiagBlock:
+    @pytest.mark.parametrize("L, panels, order, kappa", [(5.0, 56, 12, 1.0), (1e6, 20, 9, 1e-6)])
+    def test_self_panel_against_40_digit_integrals(self, L, panels, order, kappa):
+        # the last panel, where a panel is narrowest against its distance
+        # from 0: subrules formed at absolute coordinates put errors of
+        # about ulp(L) / width into these rows (K 3.0e-12 and 7.4e-13, dK
+        # 1.9e-10 and 6.7e-12 of the block's largest entry); formed
+        # relative to the panel's start they are within 1e-15 and 1e-14
+        mesh = build_mesh(L, panels, order, 2.0)
+        p = panels - 1
+        block = slice(p * order, panels * order)
+        K, dK = BlockAssembler(mesh).kernel_matrix(kappa, derivative=True)
+        K, dK = K[block, block], dK[block, block]
+        targets = [0, 2, order - 1]
+        K_ref, dK_ref = self_panel_oracle(mesh, p, kappa, targets)
+        assert np.abs(K[targets] - K_ref).max() <= 1e-14 * np.abs(K).max()
+        assert np.abs(dK[targets] - dK_ref).max() <= 1e-14 * np.abs(dK).max()
+
     def test_quadratic_form_against_adaptive_quadrature(self):
         # endpoint-vanishing test function, like the eigenfunctions the block
         # is used on; with it the form matches the independent adaptive
@@ -246,6 +295,16 @@ class TestScaleCovariance:
             diff = T2 - (T1 + shift * np.eye(mesh1.size))
             assert np.abs(diff).max() < 1e-13, L
 
+    @pytest.mark.parametrize("c2", [8.0 / 3.0, 0.31, 1e-3])
+    def test_pair_block_invariant_under_scaling(self, c2):
+        # B_{kappa/2, 2L} = B_{kappa, L}: doubling the arms doubles the
+        # weights and every kernel distance, and halves the kernel
+        for L in (1.0, 1e-20, 1e20):
+            kappa = 1.7 / L
+            B1 = BlockAssembler(build_mesh(L, 8, 10, 2.0), c2).weighted_block(kappa)
+            B2 = BlockAssembler(build_mesh(2.0 * L, 8, 10, 2.0), c2).weighted_block(kappa / 2.0)
+            assert np.abs(B2 - B1).max() <= 1e-15 * np.abs(B1).max(), L
+
 
 BATCH_MESHES = pytest.mark.parametrize(
     "L, panels, order, grading",
@@ -310,58 +369,68 @@ GRID_MESHES = [(0.01, 3, 5), (1.0, 8, 12), (5.0, 3, 5), (3.0, 12, 8), (5.0, 40, 
 class TestPrototypes:
     @pytest.mark.parametrize("L, panels, order", GRID_MESHES)
     def test_copied_rows_match_per_piece_build(self, L, panels, order, monkeypatch):
-        # the diagonal batch built from prototypes against the same builder
-        # with every piece its own prototype.  Distances, scatter indices and
+        # each batch built from prototypes against the same builder with
+        # every piece its own prototype.  Distances, scatter indices and
         # regularizer are every piece's own, so bitwise equal.  A copied row
-        # was computed at its prototype's points, while its distances come
-        # from the piece's own points, which differ by the rounding of their
-        # coordinates: r = eps * x / width at worst over the panels, largest
-        # in the end stack.  Measured: K moves by up to 0.74 r (r = 4.5e-13
-        # on the 1e6 mesh, else below 1e-14 of max|K|) and dK by up to 32 r
-        # (1.5e-10 of max|dK| on the 56-panel mesh)
+        # was computed against its prototype's panel nodes, which sit in
+        # their panel as the copy's do up to the rounding of the stored
+        # nodes: r = eps * x / width at worst over the panels, largest in
+        # the end stack.  Measured: K moves by up to r (r = 4.5e-13 on the
+        # 1e6 mesh, else below 6e-15 of max|K|) and dK by up to 18 r
+        # (8e-11 of max|dK| on the 56-panel mesh)
         mesh = build_mesh(L, panels, order, 2.0)
         r = (np.finfo(float).eps * mesh.edges[1:] / np.diff(mesh.edges)).max()
-        copied = BlockAssembler(mesh)
-        monkeypatch.setattr(discretization, "batch_prototypes",
-                            lambda mesh, chord_sq, panels, *_: np.arange(panels.size))
-        own = BlockAssembler(mesh)
-        for name in ("_rho", "_flat_idx", "_base"):
-            assert np.array_equal(getattr(copied, name), getattr(own, name)), name
-        for kappa in (0.0, 1e-4, 1.0, 37.5, 594.0):
-            K, dK = copied.kernel_matrix(kappa, derivative=True)
-            K0, dK0 = own.kernel_matrix(kappa, derivative=True)
-            assert np.abs(K - K0).max() <= max(1e-14, 2.0 * r) * np.abs(K0).max(), kappa
-            assert np.abs(dK - dK0).max() <= 64.0 * r * np.abs(dK0).max(), kappa
+        for c2 in (None, 8.0 / 3.0, 4.0, 1e-3, 0.31):
+            copied = BlockAssembler(mesh, c2)
+            with monkeypatch.context() as m:
+                m.setattr(discretization, "batch_prototypes",
+                          lambda mesh, panels, *_: np.arange(panels.size))
+                own = BlockAssembler(mesh, c2)
+            for name in ("_rho", "_flat_idx", "_base"):
+                assert np.array_equal(getattr(copied, name), getattr(own, name)), (c2, name)
+            for kappa in (0.0, 1e-4, 1.0, 37.5, 594.0):
+                K, dK = copied.kernel_matrix(kappa, derivative=True)
+                K0, dK0 = own.kernel_matrix(kappa, derivative=True)
+                assert np.abs(K - K0).max() <= max(1e-14, 2.0 * r) * np.abs(K0).max(), (c2, kappa)
+                assert np.abs(dK - dK0).max() <= 64.0 * r * np.abs(dK0).max(), (c2, kappa)
 
     @pytest.mark.parametrize("panels, order", [(24, 2), (24, 8)])
     def test_dead_points_add_nothing(self, panels, order):
-        # at grading 16 some copies have points on segments of zero width
-        # where their prototype's are not: such a point keeps distance 1
-        # and must get weight 0 in the copy as well
-        asm = BlockAssembler(build_mesh(1.0, panels, order, 16.0))
+        # at grading 16 and chord 1e-30 some subrules are 52 to 59 segments
+        # deep, and their innermost fractions of the panel round together:
+        # a point on such a segment of zero width keeps distance 1 and must
+        # get weight 0.  The diagonal's subrules, at most 13 deep here, have
+        # none
+        mesh = build_mesh(1.0, panels, order, 16.0)
+        assert not np.any(BlockAssembler(mesh)._rho == 1.0)
+        asm = BlockAssembler(mesh, 1e-30)
         dead = asm._rho == 1.0
         assert dead.any()
         assert np.all(asm._apply(dead.astype(float)) == 0.0)
 
     @pytest.mark.parametrize("panels, count", [(40, 496), (48, 592), (56, 688)])
     def test_prototype_counts(self, panels, count):
-        # the ladder rungs' diagonal batches: one prototype per self piece
+        # the ladder rungs' batches.  Diagonal: one prototype per self piece
         # (panels * order) and 16 for the 6,060 to 10,356 pieces off their
-        # targets' panels; a key that stops merging copies fails here
+        # targets' panels.  Pairs: every piece is split at a panel edge at
+        # chord 8/3 (6 layouts for 628 to 868 pieces), most are at chords
+        # 0.31 and 1e-3 (4,813 to 9,457 pieces).  A key that stops merging
+        # copies fails here
         mesh = build_mesh(5.0, panels, 12, 2.0)
-        _, pieces, split, depth, is_self = correction_layout(mesh, None)
-        proto = batch_prototypes(mesh, None, pieces, split, depth, is_self)
-        assert np.unique(proto).size == count
-        # a prototype comes first among its copies and shares their layout
-        assert np.all(proto <= np.arange(proto.size))
-        assert np.array_equal(depth[proto], depth)
-        assert np.array_equal(split[proto] > mesh.edges[pieces[proto]],
-                              split > mesh.edges[pieces])
-        # a pair batch builds every piece's rows
-        for c2 in (8.0 / 3.0, 1e-3):
-            _, pieces, split, depth, is_self = correction_layout(mesh, c2)
-            proto = batch_prototypes(mesh, c2, pieces, split, depth, is_self)
-            assert np.array_equal(proto, np.arange(pieces.size)), c2
+        pairs = {40: (6, 197, 396), 48: (6, 233, 480), 56: (6, 257, 564)}[panels]
+        counts = {None: count, **dict(zip((8.0 / 3.0, 0.31, 1e-3), pairs))}
+        for c2, n in counts.items():
+            _, pieces, split, depth, _ = correction_layout(mesh, c2)
+            proto = batch_prototypes(mesh, pieces, split, depth)
+            assert np.unique(proto).size == n, c2
+            # a prototype comes first among its copies and shares their layout
+            assert np.all(proto <= np.arange(proto.size))
+            assert np.array_equal(depth[proto], depth)
+            edge = (split == mesh.edges[pieces]) | (split == mesh.edges[pieces + 1])
+            copy = proto < np.arange(proto.size)
+            assert np.all(edge[copy])
+            assert np.array_equal(split[proto] > mesh.edges[pieces[proto]],
+                                  split > mesh.edges[pieces])
 
 
 class TestChordGroups:
