@@ -18,9 +18,13 @@ logarithmic singularity is removed exactly:
                   + int_self (K(x,t) f(t) - f(x)/|x-t|) dt
                   + f(x) ln(4 (x-a)(b-x)),
 
-with [a, b] the panel containing x.  Every block is symmetrized; the
-asymmetry removed this way is the difference between row-based and
-column-based product integration.
+with [a, b] the panel containing x.  Blocks stay raw kernel matrices K
+until the matrix that is solved: ``_weigh`` folds D^{1/2} K D^{1/2} / (4 pi)
+and symmetrizes it once per solved matrix (each sector of an arm-regular
+star, or each block as it is placed in the full matrix).  The asymmetry
+removed this way is the difference between row-based and column-based
+product integration.  Slopes in kappa come from the raw derivative blocks
+(``star_form``).
 
 Which panels are corrected, and how deeply their subrules are refined,
 depends on the geometry only (closest approach against panel width), never
@@ -309,8 +313,6 @@ class BlockAssembler:
         if chord_sq is None:
             np.fill_diagonal(D, 1.0)  # self-panel entries come from the batch
         self._dist = D
-        sw = np.sqrt(w)
-        self._fold = sw[:, None] * sw[None, :]
 
         targets, panels, split, depth, is_self = correction_layout(mesh, chord_sq)
         proto = batch_prototypes(mesh, panels, split, depth)
@@ -463,34 +465,43 @@ class BlockAssembler:
     def kernel_matrix(self, kappa: float, derivative: bool = False):
         """Corrected kernel sample matrix (without weight folding or 1/4pi);
         with ``derivative``, also its derivative in kappa, from the same
-        exponentials: d/dkappa e^{-kappa r}/r = -e^{-kappa r}, so -e^{-kappa D}
-        on the dense part and the batch applied to -e^{-kappa rho} (the
-        regularizer is kappa-free)."""
-        K = np.exp(-kappa * self._dist)
-        dK = -K if derivative else None
+        exponentials: d/dkappa e^{-kappa r}/r = -e^{-kappa r}, so minus
+        e^{-kappa D} on the dense part and the batch applied to
+        -e^{-kappa rho} (the regularizer is kappa-free).  The exponentials
+        are taken in place, and the one array over the subrule points is
+        negated back and divided by rho in place once the derivative has
+        used it."""
+        K = np.multiply(self._dist, -kappa)
+        np.exp(K, out=K)
+        e = np.multiply(self._rho, -kappa)
+        np.exp(e, out=e)
+        dK = None
+        if derivative:
+            dK = np.negative(K)
+            dK.reshape(-1)[self._flat_idx] = self._apply(np.negative(e, out=e))
+            np.negative(e, out=e)
         K /= self._dist
-        e = np.exp(-kappa * self._rho)
-        K.flat[self._flat_idx] = self._apply(e / self._rho) + self._base
-        if not derivative:
-            return K
-        dK.flat[self._flat_idx] = self._apply(np.negative(e, out=e))
-        return K, dK
+        e /= self._rho
+        corrected = self._apply(e)
+        corrected += self._base
+        K.reshape(-1)[self._flat_idx] = corrected
+        return K if dK is None else (K, dK)
 
-    def weighted_block(self, kappa: float, derivative: bool = False):
-        """Symmetric weighted block D^{1/2} K D^{1/2} / (4 pi); with
-        ``derivative``, also its derivative in kappa (``kernel_matrix``)."""
-        if not derivative:
-            return self._weigh(self.kernel_matrix(kappa))
-        K, dK = self.kernel_matrix(kappa, derivative=True)
-        return self._weigh(K), self._weigh(dK)
+    def weighted_block(self, kappa: float) -> np.ndarray:
+        """Symmetric weighted block D^{1/2} K D^{1/2} / (4 pi) (``_weigh``)."""
+        return _weigh(self.kernel_matrix(kappa), self.mesh.weights)
 
-    def _weigh(self, K: np.ndarray) -> np.ndarray:
-        """D^{1/2} K D^{1/2} / (4 pi), symmetrized; K is overwritten."""
-        K *= self._fold
-        K /= FOUR_PI
-        B = K + K.T
-        B *= 0.5
-        return B
+
+def _weigh(K: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """D^{1/2} K D^{1/2} / (4 pi) for D = diag(weights), symmetrized; K is
+    overwritten.  The one place where a matrix is made symmetric: once per
+    solved matrix, never on a derivative (``star_form``)."""
+    sw = np.sqrt(weights)
+    K *= sw[:, None] * sw[None, :]
+    K /= FOUR_PI
+    B = K + K.T
+    B *= 0.5
+    return B
 
 
 def chord_groups(directions: np.ndarray):
@@ -522,25 +533,27 @@ def star_matrix(N: int, T: np.ndarray, pair_blocks, I, J, group) -> np.ndarray:
     return A
 
 
-def star_form(N: int, T: np.ndarray, pair_blocks, I, J, group):
-    """The quadratic form v -> v^T A v of ``star_matrix(N, T, pair_blocks,
-    I, J, group)``, summed block by block: the diagonal blocks give
-    sum_i v_i^T T v_i, pair k gives 2 v_I^T B v_J.  A is never formed."""
-    members = [np.nonzero(group == g)[0] for g in range(len(pair_blocks))]
+def star_form(weights: np.ndarray, dT: np.ndarray, d_pair_blocks=(), I=(), J=(), group=()):
+    """The quadratic form v -> v^T A' v of the symmetric ``star_matrix`` A'
+    whose blocks are the raw derivative blocks dT and ``d_pair_blocks``
+    weighed by ``_weigh`` over the mesh ``weights``, summed block by block
+    from the raw blocks.  With w_i = D^{1/2} v_i on arm i, v^T (F dK + (F
+    dK)^T) v / 2 = w^T dK w for the fold F, so the diagonal blocks give
+    sum_i w_i^T dT w_i / (4 pi) and pair k, at (I, J) and (J, I), gives
+    (w_I^T dB w_J + w_J^T dB w_I) / (4 pi).  Neither A' nor a weighed block
+    is formed.  Without pairs, v is a vector of one arm (a sector's)."""
+    sw = np.sqrt(weights)
+    members = [np.nonzero(group == g)[0] for g in range(len(d_pair_blocks))]
 
     def form(v: np.ndarray) -> float:
-        V = v.reshape(N, -1)
-        total = np.sum((V @ T) * V)
-        for B, k in zip(pair_blocks, members):
-            total += 2.0 * np.sum((V[I[k]] @ B) * V[J[k]])
-        return float(total)
+        W = v.reshape(-1, sw.size) * sw
+        total = np.vdot(W @ dT, W)
+        for dB, k in zip(d_pair_blocks, members):
+            WI, WJ = W[I[k]], W[J[k]]
+            total += np.vdot(WI @ dB, WJ) + np.vdot(WJ @ dB, WI)
+        return float(total) / FOUR_PI
 
     return form
-
-
-def _form(M: np.ndarray):
-    """The quadratic form u -> u^T M u."""
-    return lambda u: float(u @ M @ u)
 
 
 class StarAssembler:
@@ -585,49 +598,50 @@ class StarAssembler:
     def pieces(self, kappa: float, j: int):
         """The invariant pieces of ``matrix(kappa)`` whose largest j-th
         eigenvalue is its j-th, each a tuple (M, form, signs): a symmetric
-        matrix, the quadratic form u -> u^T (dM/dkappa) u, and the arm signs
-        s that lift a unit vector u of M to the unit vector kron(s, u) /
-        sqrt(N) of the full matrix, or None where M is the full matrix.
+        matrix, the quadratic form u -> u^T (dM/dkappa) u (``star_form``),
+        and the arm signs s that lift a unit vector u of M to the unit vector
+        kron(s, u) / sqrt(N) of the full matrix, or None where M is the full
+        matrix.
 
-        Every block is symmetric, so for an arm-regular star the vectors
-        (u, ..., u) span an invariant subspace, on which the matrix acts as
-        the M x M sector ``T + sum_g n_g B_g``; its orthogonal complement
-        (arm slices summing to zero) is invariant too.  The top eigenvalue is
-        simple with a positive eigenvector (Perron-Frobenius), which lies in
-        one of the two and cannot lie in the complement.  For two arms the
-        sectors of (u, u) and (u, -u), ``T + B`` and ``T - B``, split the
-        matrix exactly, with no premise.  Lower levels, and all levels of an
-        irregular star, come from the full matrix.  The sectors are linear in
-        the blocks, so the derivative blocks give their derivatives.
+        Every block is weighed by the same fold and is symmetric, so for an
+        arm-regular star the vectors (u, ..., u) span an invariant subspace,
+        on which the matrix acts as the M x M sector ``T + sum_g n_g B_g``;
+        its orthogonal complement (arm slices summing to zero) is invariant
+        too.  The top eigenvalue is simple with a positive eigenvector
+        (Perron-Frobenius), which lies in one of the two and cannot lie in
+        the complement.  For two arms the sectors of (u, u) and (u, -u),
+        ``T + B`` and ``T - B``, split the matrix exactly, with no premise.
+        Weighing is linear, so a sector is summed from the raw kernel
+        matrices, ``K_T + sum_g n_g K_g`` in place, and weighed once; its
+        derivative is the same sum of the raw derivatives.  Lower levels,
+        and all levels of an irregular star, come from the full matrix: each
+        pair block is weighed as it is placed, and the derivative blocks
+        stay raw, stacked in one array.
         """
-        N = self.config.n_arms
+        N, weights = self.config.n_arms, self.diag.mesh.weights
+        S, dS = self.diag.kernel_matrix(kappa, derivative=True)
         if j == 1 and self.group_counts is not None:
-            values, slopes = zip(*(asm.weighted_block(kappa, derivative=True)
-                                   for asm in (self.diag, *self._offdiag)))
-            signs = (np.ones(N), np.array([1.0, -1.0]))
-            return [(S, _form(dS), s) for S, dS, s in
-                    zip(self._sectors(values), self._sectors(slopes), signs)]
-        # each pair block is placed as soon as it is made, and the
+            odd = []
+            for n, asm in zip(self.group_counts.tolist(), self._offdiag):
+                B, dB = asm.kernel_matrix(kappa, derivative=True)
+                if N == 2:
+                    odd = [(S - B, dS - dB, np.array([1.0, -1.0]))]
+                B *= n
+                dB *= n
+                S += B
+                dS += dB
+                del B, dB  # before the next chord's, or the weighing's, arrays
+            return [(_weigh(S, weights), star_form(weights, dS), s)
+                    for S, dS, s in [(S, dS, np.ones(N)), *odd]]
+        # each pair block is placed as soon as it is made, and the raw
         # derivative blocks share one array, so they take about the memory
         # that the pair blocks would have held
-        T, dT = self.diag.weighted_block(kappa, derivative=True)
-        d_pair_blocks = np.empty((len(self._offdiag),) + T.shape)
+        d_pair_blocks = np.empty((len(self._offdiag),) + S.shape)
 
         def pair_blocks():
             for g, asm in enumerate(self._offdiag):
-                B, d_pair_blocks[g] = asm.weighted_block(kappa, derivative=True)
-                yield B
+                B, d_pair_blocks[g] = asm.kernel_matrix(kappa, derivative=True)
+                yield _weigh(B, weights)
 
-        A = self.matrix(kappa, (T, pair_blocks()))
-        return [(A, star_form(N, dT, d_pair_blocks, *self._pairs), None)]
-
-    def _sectors(self, blocks):
-        """The sectors of an arm-regular star's blocks (T, B_0, B_1, ...):
-        ``T + sum_g n_g B_g`` and, for two arms, ``T - B_0``."""
-        T, *pair_blocks = blocks
-        S = T.copy()
-        for n, B in zip(self.group_counts.tolist(), pair_blocks):
-            S += n * B
-        if self.config.n_arms == 2:
-            return S, T - pair_blocks[0]
-        return (S,)
+        A = self.matrix(kappa, (_weigh(S, weights), pair_blocks()))
+        return [(A, star_form(weights, dS, d_pair_blocks, *self._pairs), None)]

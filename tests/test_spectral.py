@@ -432,19 +432,59 @@ class TestSolveLevel:
         # alternating sign.  The fifth kappa is within rounding of r, but the
         # step that reached it exceeds kappa_tol; Newton's step from it is
         # the rounding error over the slope, 3 to 4 units in the last place
-        # of kappa, and evaluating its target would gain nothing
+        # of kappa, and evaluating its target would gain nothing.  The
+        # eigenvalue's own rounding, that of a matrix of norm 0.1, lies
+        # below the noise, so it is the step that stops the solve
         r = 4.0871306207032605
         calls = []
 
         def lam(kappa, j=1):
             calls.append(kappa)
-            solver.last = SimpleNamespace(slope=-0.04)
+            solver.last = SimpleNamespace(slope=-0.04, rounding=0.1 * np.finfo(float).eps)
             return 0.04 * (r - kappa) + noise * (-1) ** len(calls)
 
         solver = SimpleNamespace(lam=lam)
         kappa, _, _, evaluations = _solve_level(solver, 0.0, 1, 1e-13, 4.4)
         assert evaluations == len(calls) == 5
         assert abs(kappa - r) <= 1e-15 * r
+
+    @pytest.mark.parametrize("norm, expected", [(0.0, 12), (30.0, 7)])
+    def test_eigenvalue_rounding_stops_the_solve(self, norm, expected):
+        # the same curve with a rounding error of 5e-15, as a large matrix
+        # gives: Newton's step from the root, 1.2e-13, stays above the
+        # rounding of kappa, so without the eigenvalue's rounding the solve
+        # runs until the bracket closes; the rounding of a matrix of norm
+        # 30, 6.7e-15, stops it at the first excess within that rounding
+        r = 4.0871306207032605
+        calls = []
+
+        def lam(kappa, j=1):
+            calls.append(kappa)
+            solver.last = SimpleNamespace(slope=-0.04, rounding=norm * np.finfo(float).eps)
+            return 0.04 * (r - kappa) + 5e-15 * (-1) ** len(calls)
+
+        solver = SimpleNamespace(lam=lam)
+        kappa, _, residual, evaluations = _solve_level(solver, 0.0, 1, 1e-15, 4.4)
+        assert evaluations == len(calls) == expected
+        assert abs(kappa - r) <= 2e-14 * r
+        if norm:
+            assert residual <= norm * np.finfo(float).eps
+
+    def test_eigenvalue_rounding_never_stops_at_zero(self):
+        # the excess at kappa = 0 is within the rounding, but a crossing at
+        # 0 is no root: Newton goes on to the positive root
+        r = 2.5e-16
+        calls = []
+
+        def lam(kappa, j=1):
+            calls.append(kappa)
+            solver.last = SimpleNamespace(slope=-0.04, rounding=np.finfo(float).eps)
+            return 0.04 * (r - kappa)
+
+        solver = SimpleNamespace(lam=lam)
+        kappa, _, _, evaluations = _solve_level(solver, 0.0, 1, 1e-10)
+        assert calls[0] == 0.0 and evaluations == len(calls) >= 2
+        assert kappa == pytest.approx(r, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["sharp-4", "irregular-3"])
     def test_solver_freed_once_dropped(self, name):
