@@ -43,6 +43,7 @@ from .spectral import (
 from .bounds import (
     SmallAngleBound,
     check_small_angle_scaling,
+    energy_lower_bound,
     nonexistence_threshold,
     scaled_coupling,
     segment_existence_length,
@@ -79,6 +80,7 @@ __all__ = [
     "count_bound_states",
     "default_ladder",
     "default_mesh",
+    "energy_lower_bound",
     "gauge_embed",
     "green_kernel",
     "kernel_sum_compare",

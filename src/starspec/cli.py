@@ -20,7 +20,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .bounds import nonexistence_threshold, segment_existence_length, small_angle_bounds
+from .bounds import (
+    energy_lower_bound, nonexistence_threshold, segment_existence_length, small_angle_bounds,
+)
 from .discretization import batch_entries, build_mesh, chord_groups
 from .errors import NumericalError, ParseError, ValidationError
 from .geometry import (
@@ -54,6 +56,10 @@ MAX_PANELS = 128
 MAX_ORDER = 16
 MAX_DESIGN_ORDER = 64
 MAX_SWEEP_COUNT = 10_000
+#: optimizer starts and perturbed stars per job: each costs a search or a
+#: solve, and ``verify-sharp`` at scale 0 repeats the sharp energy per trial
+MAX_STARTS = 10_000
+MAX_TRIALS = 10_000
 
 #: the commands that solve on a mesh
 _SOLVES = ("spectrum", "sweep-angle", "optimize", "verify-sharp")
@@ -85,7 +91,6 @@ _GROUPS = {
         "trials": (int, 20, ("verify-sharp",)),
     },
     "bounds": {
-        "constant": (float, 1.0, ("bounds",)),
         "phi": (float, None, ("bounds",)),
         "k": (int, 1, ("bounds",)),
     },
@@ -216,8 +221,9 @@ def parse_job(document: str) -> JobSpec:
                          f"to {MAX_PANELS} and {MAX_ORDER}, grading >= 1)")
     if solver and (solver["kappa_tol"] <= 0 or solver.get("levels", 1) < 1):
         raise ParseError(f"invalid solver parameters: {solver}")
-    if opt and opt.get("starts", 1) < 1:
-        raise ParseError(f"invalid optimize parameters: {opt}")
+    if opt and not (1 <= opt.get("starts", 1) <= MAX_STARTS and opt["seed"] >= 0):
+        raise ParseError(f"invalid optimize parameters: {opt} (at most {MAX_STARTS} "
+                         f"starts, seed >= 0)")
     if command == "sweep-angle":
         sweep = doc["sweep"]
         if "star" in doc:
@@ -230,11 +236,12 @@ def parse_job(document: str) -> JobSpec:
     if command == "verify-sharp":
         if "sharp" not in doc.get("star", {}):
             raise ParseError("verify-sharp requires star.sharp")
-        if doc["verify"]["scale"] < 0 or doc["verify"]["trials"] < 1:
-            raise ParseError(f"invalid verify parameters: {doc['verify']}")
+        if doc["verify"]["scale"] < 0 or not 1 <= doc["verify"]["trials"] <= MAX_TRIALS:
+            raise ParseError(f"invalid verify parameters: {doc['verify']} "
+                             f"(at most {MAX_TRIALS} trials)")
     if command == "bounds":
-        if doc["bounds"]["constant"] <= 0:
-            raise ParseError("'bounds.constant' must be positive")
+        if doc["bounds"]["k"] < 1:
+            raise ParseError(f"'bounds.k' must be at least 1, got {doc['bounds']['k']}")
         phi = doc["bounds"]["phi"]
         if phi is not None and not 0 < phi <= math.pi:
             raise ParseError(f"'bounds.phi' must lie in (0, pi], got {phi}")
@@ -397,7 +404,7 @@ def _run_sweep(job: JobSpec) -> list[tuple[float, float | None, float]]:
     for phi in phis:
         dirs = [(0.0, 0.0, 1.0), (math.sin(phi), 0.0, math.cos(phi))]
         config = make_star(dirs, L, alpha)
-        upper = small_angle_bounds(alpha, L, phi, 1, 1.0).upper
+        upper = small_angle_bounds(alpha, L, phi, 1).upper
         _, res = bound_states(config, mesh, alpha, 1, doc["solver"]["kappa_tol"])
         rows.append((float(phi), None if res is None else res.ground_energy, upper))
     return rows
@@ -455,15 +462,12 @@ def _run_bounds(job: JobSpec) -> tuple[dict, dict]:
     results = {
         "segment_existence_length": segment_existence_length(doc["alpha"]),
         "nonexistence_threshold": nonexistence_threshold(config),
+        "energy_lower_bound": energy_lower_bound(config),
     }
     if grp["phi"] is not None:
-        b = small_angle_bounds(doc["alpha"], doc["arm_length"], grp["phi"], grp["k"],
-                               grp["constant"])
-        results["small_angle"] = {
-            "phi": b.phi, "k": b.k, "lower": b.lower, "upper": b.upper,
-            "consistent": b.consistent,
-        }
-    return results, {"constant": grp["constant"]}
+        b = small_angle_bounds(doc["alpha"], doc["arm_length"], grp["phi"], grp["k"])
+        results["small_angle"] = {"phi": b.phi, "k": b.k, "lower": b.lower, "upper": b.upper}
+    return results, {}
 
 
 def _run_design(job: JobSpec) -> tuple[dict, dict]:

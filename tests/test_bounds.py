@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import assume, example, given, settings, strategies as st
 
 import starspec as ss
 from starspec.bounds import (
     check_small_angle_scaling,
+    energy_lower_bound,
     nonexistence_threshold,
+    pair_bound,
     scaled_coupling,
     segment_existence_length,
     small_angle_bounds,
 )
-from starspec.errors import DegenerateAngle
+from starspec.errors import DegenerateAngle, DomainError
 from starspec.geometry import StarConfig
-from starspec.kernels import PSI_ONE, offdiag_norm_bound
+from starspec.kernels import PSI_ONE, offdiag_norm_bound, point_eigenvalue
+from starspec.spectral import bound_states
 
 
 class TestScaledCoupling:
@@ -154,41 +159,145 @@ class TestThresholdBracket:
         self.check([(0, 0, 1.0), (math.sin(phi), 0, math.cos(phi))], 1.0)
 
 
+class TestEnergyLowerBound:
+    """E_1 >= point_eigenvalue(alpha - lambda_max(P)) for every star."""
+
+    def test_one_arm_is_the_line(self):
+        cfg = ss.make_star([(0, 0, 1)], 3.0, 0.4)
+        assert pair_bound(cfg) == 0.0
+        assert energy_lower_bound(cfg) == point_eigenvalue(0.4)
+
+    def test_antipodal_value(self):
+        # P = [[0, tau(pi)], [tau(pi), 0]] has top tau(pi) = 1/4
+        cfg = ss.make_star(ss.sharp_configuration(2), 1.0, 0.0)
+        assert energy_lower_bound(cfg) == pytest.approx(point_eigenvalue(-0.25), rel=1e-13)
+        assert energy_lower_bound(cfg) == pytest.approx(-29.1792, abs=1e-4)
+
+    def test_shares_the_threshold_pair_bound(self):
+        cfg = ss.make_star(random_directions(6, 3), 2.5, -0.3)
+        top = pair_bound(cfg)
+        assert nonexistence_threshold(cfg) == math.log(2.5) / (2 * math.pi) + top
+        assert energy_lower_bound(cfg) == point_eigenvalue(-0.3 - top)
+
+    def test_independent_of_arm_length(self):
+        dirs = random_directions(4, 4)
+        vals = {energy_lower_bound(ss.make_star(dirs, L, 0.1)) for L in (0.5, 1.0, 7.0)}
+        assert len(vals) == 1
+
+    def test_overflow(self):
+        # point_eigenvalue(alpha - 1/4) overflows below alpha ~ -56
+        with pytest.raises(DomainError):
+            energy_lower_bound(ss.make_star(ss.sharp_configuration(2), 1.0, -57.0))
+
+    @pytest.mark.parametrize("L", [0.1, 1.0, 5.0])
+    def test_diagonal_top_below_line_bound(self, L):
+        # the proof's line bound, on the computed diagonal block where the
+        # mesh resolves the decay (kappa L <= 50)
+        for kappa in (1e-3, 0.1, 1.0, 10.0):
+            if kappa * L > 50:
+                continue
+            line = (PSI_ONE - math.log(kappa / 2)) / (2 * math.pi)
+            mesh = ss.build_mesh(L, 16, 12, 2.0)
+            top = float(sla.eigvalsh(ss.BlockAssembler(mesh).weighted_block(kappa))[-1])
+            assert top < line
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)),
+                 min_size=1, max_size=4),
+        st.floats(-0.25, 0.5),
+        st.floats(0.5, 5.0),
+    )
+    @example([(0.0, 0.0), (0.02, 0.0)], 0.0, 1.0)
+    @example([(0.0, 0.0), (0.02, 0.0), (0.02, 0.5 * math.pi)], 0.0, 5.0)
+    def test_computed_ground_energy_is_above(self, angles, alpha, L):
+        dirs = np.array([[math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)]
+                         for t, p in angles])
+        cosines = (dirs @ dirs.T)[np.triu_indices(len(dirs), k=1)]
+        assume(np.all(np.arccos(np.clip(cosines, -1.0, 1.0)) >= 0.02))
+        cfg = ss.make_star(dirs, L, alpha)
+        _, res = bound_states(cfg, ss.build_mesh(L, 16, 12, 2.0), alpha)
+        assume(res is not None)
+        assert res.ground_energy >= energy_lower_bound(cfg)
+
+
 class TestSmallAngleBounds:
     def test_upper_bound_value(self):
-        b = small_angle_bounds(0.0, 1.0, 0.1, 1, C=1.0)
+        b = small_angle_bounds(0.0, 1.0, 0.1, 1)
         gap = 1.0 - math.cos(0.1)
         want = -2 * math.sqrt(2) * math.exp(2 * PSI_ONE) / math.sqrt(gap) + math.pi**2
         assert b.upper == pytest.approx(want, rel=1e-13)
         assert b.upper == pytest.approx(-2.744, abs=2e-3)
 
     def test_lower_bound_formula(self):
-        b = small_angle_bounds(0.2, 2.0, 0.05, 3, C=0.7)
-        gap = 1.0 - math.cos(0.05)
-        want = -4 * math.exp(
-            2 * (-2 * math.pi * 0.7 - 2 * math.pi * 0.2 + PSI_ONE)
-        ) / gap + (3 * math.pi / 2.0) ** 2
+        b = small_angle_bounds(0.2, 2.0, 0.05, 3)
+        tau = offdiag_norm_bound(0.05)
+        want = -4 * math.exp(2 * (-2 * math.pi * 0.2 + 2 * math.pi * tau + PSI_ONE))
         assert b.lower == pytest.approx(want, rel=1e-13)
+        # the energy bound of the two-arm star at that angle
+        star = ss.make_star([(0, 0, 1.0), (math.sin(0.05), 0, math.cos(0.05))], 2.0, 0.2)
+        assert b.lower == pytest.approx(energy_lower_bound(star), rel=1e-12)
+        assert small_angle_bounds(0.0, 1.0, 0.1, 1).lower == pytest.approx(-8111.03, abs=0.01)
 
     def test_level_shift(self):
-        b1 = small_angle_bounds(0.0, 2.0, 0.1, 1, C=1.0)
-        b3 = small_angle_bounds(0.0, 2.0, 0.1, 3, C=1.0)
+        # the level shift applies to the upper side only
+        b1 = small_angle_bounds(0.0, 2.0, 0.1, 1)
+        b3 = small_angle_bounds(0.0, 2.0, 0.1, 3)
         shift = (math.pi / 2.0) ** 2 * (9 - 1)
         assert b3.upper - b1.upper == pytest.approx(shift, rel=1e-12)
-        assert b3.lower - b1.lower == pytest.approx(shift, rel=1e-12)
+        assert b3.lower == b1.lower
 
     def test_divergence_rates(self):
-        # after removing the level shift, the bounds diverge at exactly the
-        # (1-cos phi)^{-1/2} and (1-cos phi)^{-1} rates
+        # the upper side diverges at exactly the (1-cos phi)^{-1/2} rate; the
+        # lower side at the (1-cos phi)^{-1} rate, with lower (1-cos phi) ->
+        # -128 e^{2 psi(1) - 4 pi alpha} at relative distance O(phi^2)
         shift = math.pi**2
-        up, lo = [], []
+        up = []
         for phi in (1e-2, 1e-3):
-            b = small_angle_bounds(0.0, 1.0, phi, 1, C=1.0)
-            gap = 1.0 - math.cos(phi)
-            up.append((b.upper - shift) * math.sqrt(gap))
-            lo.append((b.lower - shift) * gap)
+            b = small_angle_bounds(0.0, 1.0, phi, 1)
+            up.append((b.upper - shift) * math.sqrt(1.0 - math.cos(phi)))
         assert up[0] == pytest.approx(up[1], rel=1e-12)
-        assert lo[0] == pytest.approx(lo[1], rel=1e-12)
+        for alpha in (-0.5, 0.0, 1.0):
+            limit = -128 * math.exp(2 * PSI_ONE - 4 * math.pi * alpha)
+            for phi in (1e-2, 1e-3, 1e-4):
+                gap = 2.0 * math.sin(phi / 2) ** 2
+                lower = small_angle_bounds(alpha, 1.0, phi, 1).lower
+                assert lower * gap == pytest.approx(limit, rel=2 * phi**2)
+
+    def test_gap_times_tau_exponential(self):
+        # the proof's (1 - cos phi) e^{4 pi tau} >= pi^2/2; its infimum is the
+        # phi -> 0 limit 32, and lower <= upper needs only e^{2 psi(1)}/(2 pi^2)
+        phis = np.geomspace(1e-8, math.pi, 200)
+        vals = np.array([2.0 * math.sin(p / 2) ** 2 * math.exp(4 * math.pi * offdiag_norm_bound(p))
+                         for p in phis])
+        assert np.all(vals >= math.pi**2 / 2)
+        assert vals.min() == pytest.approx(32.0, rel=1e-6)
+        assert math.exp(2 * PSI_ONE) <= 2 * math.pi**2 * vals.min()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(-3.0, 3.0, math.pi, 1)
+    @example(3.0, -3.0, 2e-6, 50)
+    @given(
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+        st.floats(1e-6, math.pi, exclude_min=True),
+        st.integers(1, 50),
+    )
+    def test_lower_is_below_upper(self, alpha, log_L, phi, k):
+        b = small_angle_bounds(alpha, 10.0**log_L, phi, k)
+        assert b.lower <= b.upper
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_level_below_one(self, k):
+        with pytest.raises(DomainError):
+            small_angle_bounds(0.0, 1.0, 0.1, k)
+
+    def test_huge_level_or_tiny_angle(self):
+        # pi k overflows a float; 1 - cos phi rounds to 0
+        with pytest.raises(DomainError):
+            small_angle_bounds(0.0, 1.0, 0.1, 10**400)
+        with pytest.raises(DomainError):
+            small_angle_bounds(0.0, 1.0, 1e-9, 1)
 
 
 class TestSmallAngleScaling:

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from starspec import discretization
-from starspec.cli import COMMANDS, MAX_BATCH_ENTRIES, main, parse_job, render_json, run
+from starspec.cli import (
+    COMMANDS, MAX_BATCH_ENTRIES, MAX_STARTS, MAX_TRIALS, main, parse_job, render_json, run,
+)
 from starspec.discretization import build_mesh
 from starspec.errors import ParseError
 from starspec.geometry import make_star, sharp_configuration
@@ -185,7 +187,7 @@ class TestRun:
         out = tmp_path / "res.json"
         job = parse_job(job_text(
             command="bounds", star={"sharp": 2}, alpha=0.125, arm_length=4.0,
-            bounds={"constant": 1.0, "phi": 0.1},
+            bounds={"phi": 0.1},
             output={"path": str(out)},
         ))
         assert run(job) == 0
@@ -291,6 +293,32 @@ class TestRun:
         assert math.isfinite(threshold)
         assert threshold == pytest.approx(3.6291635951864, rel=1e-9)
 
+    def test_bounds_report(self, tmp_path, monkeypatch):
+        from starspec import bounds
+
+        calls = []
+        tau = bounds.offdiag_norm_bound
+        monkeypatch.setattr(bounds, "offdiag_norm_bound",
+                            lambda phi: calls.append(phi) or tau(phi))
+        bounds._pair_top.cache_clear()
+        out = tmp_path / "res.json"
+        jb = tmp_path / "job.json"
+        jb.write_text(job_text(command="bounds", star={"sharp": 4}, alpha=0.0, arm_length=1.0,
+                               bounds={"phi": 0.1}, output={"path": str(out)}))
+        assert main(["--job", str(jb)]) == 0
+        doc = json.loads(out.read_text())
+        # tau once per pair of the star, and once for the two-arm star at phi
+        assert len(calls) == 6 + 1
+        results = doc["results"]
+        assert set(results) == {"segment_existence_length", "nonexistence_threshold",
+                                "energy_lower_bound", "small_angle"}
+        assert results["energy_lower_bound"] < 0.0
+        b = results["small_angle"]
+        assert set(b) == {"phi", "k", "lower", "upper"}
+        assert b["upper"] == -2.7451211450648305
+        assert b["lower"] == pytest.approx(-8111.03, abs=0.01)
+        assert doc["diagnostics"] == {}
+
     def test_arpack_runs_repeat(self, tmp_path):
         # the perturbed icosahedra take the ARPACK path (1152 rows)
         texts = []
@@ -352,7 +380,7 @@ ECHOES = {
          "alpha": 0.25, "arm_length": 2},
         {"command": "bounds", "star": {"directions": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]},
          "alpha": 0.25, "arm_length": 2,
-         "bounds": {"constant": 1.0, "phi": None, "k": 1},
+         "bounds": {"phi": None, "k": 1},
          "output": {"format": "json", "path": None}},
     ),
     "design-check": (
@@ -477,6 +505,20 @@ BAD_INPUTS = {
         MINIMAL_SPECTRUM, command="verify-sharp", verify={"scale": float("nan")}),
     "bounds.constant Infinity": dict(
         MINIMAL_SPECTRUM, command="bounds", bounds={"constant": float("inf")}),
+    # not a key: the lower side of the small-angle bounds is proven from the
+    # star alone
+    "bounds.constant": dict(MINIMAL_SPECTRUM, command="bounds", bounds={"constant": 1.0}),
+    "bounds.k 0": dict(MINIMAL_SPECTRUM, command="bounds", bounds={"phi": 0.1, "k": 0}),
+    "bounds.k -1 without phi": dict(MINIMAL_SPECTRUM, command="bounds", bounds={"k": -1}),
+    "optimize.seed -1": dict(MINIMAL_SPECTRUM, command="optimize", optimize={"seed": -1}),
+    "verify-sharp with optimize.seed -1": dict(
+        MINIMAL_SPECTRUM, command="verify-sharp", optimize={"seed": -1}),
+    # one arm: were the cap not checked at parse time, the run would stop at once
+    "optimize.starts above the cap": dict(
+        MINIMAL_SPECTRUM, command="optimize", star={"directions": [[0, 0, 1]]},
+        optimize={"starts": 10_001}),
+    "verify.trials above the cap": dict(
+        MINIMAL_SPECTRUM, command="verify-sharp", verify={"scale": 0.0, "trials": 10_001}),
     "bounds.phi NaN": dict(
         MINIMAL_SPECTRUM, command="bounds", bounds={"phi": float("nan")}),
     "direction coordinate string": dict(
@@ -526,6 +568,12 @@ INVALID_JOBS = {
         "command": "design-check", "star": {"directions": [[0, 0, 0], [0, 0, 2]]}},
     "bounds with phi, small-angle lower bound overflows": dict(
         MINIMAL_SPECTRUM, command="bounds", alpha=-58.0, bounds={"phi": 0.5}),
+    "bounds, energy lower bound overflows": dict(
+        MINIMAL_SPECTRUM, command="bounds", star={"sharp": 2}, alpha=-57.0),
+    "bounds with a 401-digit k": dict(
+        MINIMAL_SPECTRUM, command="bounds", bounds={"phi": 0.5, "k": 10**400}),
+    "bounds with phi 1e-9, 1 - cos phi rounds to 0": dict(
+        MINIMAL_SPECTRUM, command="bounds", bounds={"phi": 1e-9}),
     "bounds, segment existence length overflows": dict(
         MINIMAL_SPECTRUM, command="bounds", alpha=113.0),
     "sweep-angle, small-angle bound overflows": {
@@ -561,6 +609,15 @@ class TestMain:
         assert main(["--job", str(bad), "--out", str(tmp_path / "out.json")]) == 2
         assert "validation error" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+    def test_start_and_trial_caps(self):
+        at_cap = [dict(MINIMAL_SPECTRUM, command="optimize", optimize={"starts": MAX_STARTS}),
+                  dict(MINIMAL_SPECTRUM, command="verify-sharp", verify={"trials": MAX_TRIALS})]
+        for doc in at_cap:
+            parse_job(json.dumps(doc))
+        for case in ("optimize.starts above the cap", "verify.trials above the cap"):
+            with pytest.raises(ParseError, match="at most 10000"):
+                parse_job(json.dumps(BAD_INPUTS[case]))
 
     def test_output_path_null_means_not_given(self):
         job = parse_job(job_text(**MINIMAL_SPECTRUM, output={"path": None}))
@@ -659,6 +716,10 @@ SMALL_STARS = SMALL_SHARP | st.lists(DIRECTIONS, min_size=1, max_size=3).map(
     lambda dirs: {"directions": dirs})
 
 
+#: small integers, negative ones and ones far beyond a float's range
+WIDE_INTEGERS = st.integers(-3, 3) | st.integers(max_value=-4) | st.integers(10**300, 10**400)
+
+
 def _small_job(command):
     """Valid documents of one command, small enough to run: at most three
     arms, at most 4 panels of order 4, one start, one trial, two angles;
@@ -679,9 +740,9 @@ def _small_job(command):
         groups["solver"] = st.fixed_dictionaries({}, optional=solver)
     if command == "optimize":
         groups["optimize"] = st.fixed_dictionaries({"starts": st.just(1)}, optional={
-            "seed": st.integers(0, 3)})
+            "seed": WIDE_INTEGERS})
     elif command == "verify-sharp":
-        groups["optimize"] = st.fixed_dictionaries({}, optional={"seed": st.integers(0, 3)})
+        groups["optimize"] = st.fixed_dictionaries({}, optional={"seed": WIDE_INTEGERS})
     if command == "sweep-angle":
         del groups["star"]
         groups["sweep"] = st.fixed_dictionaries({
@@ -693,8 +754,7 @@ def _small_job(command):
             "scale": st.floats(0.0, 0.5), "trials": st.just(1)})
     elif command == "bounds":
         groups["bounds"] = st.fixed_dictionaries({}, optional={
-            "constant": st.floats(0.01, 10.0), "phi": st.floats(1e-3, math.pi),
-            "k": st.integers(-1, 3)})
+            "phi": st.floats(1e-3, math.pi), "k": WIDE_INTEGERS})
     elif command == "design-check":
         del groups["alpha"], groups["arm_length"]
         groups["design"] = st.fixed_dictionaries({"order": st.integers(1, 8)})
