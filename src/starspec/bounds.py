@@ -99,7 +99,7 @@ def pair_bound(config: StarConfig) -> float:
 @lru_cache(maxsize=1)  # a ``bounds`` job reads both bounds of one star
 def _pair_top(n_arms: int, angles: bytes) -> float:
     P = np.zeros((n_arms, n_arms))
-    P[np.triu_indices(n_arms, k=1)] = [offdiag_norm_bound(phi) for phi in np.frombuffer(angles)]
+    P[np.triu_indices(n_arms, k=1)] = offdiag_norm_bound(np.frombuffer(angles))
     return float(np.linalg.eigvalsh(P, UPLO="U")[-1])
 
 
@@ -134,7 +134,8 @@ def small_angle_bounds(alpha: float, L: float, phi: float, k: int) -> SmallAngle
 
     E_k^+ = -(2 sqrt(2) e^{-2 pi alpha + 2 psi(1)} / L) (1-cos phi)^{-1/2}
             + (pi k / L)^2
-    is asymptotic: it drops o(phi) terms.
+    is asymptotic: it drops o(phi) terms.  It is computed from
+    1 - cos phi = 2 sin^2(phi/2), which keeps every digit as phi -> 0.
     E_k^- = point_eigenvalue(alpha - tau(phi))
           = -4 e^{2 psi(1) - 4 pi alpha + 4 pi tau(phi)}
     is proven: it is ``energy_lower_bound`` of the star, whose P has top
@@ -153,14 +154,14 @@ def small_angle_bounds(alpha: float, L: float, phi: float, k: int) -> SmallAngle
     h e^{4 pi tau} >= pi^2/2.  The right side is then at least pi^4 k^2,
     far above e^{2 psi(1)} = 0.315.
 
-    Raises DomainError for k < 1, or if either side overflows (the upper
-    side does for every phi at which 1 - cos phi rounds to 0).
+    Raises DomainError for k < 1, or if either side overflows (the lower
+    side does for phi below about 1e-153 at alpha = 0).
     """
     if k < 1:
         raise DomainError(f"level k must be at least 1, got {k}")
     what = f"the small-angle bounds at alpha = {alpha}, k = {k}"
     upper = _finite(lambda: -(2.0 * sqrt(2.0) * exp(-2.0 * pi * alpha + 2.0 * PSI_ONE) / L)
-                    / sqrt(1.0 - cos(phi)) + (pi * k / L) ** 2, what)
+                    / sqrt(2.0 * sin(0.5 * phi) ** 2) + (pi * k / L) ** 2, what)
     lower = _finite(lambda: point_eigenvalue(alpha - offdiag_norm_bound(phi)), what)
     return SmallAngleBound(lower=lower, upper=upper, k=k, phi=phi)
 
@@ -206,7 +207,7 @@ def check_small_angle_scaling(
         res = refine_until(cfg, alpha, e_tol, mesh_ladder)
         energies.append(res.ground_energy)
 
-    gaps = np.array([1.0 - cos(p) for p in phis])
+    gaps = np.array([2.0 * sin(0.5 * p) ** 2 for p in phis])
     es = np.abs(np.array(energies))
     sel = gaps <= 10.0 * gaps.min()
     if sel.sum() < 2:

@@ -32,7 +32,7 @@ from .optimizer import (
     LOCAL_MAX_MESH, MIN_PAIR_ANGLE, SEARCH_MESH, OptSettings, optimize, verify_sharp_local_max,
 )
 from .spectral import (
-    DEFAULT_GRADING, DEFAULT_KAPPA_TOL, DEFAULT_ORDER, DEFAULT_PANELS, bound_states,
+    DEFAULT_GRADING, DEFAULT_ORDER, DEFAULT_PANELS, bound_states,
 )
 
 COMMANDS = ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds", "design-check")
@@ -73,10 +73,7 @@ _GROUPS = {
         "order": (int, DEFAULT_ORDER, _SOLVES),
         "grading": (float, DEFAULT_GRADING, _SOLVES),
     },
-    "solver": {
-        "kappa_tol": (float, DEFAULT_KAPPA_TOL, _SOLVES),
-        "levels": (int, 1, ("spectrum",)),
-    },
+    "solver": {"levels": (int, 1, ("spectrum",))},
     "optimize": {
         "starts": (int, OptSettings.starts, ("optimize",)),
         "seed": (int, OptSettings.seed, ("optimize", "verify-sharp")),
@@ -209,6 +206,7 @@ def parse_job(document: str) -> JobSpec:
         if command in readers:
             doc[name] = _group(raw, name, command)
         elif name in raw:
+            _group(raw, name, command)  # an error naming a key given, known or not
             raise ParseError(f"'{name}' is only valid for {_readers(readers)}, not {command}")
     if command in ("optimize", "verify-sharp") and "mesh" not in raw:
         # without a mesh group these commands solve on their own coarse mesh
@@ -219,7 +217,7 @@ def parse_job(document: str) -> JobSpec:
                      and mesh["grading"] >= 1):
         raise ParseError(f"invalid mesh parameters: {mesh} (panels and order from 2 "
                          f"to {MAX_PANELS} and {MAX_ORDER}, grading >= 1)")
-    if solver and (solver["kappa_tol"] <= 0 or solver.get("levels", 1) < 1):
+    if solver and solver["levels"] < 1:
         raise ParseError(f"invalid solver parameters: {solver}")
     if opt and not (1 <= opt.get("starts", 1) <= MAX_STARTS and opt["seed"] >= 0):
         raise ParseError(f"invalid optimize parameters: {opt} (at most {MAX_STARTS} "
@@ -377,9 +375,7 @@ def _run_spectrum(job: JobSpec) -> tuple[dict, dict]:
     doc = job.doc
     config = _job_star(doc)
     mesh = _job_mesh(doc, config.arm_length)
-    n_states, res = bound_states(
-        config, mesh, doc["alpha"], doc["solver"]["levels"], doc["solver"]["kappa_tol"]
-    )
+    n_states, res = bound_states(config, mesh, doc["alpha"], doc["solver"]["levels"])
     diagnostics = {"bound_states": n_states, "mesh": mesh.metadata()}
     if res is None:
         return {"levels": []}, diagnostics
@@ -405,7 +401,7 @@ def _run_sweep(job: JobSpec) -> list[tuple[float, float | None, float]]:
         dirs = [(0.0, 0.0, 1.0), (math.sin(phi), 0.0, math.cos(phi))]
         config = make_star(dirs, L, alpha)
         upper = small_angle_bounds(alpha, L, phi, 1).upper
-        _, res = bound_states(config, mesh, alpha, 1, doc["solver"]["kappa_tol"])
+        _, res = bound_states(config, mesh, alpha, 1)
         rows.append((float(phi), None if res is None else res.ground_energy, upper))
     return rows
 
@@ -416,7 +412,6 @@ def _run_optimize(job: JobSpec) -> tuple[dict, dict]:
         starts=doc["optimize"]["starts"],
         seed=doc["optimize"]["seed"],
         mesh=_job_mesh(doc, doc["arm_length"]),
-        kappa_tol=doc["solver"]["kappa_tol"],
     )
     res = optimize(_n_arms(doc["star"]), doc["arm_length"], doc["alpha"], settings)
     results = {
@@ -444,7 +439,6 @@ def _run_verify(job: JobSpec) -> tuple[dict, dict]:
         trials=doc["verify"]["trials"],
         seed=doc["optimize"]["seed"],
         mesh=_job_mesh(doc, doc["arm_length"]),
-        kappa_tol=doc["solver"]["kappa_tol"],
     )
     results = {
         "passed": rep.passed,

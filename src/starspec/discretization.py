@@ -584,16 +584,15 @@ class StarAssembler:
         np.add.at(counts, (J, group), 1)
         self.group_counts = counts[0] if np.all(counts == counts[0]) else None
 
-    def _blocks(self, kappa: float):
-        """(T, [B_g]) at kappa (``BlockAssembler.weighted_block``)."""
-        return (self.diag.weighted_block(kappa),
-                [asm.weighted_block(kappa) for asm in self._offdiag])
-
     def matrix(self, kappa: float, blocks=None) -> np.ndarray:
         """The full matrix at kappa, filled from ``blocks``, (T, pair blocks
-        in group order), if given (``pieces``)."""
-        T, pair_blocks = self._blocks(kappa) if blocks is None else blocks
-        return star_matrix(self.config.n_arms, T, pair_blocks, *self._pairs)
+        in group order), if given (``pieces``), else from
+        ``BlockAssembler.weighted_block``, each pair block made as it is
+        placed, so that one is held at a time."""
+        if blocks is None:
+            blocks = (self.diag.weighted_block(kappa),
+                      (asm.weighted_block(kappa) for asm in self._offdiag))
+        return star_matrix(self.config.n_arms, *blocks, *self._pairs)
 
     def pieces(self, kappa: float, j: int):
         """The invariant pieces of ``matrix(kappa)`` whose largest j-th

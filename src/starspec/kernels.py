@@ -9,7 +9,7 @@ between two arms at a given angle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asinh, ceil, comb, exp, pi, sin, sqrt
+from math import comb, exp, pi, sqrt
 
 import numpy as np
 
@@ -89,17 +89,20 @@ def _tau_tail(w: np.ndarray, h: float) -> np.ndarray:
 _GAUSS_32 = np.polynomial.legendre.leggauss(32)
 
 
-def _gauss(f, b: float, panels: int) -> float:
-    """Integral of f over [0, b] by ``_GAUSS_32`` on each of ``panels``
-    equal panels."""
+def _gauss(f, b: np.ndarray, panels: int) -> np.ndarray:
+    """Integrals of f over [0, b] by ``_GAUSS_32`` on each of ``panels``
+    equal panels, for the ends ``b`` of shape (n, 1, 1) at once; f takes
+    the points, of shape (n, panels, 32)."""
     x, w = _GAUSS_32
     h = 0.5 * b / panels
-    mid = h * (2.0 * np.arange(panels) + 1.0)
-    return h * float(np.sum(f(mid[:, None] + h * x) * w))
+    mid = h * (2.0 * np.arange(panels)[:, None] + 1.0)
+    return h.ravel() * (f(mid + h * x) * w).reshape(b.shape[0], panels * x.size).sum(axis=1)
 
 
-def offdiag_norm_bound(phi: float) -> float:
-    """Norm bound tau(phi) for the interaction of two arms at angle phi.
+def offdiag_norm_bound(phi: float | np.ndarray) -> float | np.ndarray:
+    """Norm bound tau(phi) for the interaction of two arms at angle phi; an
+    array of angles gives the array of their bounds, in one pass per panel
+    count of the rule below.
 
     tau(phi) = (sqrt(2)/4 pi) * I_phi with
     I_phi = int_0^{pi/2} dtheta / sqrt(sin 2theta (1 - cos phi sin 2theta)).
@@ -114,13 +117,19 @@ def offdiag_norm_bound(phi: float) -> float:
     Gauss-Legendre rule gives them to rounding, the peak on one panel per 4
     units of t (asinh(pi/(4 phi)) grows like ln(1/phi)), the tail on one.
     """
-    if not 0.0 < phi <= pi:
+    phis = np.asarray(phi, dtype=float)
+    if not np.all((0.0 < phis) & (phis <= pi)):
         raise DomainError(f"angle must be in (0, pi], got {phi}")
-    h = 2.0 * sin(0.5 * phi) ** 2
-    t_max = asinh(0.25 * pi / phi)
-    peak = _gauss(lambda t: _tau_peak(t, phi, h), t_max, ceil(t_max / 4.0))
-    tail = _gauss(lambda w: _tau_tail(w, h), sqrt(0.25 * pi), 1)
-    return sqrt(2.0) / (4.0 * pi) * (peak + tail)
+    p = phis.reshape(-1, 1, 1)
+    h = 2.0 * np.sin(0.5 * p) ** 2
+    t_max = np.arcsinh(0.25 * pi / p)
+    panels = np.ceil(t_max / 4.0).ravel()
+    tau = _gauss(lambda w: _tau_tail(w, h), np.full_like(p, sqrt(0.25 * pi)), 1)
+    for n in np.unique(panels).tolist():
+        k = panels == n
+        tau[k] += _gauss(lambda t: _tau_peak(t, p[k], h[k]), t_max[k], int(n))
+    tau *= sqrt(2.0) / (4.0 * pi)
+    return float(tau[0]) if phis.ndim == 0 else tau.reshape(phis.shape)
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,8 @@ CONGRUENCE_TOL = 5e-3
 #: of ``verify_sharp_local_max``
 SEARCH_MESH = {"panels": 3, "order": 5, "grading": 2.0}
 LOCAL_MAX_MESH = {"panels": 12, "order": 8, "grading": 2.0}
-#: root tolerance of the fixed-kappa search; the scoring ``objective`` uses
-#: ``OptSettings.kappa_tol``
+#: root tolerance of the fixed-kappa search; the scoring ``objective`` and
+#: ``verify_sharp_local_max`` solve at ``DEFAULT_KAPPA_TOL``
 SEARCH_KAPPA_TOL = 1e-6
 #: most outer (fixed-kappa) steps of one search
 _MAX_OUTER_STEPS = 10
@@ -91,7 +91,6 @@ class OptSettings:
     starts: int = 8
     seed: int = 0
     mesh: Mesh | None = None
-    kappa_tol: float = DEFAULT_KAPPA_TOL
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,6 @@ def objective(
     L: float,
     alpha: float,
     mesh: Mesh,
-    kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> float:
     """Ground-state energy of the embedded star, or -inf.
 
@@ -187,7 +185,7 @@ def objective(
     config = make_star(dirs, L, alpha)
     solver = _star_solver(config, mesh)
     try:
-        _, energy, _, _ = _solve_level(solver, alpha, 1, kappa_tol)
+        _, energy, _, _ = _solve_level(solver, alpha, 1, DEFAULT_KAPPA_TOL)
     except (NoCrossing, BracketFailure):
         return SENTINEL
     return energy
@@ -390,8 +388,8 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
     Each start runs the fixed-kappa iteration (module docstring) with root
     tolerance ``SEARCH_KAPPA_TOL`` and at most ``MAXFEV_PER_PARAM``
     fixed-kappa evaluations per parameter, all on one ``_WarmObjective``.
-    Every start's result is scored by ``objective`` on the corrected matrix
-    at ``settings.kappa_tol``, and the best score is ``best_energy``.
+    Every start's result is scored by ``objective`` on the corrected matrix,
+    and the best score is ``best_energy``.
 
     Deterministic for a fixed seed: each start draws its initial point from
     an independent substream keyed by (seed, start index).  For N in the
@@ -416,7 +414,7 @@ def optimize(N: int, L: float, alpha: float, settings: OptSettings | None = None
         raise AllStartsFailed("every start ended in the sentinel region")
 
     trace = [
-        objective(p, N, L, alpha, mesh, settings.kappa_tol) if v > SENTINEL else SENTINEL
+        objective(p, N, L, alpha, mesh) if v > SENTINEL else SENTINEL
         for v, p in finals
     ]
     best_idx = int(np.argmax(trace))
@@ -460,7 +458,6 @@ def verify_sharp_local_max(
     trials: int,
     seed: int = 0,
     mesh: Mesh | None = None,
-    kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> SharpLocalMaxReport:
     """Check that the sharp configuration beats random nearby perturbations.
 
@@ -477,7 +474,7 @@ def verify_sharp_local_max(
     # each solver is dropped as soon as its energy is known, so no two
     # stars' correction batches are held at once
     kappa, e_sharp, _, _ = _solve_level(
-        _star_solver(make_star(sharp, L, alpha), mesh), alpha, 1, kappa_tol
+        _star_solver(make_star(sharp, L, alpha), mesh), alpha, 1, DEFAULT_KAPPA_TOL
     )
     if scale == 0.0:
         return SharpLocalMaxReport(
@@ -501,9 +498,8 @@ def verify_sharp_local_max(
         try:
             # the sharp star's crossing is the smallest, and a perturbed
             # star's lies just above it
-            _, e_pert, _, _ = _solve_level(
-                _star_solver(make_star(d, L, alpha), mesh), alpha, 1, kappa_tol, kappa
-            )
+            _, e_pert, _, _ = _solve_level(_star_solver(make_star(d, L, alpha), mesh),
+                                           alpha, 1, DEFAULT_KAPPA_TOL, kappa)
         except (NoCrossing, BracketFailure):
             e_pert = SENTINEL
         perturbed.append(e_pert)

@@ -22,6 +22,13 @@ v^T A' v = (sum_i w_i^T dK_T w_i + sum over arm pairs (I, J) of
 (w_I^T dK w_J + w_J^T dK w_I)) / (4 pi), summed block by block from the raw
 derivatives, without forming A' (``star_form``).  A root is then found by
 safeguarded Newton iteration in ln kappa (``_solve_level``).
+
+No caller sets a root tolerance.  Newton converges quadratically, so after
+a relative step of ``DEFAULT_KAPPA_TOL`` = 1e-10 the next is near 1e-20,
+below the rounding of kappa: the stops at the rounding of kappa and of
+lambda_j end every solve at the default first.  On stars of two to twelve
+arms the energies and evaluation counts are bitwise those at 1e-16.  Only
+the direction search stops its solves earlier (``optimizer.SEARCH_KAPPA_TOL``).
 """
 
 from __future__ import annotations
@@ -237,11 +244,6 @@ def _integer(name: str, value) -> int:
         raise BadParameters(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_kappa_tol(kappa_tol: float) -> None:
-    if not (math.isfinite(kappa_tol) and kappa_tol > 0.0):
-        raise BadParameters(f"kappa_tol must be positive and finite, got {kappa_tol}")
-
-
 def _star_solver(config: StarConfig, mesh: Mesh) -> _CurveSolver:
     return _CurveSolver(StarAssembler(config, mesh).pieces)
 
@@ -309,9 +311,9 @@ def _solve_level(
     kappa (``_ROUNDING_STEP``); once lambda_j - alpha is within the
     rounding of the eigenvalue itself (the evaluation's ``rounding``), at
     kappa > 0 only, since a crossing at 0 is no root; or once the bracket
-    is narrower than ``kappa_tol``.
+    is narrower than ``kappa_tol``: the search's ``SEARCH_KAPPA_TOL``, or
+    ``DEFAULT_KAPPA_TOL``, where the rounding stops bind first (module docstring).
     """
-    _check_kappa_tol(kappa_tol)
     lo, hi = 0.0, math.inf  # f(lo) > 0 >= f(hi) once evaluated
     k = start or 0.0
     zero_seen = k == 0.0
@@ -371,7 +373,6 @@ def solve_energy(
     mesh: Mesh,
     alpha: float,
     j: int = 1,
-    kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> tuple[float, float]:
     """Solve lambda_j(kappa) = alpha for level j; returns (kappa_j, E_j).
     Level j > 1 is solved after the levels above it (``bound_states``)."""
@@ -379,14 +380,14 @@ def solve_energy(
     if j < 1:
         raise DomainError(f"level index j must be >= 1, got {j}")
     if j > 1:
-        count, res = bound_states(config, mesh, alpha, j, kappa_tol)
+        count, res = bound_states(config, mesh, alpha, j)
         if count < j:
             raise NoCrossing(
                 f"level {j} does not cross alpha={alpha} at this discretization"
             )
         return res.levels[-1].kappa, res.levels[-1].energy
     solver = _star_solver(config, mesh)
-    kappa_1, energy, _, _ = _solve_level(solver, alpha, 1, kappa_tol)
+    kappa_1, energy, _, _ = _solve_level(solver, alpha, 1, DEFAULT_KAPPA_TOL)
     return kappa_1, energy
 
 
@@ -412,7 +413,6 @@ def principal_eigenvalue(
     config: StarConfig,
     mesh: Mesh,
     alpha: float | None = None,
-    kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> SpectralResult:
     """Ground-state energy with eigenvector diagnostics.
 
@@ -424,13 +424,13 @@ def principal_eigenvalue(
     if alpha is None:
         alpha = config.coupling
     star = StarAssembler(config, mesh)
-    return _ground(_CurveSolver(star.pieces), star, alpha, kappa_tol)
+    return _ground(_CurveSolver(star.pieces), star, alpha)
 
 
-def _ground(solver: _CurveSolver, star: StarAssembler, alpha, kappa_tol, start=None):
+def _ground(solver: _CurveSolver, star: StarAssembler, alpha, start=None):
     """The ground state of ``star`` on its ``solver``, with diagnostics."""
     kappa_1, energy, residual, evaluations = _solve_level(
-        solver, alpha, 1, kappa_tol, start
+        solver, alpha, 1, DEFAULT_KAPPA_TOL, start
     )
     _, vec, sector = solver.top_pair(kappa_1)
     config = star.config
@@ -452,28 +452,25 @@ def bound_states(
     mesh: Mesh,
     alpha: float,
     levels: int = 1,
-    kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> tuple[int, SpectralResult | None]:
     """On one solver: the exact level count (``count_bound_states``)
     and, if ``levels`` >= 1 and a level crosses, the ground state with its
     diagnostics (``principal_eigenvalue``) followed by levels 2..``levels``,
     each bracketed from above by the crossing of the level before it; else
-    None in its place.  ``levels`` and ``kappa_tol`` are checked before the
-    count."""
+    None in its place.  ``levels`` is checked before the count."""
     levels = _integer("levels", levels)
-    _check_kappa_tol(kappa_tol)
     star = StarAssembler(config, mesh)
     count = int(np.sum(_eigh(star.matrix(0.0), last=None) > alpha))
     wanted = min(levels, count)
     if wanted < 1:
         return count, None
     solver = _CurveSolver(star.pieces)
-    res = _ground(solver, star, alpha, kappa_tol)
+    res = _ground(solver, star, alpha)
     excited = []
     kappa_j = res.levels[0].kappa
     for j in range(2, wanted + 1):
         # lambda_j <= lambda_{j-1}, so level j crosses at or below kappa_{j-1}
-        kappa_j, energy_j, _, _ = _solve_level(solver, alpha, j, kappa_tol, kappa_j)
+        kappa_j, energy_j, _, _ = _solve_level(solver, alpha, j, DEFAULT_KAPPA_TOL, kappa_j)
         excited.append(Level(index=j, kappa=kappa_j, energy=energy_j))
     return count, replace(res, levels=res.levels + tuple(excited))
 
@@ -502,7 +499,7 @@ def refine_until(
     converged = False
     for mesh in mesh_ladder:
         star = StarAssembler(config, mesh)
-        res = _ground(_CurveSolver(star.pieces), star, alpha, DEFAULT_KAPPA_TOL, start)
+        res = _ground(_CurveSolver(star.pieces), star, alpha, start)
         del star  # so that no two rungs' correction batches are held at once
         # the next rung's root lies near this one's
         start = res.levels[0].kappa

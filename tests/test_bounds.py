@@ -255,7 +255,7 @@ class TestSmallAngleBounds:
         up = []
         for phi in (1e-2, 1e-3):
             b = small_angle_bounds(0.0, 1.0, phi, 1)
-            up.append((b.upper - shift) * math.sqrt(1.0 - math.cos(phi)))
+            up.append((b.upper - shift) * math.sqrt(2.0 * math.sin(phi / 2) ** 2))
         assert up[0] == pytest.approx(up[1], rel=1e-12)
         for alpha in (-0.5, 0.0, 1.0):
             limit = -128 * math.exp(2 * PSI_ONE - 4 * math.pi * alpha)
@@ -293,11 +293,21 @@ class TestSmallAngleBounds:
             small_angle_bounds(0.0, 1.0, 0.1, k)
 
     def test_huge_level_or_tiny_angle(self):
-        # pi k overflows a float; 1 - cos phi rounds to 0
+        # pi k overflows a float; so does the lower side below phi ~ 1e-153
         with pytest.raises(DomainError):
             small_angle_bounds(0.0, 1.0, 0.1, 10**400)
         with pytest.raises(DomainError):
-            small_angle_bounds(0.0, 1.0, 1e-9, 1)
+            small_angle_bounds(0.0, 1.0, 1e-200, 1)
+
+    @pytest.mark.parametrize("phi", [1e-6, 1e-9])
+    def test_tiny_angle_keeps_its_digits(self, phi):
+        # 1 - cos phi keeps 2e-4 of its digits at 1e-6 and rounds to 0 at
+        # 1e-9; 2 sin^2(phi/2) keeps all, so the upper side has its phi^-1
+        # rate: (upper - (pi k/L)^2) phi -> -4 e^{2 psi(1) - 2 pi alpha} / L
+        b = small_angle_bounds(0.5, 2.0, phi, 1)
+        limit = -4.0 * math.exp(2 * PSI_ONE - math.pi) / 2.0
+        assert (b.upper - (math.pi / 2.0) ** 2) * phi == pytest.approx(limit, rel=1e-13)
+        assert math.isfinite(b.lower) and b.lower <= b.upper
 
 
 class TestSmallAngleScaling:

@@ -69,7 +69,7 @@ class TestParseJob:
         assert job.doc["command"] == "spectrum"
         assert job.doc["star"] == {"sharp": 4}
         assert job.doc["mesh"] == {"panels": 8, "order": 12, "grading": 2.0}
-        assert job.doc["solver"] == {"kappa_tol": 1e-10, "levels": 1}
+        assert job.doc["solver"] == {"levels": 1}
         assert job.doc["output"] == {"format": "json", "path": None}
         # spectrum reads no search settings, so it takes and echoes none
         assert "optimize" not in job.doc
@@ -265,19 +265,17 @@ class TestRun:
         diagnostics = json.loads(out.read_text())["diagnostics"]
         assert diagnostics["root_evaluations"] == res.root_evaluations
 
-    def test_verify_applies_solver_group(self, tmp_path):
+    def test_verify_solves_as_the_library(self, tmp_path):
+        # the job sets no root tolerance: its sharp energy is the library's
         out = tmp_path / "res.json"
         job = parse_job(job_text(
             command="verify-sharp", star={"sharp": 2}, alpha=0.0, arm_length=5.0,
-            mesh={"panels": 4, "order": 6}, solver={"kappa_tol": 1e-3},
-            verify={"trials": 1}, output={"path": str(out)},
+            mesh={"panels": 4, "order": 6}, verify={"trials": 1}, output={"path": str(out)},
         ))
         assert run(job) == 0
         sharp_energy = json.loads(out.read_text())["results"]["sharp_energy"]
         star = make_star(sharp_configuration(2), 5.0, 0.0)
-        mesh = build_mesh(5.0, 4, 6, 2.0)
-        assert sharp_energy == solve_energy(star, mesh, 0.0, kappa_tol=1e-3)[1]
-        assert sharp_energy != solve_energy(star, mesh, 0.0)[1]
+        assert sharp_energy == solve_energy(star, build_mesh(5.0, 4, 6, 2.0), 0.0)[1]
 
     def test_bounds_near_coincident_arms(self, tmp_path, capsys):
         # make_star admits arms 1e-9 rad apart; tau(1e-9) is about 3.63
@@ -299,7 +297,7 @@ class TestRun:
         calls = []
         tau = bounds.offdiag_norm_bound
         monkeypatch.setattr(bounds, "offdiag_norm_bound",
-                            lambda phi: calls.append(phi) or tau(phi))
+                            lambda phi: calls.append(np.size(phi)) or tau(phi))
         bounds._pair_top.cache_clear()
         out = tmp_path / "res.json"
         jb = tmp_path / "job.json"
@@ -307,15 +305,16 @@ class TestRun:
                                bounds={"phi": 0.1}, output={"path": str(out)}))
         assert main(["--job", str(jb)]) == 0
         doc = json.loads(out.read_text())
-        # tau once per pair of the star, and once for the two-arm star at phi
-        assert len(calls) == 6 + 1
+        # tau in one pass over the pairs of the star, and once for the
+        # two-arm star at phi
+        assert calls == [6, 1]
         results = doc["results"]
         assert set(results) == {"segment_existence_length", "nonexistence_threshold",
                                 "energy_lower_bound", "small_angle"}
         assert results["energy_lower_bound"] < 0.0
         b = results["small_angle"]
         assert set(b) == {"phi", "k", "lower", "upper"}
-        assert b["upper"] == -2.7451211450648305
+        assert b["upper"] == -2.7451211450647612
         assert b["lower"] == pytest.approx(-8111.03, abs=0.01)
         assert doc["diagnostics"] == {}
 
@@ -348,12 +347,11 @@ class TestRun:
 #: one minimal document per JSON-writing command (sweep-angle writes CSV,
 #: which has no echo) and its ``job_echo``: the document normalized, the
 #: defaults of every group the command reads filled in, keys in a fixed order
-SOLVER_DEFAULTS = {"kappa_tol": 1e-10}
 ECHOES = {
     "spectrum": (MINIMAL_SPECTRUM, {
         **MINIMAL_SPECTRUM,
         "mesh": {"panels": 8, "order": 12, "grading": 2.0},
-        "solver": {**SOLVER_DEFAULTS, "levels": 1},
+        "solver": {"levels": 1},
         "output": {"format": "json", "path": None},
     }),
     "optimize": (
@@ -361,7 +359,6 @@ ECHOES = {
          "optimize": {"starts": 1}},
         {"command": "optimize", "star": {"sharp": 2}, "alpha": 0, "arm_length": 5,
          "mesh": {"panels": 3, "order": 5, "grading": 2.0},
-         "solver": SOLVER_DEFAULTS,
          "optimize": {"starts": 1, "seed": 0},
          "output": {"format": "json", "path": None}},
     ),
@@ -370,7 +367,6 @@ ECHOES = {
          "verify": {"trials": 1}},
         {"command": "verify-sharp", "star": {"sharp": 2}, "alpha": -0.5, "arm_length": 3.0,
          "mesh": {"panels": 12, "order": 8, "grading": 2.0},
-         "solver": SOLVER_DEFAULTS,
          "optimize": {"seed": 0},
          "verify": {"scale": 0.05, "trials": 1},
          "output": {"format": "json", "path": None}},
@@ -481,6 +477,18 @@ NOT_READ = {
 }
 KEYS_NOT_READ = {case: doc for case, (doc, _) in NOT_READ.items()}
 
+#: documents carrying the removed root tolerance, or a solver group where the
+#: command reads none: (document, the name the error gives)
+SWEEP = {"command": "sweep-angle", "alpha": 0.0, "arm_length": 1.0,
+         "sweep": {"phi_min": 0.5, "phi_max": 1.0, "count": 2}}
+REMOVED = {
+    f"{doc['command']} with solver.kappa_tol": (dict(doc, solver={"kappa_tol": 1e-10}),
+                                                 "kappa_tol")
+    for doc in (MINIMAL_SPECTRUM, SWEEP, dict(MINIMAL_SPECTRUM, command="optimize"),
+                dict(MINIMAL_SPECTRUM, command="verify-sharp"))
+}
+REMOVED["sweep-angle with a solver group"] = (dict(SWEEP, solver={}), "'solver'")
+
 #: job documents that must be rejected with exit status 2, one per input
 BAD_INPUTS = {
     "alpha NaN": dict(MINIMAL_SPECTRUM, alpha=float("nan")),
@@ -558,6 +566,7 @@ BAD_INPUTS = {
         "command": "sweep-angle", "alpha": 0.0, "arm_length": 1.0,
         "sweep": {"phi_min": 0.5, "phi_max": 1.0, "count": 2}, "optimize": {}},
     **KEYS_NOT_READ,
+    **{case: doc for case, (doc, _) in REMOVED.items()},
 }
 
 #: job documents that parse but must be rejected with exit status 2 when run
@@ -572,8 +581,8 @@ INVALID_JOBS = {
         MINIMAL_SPECTRUM, command="bounds", star={"sharp": 2}, alpha=-57.0),
     "bounds with a 401-digit k": dict(
         MINIMAL_SPECTRUM, command="bounds", bounds={"phi": 0.5, "k": 10**400}),
-    "bounds with phi 1e-9, 1 - cos phi rounds to 0": dict(
-        MINIMAL_SPECTRUM, command="bounds", bounds={"phi": 1e-9}),
+    "bounds with phi 1e-200, lower side overflows": dict(
+        MINIMAL_SPECTRUM, command="bounds", bounds={"phi": 1e-200}),
     "bounds, segment existence length overflows": dict(
         MINIMAL_SPECTRUM, command="bounds", alpha=113.0),
     "sweep-angle, small-angle bound overflows": {
@@ -601,6 +610,14 @@ class TestMain:
         bad.write_text(json.dumps(document))
         assert main(["--job", str(bad), "--out", str(tmp_path / "out.json")]) == 2
         assert f"'{key}' is only valid for" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(REMOVED))
+    def test_removed_key_is_named(self, case, tmp_path, capsys):
+        document, name = REMOVED[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        assert main(["--job", str(bad)]) == 2
+        assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(INVALID_JOBS))
     def test_invalid_job_exit_2(self, case, tmp_path, capsys):
@@ -734,10 +751,8 @@ def _small_job(command):
         groups["mesh"] = st.fixed_dictionaries({
             "panels": st.integers(2, 4), "order": st.integers(2, 4),
             "grading": st.floats(1.0, 4.0)})
-        solver = {"kappa_tol": st.floats(1e-12, 1e-2)}
         if command == "spectrum":
-            solver["levels"] = st.integers(1, 3)
-        groups["solver"] = st.fixed_dictionaries({}, optional=solver)
+            groups["solver"] = st.fixed_dictionaries({}, optional={"levels": st.integers(1, 3)})
     if command == "optimize":
         groups["optimize"] = st.fixed_dictionaries({"starts": st.just(1)}, optional={
             "seed": WIDE_INTEGERS})

@@ -509,7 +509,8 @@ class TestStarMatrix:
     def test_sharp_star_matches_block_by_block(self, N):
         dirs = [(0.0, 0.0, 1.0)] if N == 1 else sharp_configuration(N)
         asm = StarAssembler(make_star(dirs, 1.0, 0.0), build_mesh(1.0, 2, 4, 2.0))
-        T, pair_blocks = asm._blocks(0.7)
+        T = asm.diag.weighted_block(0.7)
+        pair_blocks = [b.weighted_block(0.7) for b in asm._offdiag]
         A = star_matrix(N, T, pair_blocks, *asm._pairs)
         assert np.isfinite(A).all()
         assert np.array_equal(A, block_by_block(N, T, pair_blocks, *asm._pairs))

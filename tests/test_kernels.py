@@ -10,6 +10,7 @@ import pytest
 import sympy
 
 import starspec
+from starspec import kernels
 from starspec.errors import DomainError, GridTooCoarse, ZeroDistance
 from starspec.kernels import (
     PSI_ONE,
@@ -128,7 +129,37 @@ def _tau_oracle(phi: float) -> float:
     return math.sqrt(2) / FOUR_PI * (v1 + v2)
 
 
+def _tau_per_angle(phi: float) -> float:
+    """tau(phi) by the rule of ``offdiag_norm_bound``, one angle at a time in
+    Python floats: the per-pair evaluation that the array pass replaced."""
+    x, w = kernels._GAUSS_32
+
+    def gauss(f, b, panels):
+        h = 0.5 * b / panels
+        mid = h * (2.0 * np.arange(panels) + 1.0)
+        return h * float(np.sum(f(mid[:, None] + h * x) * w))
+
+    h = 2.0 * math.sin(0.5 * phi) ** 2
+    t_max = math.asinh(0.25 * math.pi / phi)
+    peak = gauss(lambda t: kernels._tau_peak(t, phi, h), t_max, math.ceil(t_max / 4.0))
+    tail = gauss(lambda v: kernels._tau_tail(v, h), math.sqrt(0.25 * math.pi), 1)
+    return math.sqrt(2.0) / (4.0 * math.pi) * (peak + tail)
+
+
 class TestOffdiagNormBound:
+    def test_array_matches_per_angle_loop(self):
+        # one to seven panels of the peak rule, in shuffled order
+        rng = np.random.default_rng(0)
+        phis = rng.permutation(np.concatenate([np.geomspace(1e-12, math.pi, 500),
+                                               rng.uniform(1e-3, math.pi, 500)]))
+        taus = offdiag_norm_bound(phis)
+        ref = np.array([_tau_per_angle(p) for p in phis])
+        assert taus.shape == phis.shape
+        assert np.all(np.abs(taus - ref) <= 1e-15 * ref)
+        assert [offdiag_norm_bound(p) for p in phis[:20]] == taus[:20].tolist()
+        assert offdiag_norm_bound(phis.reshape(10, 100)).shape == (10, 100)
+        assert offdiag_norm_bound(np.array([])).shape == (0,)
+
     def test_value_at_pi(self):
         # I_pi = pi/sqrt(2) in closed form, so tau(pi) = 1/4 exactly
         assert offdiag_norm_bound(math.pi) == pytest.approx(0.25, rel=1e-9)
@@ -147,6 +178,8 @@ class TestOffdiagNormBound:
             offdiag_norm_bound(0.0)
         with pytest.raises(DomainError):
             offdiag_norm_bound(3.5)
+        with pytest.raises(DomainError):
+            offdiag_norm_bound(np.array([1.0, math.nan]))
 
     def test_smallest_angles(self):
         # make_star admits arms 1e-9 rad apart; there

@@ -113,37 +113,6 @@ class TestSolveEnergy:
         with pytest.raises(DomainError, match="level index"):
             solve_energy(tetra(2.0, 0.0), mesh, 0.0, j)
 
-    @pytest.mark.parametrize("kappa_tol", [0.0, -1e-10, math.nan, math.inf])
-    def test_bad_kappa_tol_before_any_eigensolve(self, kappa_tol, monkeypatch):
-        # every public root solve rejects it at once, not after 100
-        # evaluations with a BracketFailure
-        calls = []
-        monkeypatch.setattr(spectral, "_eigh", lambda *a, **k: calls.append(a))
-        cfg, mesh = tetra(2.0, 0.0), ss.build_mesh(2.0, 4, 6, 2.0)
-        solves = [
-            lambda: solve_energy(cfg, mesh, 0.0, 1, kappa_tol),
-            lambda: principal_eigenvalue(cfg, mesh, 0.0, kappa_tol),
-            lambda: ss.objective([2.0, 2.0, 1.0, 2.0, 4.0], 4, 2.0, 0.0, mesh, kappa_tol),
-            lambda: ss.verify_sharp_local_max(4, 2.0, 0.0, 0.1, 2, mesh=mesh,
-                                              kappa_tol=kappa_tol),
-        ]
-        for solve in solves:
-            with pytest.raises(BadParameters, match="kappa_tol"):
-                solve()
-        assert calls == []
-
-    def test_bad_kappa_tol_in_bound_states(self, monkeypatch):
-        # rejected before the kappa = 0 count, whether a level crosses
-        # (alpha = 0) or none does (alpha = 10, which returned (0, None))
-        calls = []
-        monkeypatch.setattr(spectral, "_eigh", lambda *a, **k: calls.append(a))
-        cfg, mesh = tetra(2.0, 0.0), ss.build_mesh(2.0, 4, 6, 2.0)
-        for alpha in (0.0, 10.0):
-            for kappa_tol in (0.0, -1e-10, math.nan):
-                with pytest.raises(BadParameters, match="kappa_tol"):
-                    spectral.bound_states(cfg, mesh, alpha, 1, kappa_tol)
-        assert calls == []
-
     @pytest.mark.parametrize("name, solve", [
         ("count", lambda cfg, mesh: lambda_curve(cfg, mesh, 1.0, count=2.5)),
         ("j", lambda cfg, mesh: solve_energy(cfg, mesh, 0.0, j=1.5)),
@@ -366,6 +335,23 @@ ROOT_STARS = {
 }
 
 
+def random_directions(n: int, seed: int) -> np.ndarray:
+    d = np.random.default_rng(seed).standard_normal((n, 3))
+    return d / np.linalg.norm(d, axis=1)[:, None]
+
+
+#: (directions, L, panels, order) of the stars on which the default root
+#: tolerance is shown to change nothing
+INERT_TOL_STARS = {
+    "tetrahedron-16": (ss.sharp_configuration(4), 5.0, 16, 12),
+    "tetrahedron-56": (ss.sharp_configuration(4), 5.0, 56, 12),
+    "two-arms-0.7": (np.array([(0, 0, 1), (math.sin(0.7), 0, math.cos(0.7))]), 2.0, 8, 12),
+    "octahedron": (ss.sharp_configuration(6), 1.0, 8, 12),
+    "random-5": (random_directions(5, 5), 3.0, 8, 8),
+    "icosahedron": (ss.sharp_configuration(12), 3.0, 12, 8),
+}
+
+
 def dense_solver(name, L=2.0):
     """A full-matrix (LAPACK) solver for ``ROOT_STARS[name]`` on a small mesh:
     the star is treated as irregular, so no level takes the sectors."""
@@ -486,6 +472,17 @@ class TestSolveLevel:
         assert calls[0] == 0.0 and evaluations == len(calls) >= 2
         assert kappa == pytest.approx(r, rel=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(INERT_TOL_STARS))
+    def test_default_tolerance_is_inert(self, name):
+        # the rounding stops end every solve before DEFAULT_KAPPA_TOL binds:
+        # the same bits and evaluations as at a tolerance below rounding
+        dirs, L, panels, order = INERT_TOL_STARS[name]
+        star = StarAssembler(ss.make_star(dirs, L, 0.0), ss.build_mesh(L, panels, order, 2.0))
+        default, tight = (_solve_level(_CurveSolver(star.pieces), 0.0, 1, tol)
+                          for tol in (spectral.DEFAULT_KAPPA_TOL, 1e-16))
+        assert default == tight
+        assert 5 <= default[3] <= 9
+
     @pytest.mark.parametrize("name", ["sharp-4", "irregular-3"])
     def test_solver_freed_once_dropped(self, name):
         cfg = ss.make_star(ROOT_STARS[name], 2.0, 0.0)
@@ -498,11 +495,6 @@ class TestSolveLevel:
             assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()
-
-
-def random_directions(n: int, seed: int) -> np.ndarray:
-    d = np.random.default_rng(seed).standard_normal((n, 3))
-    return d / np.linalg.norm(d, axis=1)[:, None]
 
 
 #: one star per eigensolver path: (directions, L, panels, order, path)
