@@ -20,7 +20,7 @@ logarithmic singularity is removed exactly:
 
 with [a, b] the panel containing x.  Blocks stay raw kernel matrices K
 until the matrix that is solved: ``_weigh`` folds D^{1/2} K D^{1/2} / (4 pi)
-and symmetrizes it once per solved matrix (each sector of an arm-regular
+and symmetrizes it once per solved matrix (the sector of an arm-regular
 star, or each block as it is placed in the full matrix).  The asymmetry
 removed this way is the difference between row-based and column-based
 product integration.  Slopes in kappa come from the raw derivative blocks
@@ -564,8 +564,9 @@ class StarAssembler:
 
     ``group_counts[g]`` is n_g, the number of pairs of chord group g that
     contain one arm, when that number is the same for every arm (the star
-    is arm-regular), and None otherwise.  ``pieces`` is the one place that
-    decides the sectors of an arm-regular star, the two-arm odd one included.
+    is arm-regular: every two-arm star is), and None otherwise.  ``pieces``
+    is the one place that decides whether the top takes the arm-symmetric
+    sector.
     """
 
     def __init__(self, config: StarConfig, mesh: Mesh):
@@ -595,43 +596,40 @@ class StarAssembler:
         return star_matrix(self.config.n_arms, *blocks, *self._pairs)
 
     def pieces(self, kappa: float, j: int):
-        """The invariant pieces of ``matrix(kappa)`` whose largest j-th
-        eigenvalue is its j-th, each a tuple (M, form, signs): a symmetric
-        matrix, the quadratic form u -> u^T (dM/dkappa) u (``star_form``),
-        and the arm signs s that lift a unit vector u of M to the unit vector
-        kron(s, u) / sqrt(N) of the full matrix, or None where M is the full
-        matrix.
+        """The symmetric matrix whose j-th largest eigenvalue is the j-th of
+        ``matrix(kappa)``, as a tuple (A, form, copies): A, the quadratic
+        form u -> u^T (dA/dkappa) u (``star_form``), and the number of arm
+        slices a unit vector u of A is repeated over, so that
+        tile(u, copies) / sqrt(copies) is the unit vector of the full
+        matrix; 1 where A is the full matrix.
 
         Every block is weighed by the same fold and is symmetric, so for an
         arm-regular star the vectors (u, ..., u) span an invariant subspace,
         on which the matrix acts as the M x M sector ``T + sum_g n_g B_g``;
         its orthogonal complement (arm slices summing to zero) is invariant
-        too.  The top eigenvalue is simple with a positive eigenvector
-        (Perron-Frobenius), which lies in one of the two and cannot lie in
-        the complement.  For two arms the sectors of (u, u) and (u, -u),
-        ``T + B`` and ``T - B``, split the matrix exactly, with no premise.
-        Weighing is linear, so a sector is summed from the raw kernel
-        matrices, ``K_T + sum_g n_g K_g`` in place, and weighed once; its
-        derivative is the same sum of the raw derivatives.  Lower levels,
-        and all levels of an irregular star, come from the full matrix: each
-        pair block is weighed as it is placed, and the derivative blocks
-        stay raw, stacked in one array.
+        too.  The top is taken from the sector under one premise: it is
+        simple with a positive eigenvector, as the ground state of the star
+        operator is (its Birman-Schwinger kernel is positive;
+        Perron-Frobenius), and a positive vector cannot lie in the
+        complement.  So every arm-regular star, two arms included, solves
+        one M x M matrix for its top.  Weighing is linear, so the sector is
+        summed from the raw kernel matrices, ``K_T + sum_g n_g K_g`` in
+        place, and weighed once; its derivative is the same sum of the raw
+        derivatives.  Lower levels, and all levels of an irregular star,
+        come from the full matrix: each pair block is weighed as it is
+        placed, and the derivative blocks stay raw, stacked in one array.
         """
         N, weights = self.config.n_arms, self.diag.mesh.weights
         S, dS = self.diag.kernel_matrix(kappa, derivative=True)
         if j == 1 and self.group_counts is not None:
-            odd = []
             for n, asm in zip(self.group_counts.tolist(), self._offdiag):
                 B, dB = asm.kernel_matrix(kappa, derivative=True)
-                if N == 2:
-                    odd = [(S - B, dS - dB, np.array([1.0, -1.0]))]
                 B *= n
                 dB *= n
                 S += B
                 dS += dB
                 del B, dB  # before the next chord's, or the weighing's, arrays
-            return [(_weigh(S, weights), star_form(weights, dS), s)
-                    for S, dS, s in [(S, dS, np.ones(N)), *odd]]
+            return _weigh(S, weights), star_form(weights, dS), N
         # each pair block is placed as soon as it is made, and the raw
         # derivative blocks share one array, so they take about the memory
         # that the pair blocks would have held
@@ -643,4 +641,4 @@ class StarAssembler:
                 yield _weigh(B, weights)
 
         A = self.matrix(kappa, (_weigh(S, weights), pair_blocks()))
-        return [(A, star_form(weights, dS, d_pair_blocks, *self._pairs), None)]
+        return A, star_form(weights, dS, d_pair_blocks, *self._pairs), 1

@@ -55,7 +55,7 @@ from .discretization import (
 )
 from .errors import AllStartsFailed, BracketFailure, DomainError, NoCrossing
 from .geometry import SHARP_SIZES, congruent, make_star, sharp_configuration
-from .spectral import DEFAULT_KAPPA_TOL, _CurveSolver, _eigh, _solve_level, _star_solver
+from .spectral import _CurveSolver, _eigh, _solve_level, _star_solver
 
 SENTINEL = float("-inf")
 MIN_PAIR_ANGLE = 1e-3
@@ -65,7 +65,7 @@ CONGRUENCE_TOL = 5e-3
 SEARCH_MESH = {"panels": 3, "order": 5, "grading": 2.0}
 LOCAL_MAX_MESH = {"panels": 12, "order": 8, "grading": 2.0}
 #: root tolerance of the fixed-kappa search; the scoring ``objective`` and
-#: ``verify_sharp_local_max`` solve at ``DEFAULT_KAPPA_TOL``
+#: ``verify_sharp_local_max`` solve with none (``spectral._solve_level``)
 SEARCH_KAPPA_TOL = 1e-6
 #: most outer (fixed-kappa) steps of one search
 _MAX_OUTER_STEPS = 10
@@ -185,7 +185,7 @@ def objective(
     config = make_star(dirs, L, alpha)
     solver = _star_solver(config, mesh)
     try:
-        _, energy, _, _ = _solve_level(solver, alpha, 1, DEFAULT_KAPPA_TOL)
+        _, energy, _, _ = _solve_level(solver, alpha, 1)
     except (NoCrossing, BracketFailure):
         return SENTINEL
     return energy
@@ -261,10 +261,11 @@ class _WarmObjective:
         return np.sqrt(self._diff_sq + self._st * chords[:, None, None]), pairs
 
     def pieces(self, directions: np.ndarray):
-        """The star's ``(kappa, j) -> pieces`` (``_CurveSolver``): its full
-        search matrix alone, with the quadratic form of the derivative in
-        kappa (``star_form``) from the raw derivative blocks; the plain
-        samples' raw derivative is -e^{-kappa D}."""
+        """The star's ``(kappa, j) -> (matrix, form, copies)``
+        (``_CurveSolver``): its full search matrix, with the quadratic form
+        of the derivative in kappa (``star_form``) from the raw derivative
+        blocks, and 1 copy; the plain samples' raw derivative is
+        -e^{-kappa D}."""
         D, pairs = self._distances(directions)
         N, fold, weights = self.N, self._fold, self._diag.mesh.weights
 
@@ -272,7 +273,7 @@ class _WarmObjective:
             E = np.exp(-kappa * D)
             K, dK = self._diag.kernel_matrix(kappa, derivative=True)
             A = star_matrix(N, _weigh(K, weights), fold * (E / D) / FOUR_PI, *pairs)
-            return [(A, star_form(weights, dK, np.negative(E, out=E), *pairs), None)]
+            return A, star_form(weights, dK, np.negative(E, out=E), *pairs), 1
 
         return pieces
 
@@ -283,9 +284,8 @@ class _WarmObjective:
         if dirs is None:
             return None
         try:
-            kappa, _, _, _ = _solve_level(
-                _CurveSolver(self.pieces(dirs)), self.alpha, 1, SEARCH_KAPPA_TOL, upper
-            )
+            kappa, _, _, _ = _solve_level(_CurveSolver(self.pieces(dirs)), self.alpha, 1,
+                                          upper, kappa_tol=SEARCH_KAPPA_TOL)
         except (NoCrossing, BracketFailure):
             return None
         return kappa
@@ -473,9 +473,7 @@ def verify_sharp_local_max(
     sharp = sharp_configuration(N)
     # each solver is dropped as soon as its energy is known, so no two
     # stars' correction batches are held at once
-    kappa, e_sharp, _, _ = _solve_level(
-        _star_solver(make_star(sharp, L, alpha), mesh), alpha, 1, DEFAULT_KAPPA_TOL
-    )
+    kappa, e_sharp, _, _ = _solve_level(_star_solver(make_star(sharp, L, alpha), mesh), alpha, 1)
     if scale == 0.0:
         return SharpLocalMaxReport(
             n_arms=N, scale=0.0, trials=trials, sharp_energy=e_sharp,
@@ -499,7 +497,7 @@ def verify_sharp_local_max(
             # the sharp star's crossing is the smallest, and a perturbed
             # star's lies just above it
             _, e_pert, _, _ = _solve_level(_star_solver(make_star(d, L, alpha), mesh),
-                                           alpha, 1, DEFAULT_KAPPA_TOL, kappa)
+                                           alpha, 1, kappa)
         except (NoCrossing, BracketFailure):
             e_pert = SENTINEL
         perturbed.append(e_pert)

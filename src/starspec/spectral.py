@@ -23,12 +23,9 @@ v^T A' v = (sum_i w_i^T dK_T w_i + sum over arm pairs (I, J) of
 derivatives, without forming A' (``star_form``).  A root is then found by
 safeguarded Newton iteration in ln kappa (``_solve_level``).
 
-No caller sets a root tolerance.  Newton converges quadratically, so after
-a relative step of ``DEFAULT_KAPPA_TOL`` = 1e-10 the next is near 1e-20,
-below the rounding of kappa: the stops at the rounding of kappa and of
-lambda_j end every solve at the default first.  On stars of two to twelve
-arms the energies and evaluation counts are bitwise those at 1e-16.  Only
-the direction search stops its solves earlier (``optimizer.SEARCH_KAPPA_TOL``).
+Root solves stop at the rounding of kappa and of lambda_j, with no
+tolerance; only the direction search stops its solves earlier
+(``optimizer.SEARCH_KAPPA_TOL``).
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ from .geometry import StarConfig
 DEFAULT_PANELS = 8
 DEFAULT_ORDER = 12
 DEFAULT_GRADING = 2.0
-DEFAULT_KAPPA_TOL = 1e-10
 
 #: most lambda evaluations of one root solve
 _MAX_EVALUATIONS = 100
@@ -100,7 +96,7 @@ class SpectralResult:
     mesh_metadata: dict
     residual: float
     #: how the ground state was solved: ``path`` is "sector" (the M x M
-    #: sector matrices of an arm-regular star, whose ``group_counts`` n_g are
+    #: sector matrix of an arm-regular star, whose ``group_counts`` n_g are
     #: given), "dense" (LAPACK on the full matrix) or "arpack"; ``dim`` is
     #: the dimension solved
     eigensolver: dict
@@ -115,16 +111,14 @@ class SpectralResult:
 @dataclass(frozen=True)
 class _Evaluation:
     """One eigensolve of level j at kappa: value, slope d lambda_j / d
-    kappa, unit eigenvector of the full matrix, sector, and the value's
-    rounding, eps times a bound on the norm of the matrix solved
-    (``_CurveSolver``)."""
+    kappa, unit eigenvector of the full matrix, and the value's rounding,
+    eps times a bound on the norm of the matrix solved (``_CurveSolver``)."""
 
     kappa: float
     j: int
     value: float
     slope: float
     vector: np.ndarray
-    sector: int | None
     rounding: float
 
 
@@ -176,18 +170,18 @@ def _eigh(A: np.ndarray, first: int = 1, last: int | None = 1,
 
 class _CurveSolver:
     """Eigenvalue curves of one star, given by ``pieces``: (kappa, j) -> the
-    invariant pieces of its symmetric Birman-Schwinger matrix A(kappa) that
-    hold level j, each a tuple (matrix, quadratic form u -> u^T (dA/dkappa) u
-    on it, arm signs or None), as ``StarAssembler.pieces`` makes them; the
-    sectors of an arm-regular star and the two-arm odd sector are decided
-    there.
+    symmetric matrix that holds level j of its Birman-Schwinger matrix
+    A(kappa), with the quadratic form u -> u^T (dA/dkappa) u on it and the
+    number of arm slices its vector is repeated over, as
+    ``StarAssembler.pieces`` makes them; the sector of an arm-regular star
+    is decided there.
 
-    Each evaluation solves every piece for level j with its eigenvector,
-    keeps the largest, lifts its vector to the full matrix and keeps value,
-    slope d lambda_j / d kappa = v^T (dA/dkappa) v (Hellmann-Feynman, module
-    docstring), vector, sector and the value's rounding, eps times the
-    ``_norm_bound`` of the piece it came from, in ``last``.  ARPACK solves
-    of the top start from the constant vector, then from the last top
+    Each evaluation solves that one matrix for level j with its eigenvector
+    u, lifts u to the full matrix as tile(u, copies) / sqrt(copies) and
+    keeps value, slope d lambda_j / d kappa = u^T (dA/dkappa) u
+    (Hellmann-Feynman, module docstring), vector and the value's rounding,
+    eps times the ``_norm_bound`` of the matrix solved, in ``last``.  ARPACK
+    solves of the top start from the constant vector, then from the last top
     eigenvector.
     """
 
@@ -199,30 +193,23 @@ class _CurveSolver:
     def lam(self, kappa: float, j: int = 1) -> float:
         """j-th largest eigenvalue of Q_kappa (j = 1 is the top); the whole
         evaluation is kept in ``last``."""
-        best = None
-        for k, (A, form, signs) in enumerate(self.pieces(kappa, j)):
-            vals, vecs = _eigh(A, j, j, vectors=True, v0=self._warm)
-            if j == 1:
-                self._warm = vecs[:, 0]
-            if best is None or vals[0] > best[0]:
-                best = (float(vals[0]), vecs[:, 0], k, A, form, signs)
-        value, u, k, A, form, signs = best
-        slope = form(u)
-        rounding = np.finfo(float).eps * _norm_bound(A)
-        if signs is not None:
-            u = np.kron(signs, u) / np.sqrt(signs.size)
-        self.last = _Evaluation(kappa, j, value, slope, u, None if signs is None else k,
-                                rounding)
+        A, form, copies = self.pieces(kappa, j)
+        vals, vecs = _eigh(A, j, j, vectors=True, v0=self._warm)
+        value, u = float(vals[0]), vecs[:, 0]
+        if j == 1:
+            self._warm = u
+        self.last = _Evaluation(kappa, j, value, form(u), np.tile(u, copies) / np.sqrt(copies),
+                                np.finfo(float).eps * _norm_bound(A))
         return value
 
-    def top_pair(self, kappa: float) -> tuple[float, np.ndarray, int | None]:
-        """Top eigenvalue, unit eigenvector of the full matrix and sector at
-        kappa, read from ``last``: a root solve of the top level ends on an
+    def top_pair(self, kappa: float) -> tuple[float, np.ndarray]:
+        """Top eigenvalue and unit eigenvector of the full matrix at kappa,
+        read from ``last``: a root solve of the top level ends on an
         evaluation of its root."""
         last = self.last
         if last is None or (last.j, last.kappa) != (1, kappa):
             raise ValueError(f"the last evaluation is not the top at kappa={kappa}")
-        return last.value, last.vector, last.sector
+        return last.value, last.vector
 
 
 def _record(star: StarAssembler) -> dict:
@@ -274,8 +261,9 @@ def _solve_level(
     solver: _CurveSolver,
     alpha: float,
     j: int,
-    kappa_tol: float,
     start: float | None = None,
+    *,
+    kappa_tol: float = 0.0,
 ) -> tuple[float, float, float, int]:
     """Root of lambda_j(kappa) = alpha: returns (kappa_j, E_j, residual,
     evaluations).
@@ -304,15 +292,15 @@ def _solve_level(
     ``NoCrossing``.
 
     The root returned is the last kappa evaluated, so its residual and the
-    solver's ``last`` eigenvector belong to it.  It is returned once the
-    Newton step that reached it moved kappa by at most ``kappa_tol``
-    relative, so by Newton's quadratic convergence it lies far closer than
-    that to the root; once Newton's next step is within the rounding of
-    kappa (``_ROUNDING_STEP``); once lambda_j - alpha is within the
-    rounding of the eigenvalue itself (the evaluation's ``rounding``), at
-    kappa > 0 only, since a crossing at 0 is no root; or once the bracket
-    is narrower than ``kappa_tol``: the search's ``SEARCH_KAPPA_TOL``, or
-    ``DEFAULT_KAPPA_TOL``, where the rounding stops bind first (module docstring).
+    solver's ``last`` eigenvector belong to it.  It is returned once
+    Newton's next step is within the rounding of kappa (``_ROUNDING_STEP``);
+    once lambda_j - alpha is within the rounding of the eigenvalue itself
+    (the evaluation's ``rounding``), at kappa > 0 only, since a crossing at
+    0 is no root; or, for a ``kappa_tol`` > 0 (the search's
+    ``SEARCH_KAPPA_TOL``), once the Newton step that reached it moved kappa
+    by at most ``kappa_tol`` relative, so by Newton's quadratic convergence
+    it lies far closer than that to the root, or once the bracket is
+    narrower than ``kappa_tol`` relative.
     """
     lo, hi = 0.0, math.inf  # f(lo) > 0 >= f(hi) once evaluated
     k = start or 0.0
@@ -351,7 +339,7 @@ def _solve_level(
             k = hi / 2.0 if zero_seen else 0.0
             zero_seen = True
     raise BracketFailure(
-        f"no root to kappa_tol={kappa_tol} in {_MAX_EVALUATIONS} evaluations"
+        f"no root in {_MAX_EVALUATIONS} evaluations"
     )
 
 
@@ -387,11 +375,14 @@ def solve_energy(
             )
         return res.levels[-1].kappa, res.levels[-1].energy
     solver = _star_solver(config, mesh)
-    kappa_1, energy, _, _ = _solve_level(solver, alpha, 1, DEFAULT_KAPPA_TOL)
+    kappa_1, energy, _, _ = _solve_level(solver, alpha, 1)
     return kappa_1, energy
 
 
 def _diagnostics(config: StarConfig, vec: np.ndarray):
+    """Positivity of the sign-fixed ``vec``, the largest relative deviation
+    of its arm slices from their mean, and, for two arms, its parity under
+    arm exchange: the sign of the two slices' inner product."""
     M = vec.size // config.n_arms
     v = vec.copy()
     v *= np.sign(v[np.argmax(np.abs(v))]) or 1.0
@@ -406,7 +397,10 @@ def _diagnostics(config: StarConfig, vec: np.ndarray):
         symmetry = float(
             max(np.linalg.norm(s - mean) for s in slices) / mnorm
         )
-    return positivity, symmetry
+    parity = None
+    if config.n_arms == 2:
+        parity = "symmetric" if slices[0] @ slices[1] >= 0.0 else "antisymmetric"
+    return positivity, symmetry, parity
 
 
 def principal_eigenvalue(
@@ -429,17 +423,14 @@ def principal_eigenvalue(
 
 def _ground(solver: _CurveSolver, star: StarAssembler, alpha, start=None):
     """The ground state of ``star`` on its ``solver``, with diagnostics."""
-    kappa_1, energy, residual, evaluations = _solve_level(
-        solver, alpha, 1, DEFAULT_KAPPA_TOL, start
-    )
-    _, vec, sector = solver.top_pair(kappa_1)
-    config = star.config
-    positivity, symmetry = _diagnostics(config, vec)
+    kappa_1, energy, residual, evaluations = _solve_level(solver, alpha, 1, start)
+    _, vec = solver.top_pair(kappa_1)
+    positivity, symmetry, parity = _diagnostics(star.config, vec)
     return SpectralResult(
         levels=(Level(index=1, kappa=kappa_1, energy=energy),),
         ground_vector_positivity=positivity,
         arm_symmetry_residual=symmetry,
-        parity=("symmetric", "antisymmetric")[sector] if config.n_arms == 2 else None,
+        parity=parity,
         mesh_metadata=star.diag.mesh.metadata(),
         residual=residual,
         eigensolver=_record(star),
@@ -470,7 +461,7 @@ def bound_states(
     kappa_j = res.levels[0].kappa
     for j in range(2, wanted + 1):
         # lambda_j <= lambda_{j-1}, so level j crosses at or below kappa_{j-1}
-        kappa_j, energy_j, _, _ = _solve_level(solver, alpha, j, DEFAULT_KAPPA_TOL, kappa_j)
+        kappa_j, energy_j, _, _ = _solve_level(solver, alpha, j, kappa_j)
         excited.append(Level(index=j, kappa=kappa_j, energy=energy_j))
     return count, replace(res, levels=res.levels + tuple(excited))
 

@@ -215,6 +215,35 @@ class TestRun:
         for row in lines[1:]:
             assert len(row.split(",")) == 3
 
+    def test_two_arm_outputs_pinned(self, tmp_path):
+        # two-arm stars solve their top on the 48-row sector matrix, so
+        # BLAS threading cannot change the bits: the CSV and the levels at
+        # 17 digits, as the two-sector solver gave them
+        out = tmp_path / "sweep.csv"
+        assert run(parse_job(job_text(
+            command="sweep-angle", alpha=0.0, arm_length=2.0,
+            sweep={"phi_min": 0.05, "phi_max": math.pi, "count": 5},
+            mesh={"panels": 6, "order": 8}, output={"path": str(out)},
+        ))) == 0
+        assert out.read_text() == (
+            "phi,E_1,E_1_plus_bound\n"
+            "0.050000000000000003,-506.82277335059564,-10.143382549462128\n"
+            "0.82289816339744837,-2.8704823999405127,1.6791868350486259\n"
+            "1.5957963267948967,-1.2924715687012438,2.0270587454748181\n"
+            "2.368694490192345,-0.95814738696312496,2.1270657181795465\n"
+            "3.1415926535897931,-0.88253724979697112,2.152164348585146\n"
+        )
+        out = tmp_path / "res.json"
+        assert run(parse_job(job_text(
+            command="spectrum", star={"directions": [[0, 0, 1], [0.8, 0, 0.6]]},
+            alpha=0.0, arm_length=3.0, mesh={"panels": 6, "order": 8},
+            output={"path": str(out)},
+        ))) == 0
+        doc = json.loads(out.read_text())
+        assert doc["results"]["levels"][0] == {
+            "j": 1, "kappa": 1.5732137543713216, "energy": -2.475001516943109}
+        assert doc["diagnostics"]["parity"] == "symmetric"
+
     def test_design_check_results(self):
         job = parse_job(job_text(command="design-check", star={"sharp": 12},
                                  design={"order": 5}))

@@ -546,8 +546,8 @@ def row_sum_norm(A):
 
 
 #: (directions, L, panels, order): the tetrahedron of the ladder's top rung,
-#: a two-arm star (sectors T + B and T - B) and an irregular 3-arm star (the
-#: full matrix)
+#: a two-arm star (the sector T + B) and an irregular 3-arm star (the full
+#: matrix)
 RAW_STARS = {
     "tetrahedron": (sharp_configuration(4), 5.0, 56, 12),
     "two-arm": ([(0, 0, 1), (1, 0, 0)], 4.0, 6, 8),
@@ -563,7 +563,7 @@ class TestRawBlocks:
     @pytest.mark.parametrize("name", sorted(RAW_STARS))
     def test_pieces_match_per_block_symmetrization(self, name):
         # each block, and each derivative block, weighed and symmetrized on
-        # its own before the sectors or the full matrix are summed
+        # its own before the sector or the full matrix is summed
         dirs, L, panels, order = RAW_STARS[name]
         cfg = make_star(dirs, L, 0.0)
         asm = StarAssembler(cfg, build_mesh(L, panels, order, 2.0))
@@ -572,22 +572,19 @@ class TestRawBlocks:
         T, *B = [symmetrized(K, w) for K, _ in raw]
         dT, *dB = [symmetrized(dK, w) for _, dK in raw]
         if asm.group_counts is None:
-            refs = [(star_matrix(N, T, B, *asm._pairs), star_matrix(N, dT, dB, *asm._pairs))]
+            A_ref, dA_ref = star_matrix(N, T, B, *asm._pairs), star_matrix(N, dT, dB, *asm._pairs)
         else:
             n = asm.group_counts.tolist()
-            refs = [(T + sum(k * b for k, b in zip(n, B)), dT + sum(k * b for k, b in zip(n, dB)))]
-            if N == 2:
-                refs.append((T - B[0], dT - dB[0]))
-        pieces = asm.pieces(kappa, 1)
-        assert [s is None for _, _, s in pieces] == [asm.group_counts is None] * len(refs)
-        rng = np.random.default_rng(0)
-        for (A, form, _), (A_ref, dA_ref) in zip(pieces, refs):
-            assert np.array_equal(A, A.T)
-            assert np.abs(A - A_ref).max() <= 4 * EPS * row_sum_norm(A_ref)
-            top = sla.eigh(A, subset_by_index=[A.shape[0] - 1] * 2)[1][:, 0]
-            u = rng.standard_normal(A.shape[0])
-            for v in (top, u / np.linalg.norm(u)):
-                assert abs(form(v) - v @ dA_ref @ v) <= 4 * EPS * row_sum_norm(dA_ref)
+            A_ref = T + sum(k * b for k, b in zip(n, B))
+            dA_ref = dT + sum(k * b for k, b in zip(n, dB))
+        A, form, copies = asm.pieces(kappa, 1)
+        assert copies == (1 if asm.group_counts is None else N)
+        assert np.array_equal(A, A.T)
+        assert np.abs(A - A_ref).max() <= 4 * EPS * row_sum_norm(A_ref)
+        top = sla.eigh(A, subset_by_index=[A.shape[0] - 1] * 2)[1][:, 0]
+        u = np.random.default_rng(0).standard_normal(A.shape[0])
+        for v in (top, u / np.linalg.norm(u)):
+            assert abs(form(v) - v @ dA_ref @ v) <= 4 * EPS * row_sum_norm(dA_ref)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 5])
     def test_raw_form_equals_dense_symmetrized_form(self, N):

@@ -107,7 +107,7 @@ class TestSearchAssembly:
             np.random.default_rng(N).uniform(0.3, 2.8, 2 * N - 3), N
         )
         warm = _WarmObjective(N, 0.0, mesh)
-        (A, _, _), = warm.pieces(dirs)(kappa, 1)
+        A, _, _ = warm.pieces(dirs)(kappa, 1)
         assert A.shape == (N * M, N * M)
         assert np.array_equal(A, A.T)
         T = BlockAssembler(mesh, None).weighted_block(kappa)
