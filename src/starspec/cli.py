@@ -23,7 +23,7 @@ from . import __version__
 from .bounds import (
     energy_lower_bound, nonexistence_threshold, segment_existence_length, small_angle_bounds,
 )
-from .discretization import batch_entries, build_mesh, chord_groups
+from .discretization import batch_entries, build_mesh, chord_entries, chord_groups
 from .errors import NumericalError, ParseError, ValidationError
 from .geometry import (
     SHARP_SIZES, make_star, sharp_configuration, spherical_design_check, unit_directions,
@@ -41,10 +41,10 @@ COMMANDS = ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds", "de
 #: has a dense N * panels * order square matrix; 16,384 rows take 2 GiB.
 MAX_ROWS = 16_384
 #: entries of the correction batches of one star, held at once: one batch for
-#: the diagonal block and one per distinct pair chord.  At 128 panels of
-#: order 16 the diagonal batch holds 6.1e6 entries, a chord's 1e5 at chord
-#: 8/3, 2.6e7 at 1e-12 and up to 7e7 as the chord goes to 0, where nearly
-#: every piece has rows of its own.  ``batch_entries`` counts a batch's
+#: the diagonal block and one for all its distinct pair chords.  At 128
+#: panels of order 16 the diagonal batch holds 6.1e6 entries, a chord's
+#: share of the pair batch 1e5 at chord 8/3, 2.6e7 at 1e-12 and up to 7e7 as
+#: the chord goes to 0, where nearly every piece has rows of its own.  ``batch_entries`` counts a batch's
 #: entries exactly, from the layout alone (``_batch_entries``): the
 #: prototypes' rows and one kernel distance per subrule point.  An entry is
 #: one 8-byte value, so this is about 1.3 GiB
@@ -276,13 +276,20 @@ def parse_job(document: str) -> JobSpec:
 def _batch_entries(doc: dict):
     """The entries of the correction batches that one star of the job holds
     at once, at most, batch by batch, from the layout alone
-    (``batch_entries``): the diagonal block's, then one per distinct pair
-    chord.  A batch grows as its chord shrinks.  The chords of a
-    ``spectrum`` star are known, and a sweep's smallest is at phi_min.
+    (``batch_entries``): the diagonal block's, then the pair batch of all
+    distinct pair chords.  A chord's share of a batch grows as the chord
+    shrinks.  The chords of a ``spectrum`` star are known, so its pair
+    batch is counted exactly, and a sweep's smallest is at phi_min.
     ``optimize`` and ``verify-sharp`` build stars with up to N(N-1)/2
     distinct chords: a search star's are no smaller than ``MIN_PAIR_ANGLE``
-    allows, a perturbed star's lie near the sharp star's.  Nothing for a
-    mesh or star that the run rejects before it builds a batch."""
+    allows, a perturbed star's lie near the sharp star's.  For those, N(N-1)/2
+    times the largest one-chord batch bounds the pair batch: a joint batch
+    is the one-chord batches of its chords with the rows of layouts shared
+    across chords stored once, so sharing only removes rows.  A
+    ``spectrum`` star's pair batch comes chord by chord
+    (``chord_entries``), so a check of the running sum stops at the first
+    chord that crosses the bound.  Nothing for a mesh or star that the run
+    rejects before it builds a batch."""
     command, L = doc["command"], doc["arm_length"]
     try:
         mesh = _job_mesh(doc, L)
@@ -298,12 +305,12 @@ def _batch_entries(doc: dict):
             )
             chords = chord_groups(dirs)[0].tolist()
             N = dirs.shape[0]
-            n_pairs = len(chords) if command == "spectrum" else N * (N - 1) // 2
+            n_pairs = N * (N - 1) // 2
     except ValidationError:
         return
     yield batch_entries(mesh, None)
     if command == "spectrum":
-        yield from (batch_entries(mesh, c) for c in chords)
+        yield from chord_entries(mesh, chords)
     elif chords:
         yield n_pairs * max(batch_entries(mesh, c) for c in chords)
 

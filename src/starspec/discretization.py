@@ -28,35 +28,41 @@ product integration.  Slopes in kappa come from the raw derivative blocks
 
 Which panels are corrected, and how deeply their subrules are refined,
 depends on the geometry only (closest approach against panel width), never
-on kappa.  So each block builds its correction rules once, as one batch:
-one vector of kernel distances and the weights mapping kernel samples to
-corrected entries.  Every piece of the batch (one target node against one
-panel, near or self) has the same shape, two geometric half-stacks meeting
-at a split point, so the pieces of one depth and number of halves form a
-group, built in chunks of bounded size.  At each kappa the block costs one
-exp over the dense distances and one over the batch's distances.
+on kappa.  So the correction rules are built once, as one batch per
+``BlockAssembler``: the diagonal block's, and one for all distinct pair
+chords of a star, whose pair blocks form one (chords, M, M) stack.  A batch
+is one vector of kernel distances and the weights mapping kernel samples
+to corrected entries.  Every piece of the batch (one target node against
+one panel, near or self, at one chord) has the same shape, two geometric
+half-stacks meeting at a split point, so the pieces of one depth and number
+of halves form a group, built in chunks of bounded size.  At each kappa a
+batch costs one exp over the dense distances of all its chords and one over
+its subrule distances; the kernel blocks are then made one at a time from
+the derivative stack, so that an evaluation holds that stack and one block.
 
 A piece's rows in the batch (subrule weights times the panel's Lagrange
-basis over the node weights) involve neither the kernel nor the target,
-only the subrule's layout in its panel: translating and scaling a panel
-scales both weights alike and leaves the basis as it is.  Points, basis and
-target distances are all formed relative to the panel's start (a stored
-node minus its panel's start is exact in the end stack, where panels are
-narrow against their distance from 0), so rows keep their digits at any
-distance from the vertex.  A piece split at a panel edge has one half-stack,
-and its layout is that edge and its depth: it shares the rows of the first
-piece with that layout (``batch_prototypes``), on the diagonal and in pair
-batches alike.  A piece split inside its panel has rows of its own; that
-covers every self piece, whose regularizer cancels the singular part of its
-rows only at its own points.  Every piece keeps its own points and kernel
-distances.
+basis over the node weights) involve neither the kernel, the chord nor the
+target, only the subrule's layout in its panel: translating and scaling a
+panel scales both weights alike and leaves the basis as it is.  Points,
+basis and target distances are all formed relative to the panel's start (a
+stored node minus its panel's start is exact in the end stack, where panels
+are narrow against their distance from 0), so rows keep their digits at any
+distance from the vertex.  A piece split at a panel edge has one
+half-stack, and its layout is that edge and its depth: it shares the rows
+of the first piece with that layout (``batch_prototypes``), whatever its
+panel and chord, on the diagonal and in pair batches alike.  A piece split
+inside its panel has rows of its own; that covers every self piece, whose
+regularizer cancels the singular part of its rows only at its own points.
+Every piece keeps its own points and kernel distances.
 
 Each group stores its prototypes' rows once, in one dense array.  The
 pieces of a shared layout are consecutive, so their points form one
 (copies, points) matrix, and the layout is applied as one matrix product
 with its rows; the pieces with rows of their own take one batched
 product per group.  On the 56-panel order-12 mesh the diagonal batch's
-10,356 pieces have 688 prototypes, whose rows take 6.4 MB.
+10,356 pieces have 688 prototypes, whose rows take 6.4 MB.  A perturbed
+icosahedron's 66 chords on the 12-panel order-8 mesh share 11 products
+(390 in one batch per chord), and their rows take 3.1 MB (4.5 MB).
 """
 
 from __future__ import annotations
@@ -264,60 +270,107 @@ def _half_stacks(mesh: Mesh, panels, split):
     return a, b
 
 
-def batch_prototypes(mesh: Mesh, panels, split, depth):
-    """The prototype of every piece of a block's batch (``correction_layout``):
-    the first piece with its layout, whose rows the others share
-    (``BlockAssembler._subrules``).  A piece split at a panel edge has one
-    half-stack, so its layout is its depth and that edge; a piece split
-    inside its panel is its own prototype."""
+def _layout_keys(mesh: Mesh, panels, split, depth):
+    """The layout of every piece (``correction_layout``) as a key: for a
+    piece split at a panel edge, which has one half-stack, 2 depth + 1 if
+    that half is the lower one; for a piece split inside its panel, a
+    negative key of its own.  Also returns the piece's subrule points,
+    ``_SUB_ORDER`` per segment of its present half-stacks."""
     a, b = _half_stacks(mesh, panels, split)
     present = a < b
     key = np.where(present.all(axis=1), -1 - np.arange(panels.size),
                    2 * depth + present[:, 0])
+    return key, present.sum(axis=1) * depth * _SUB_ORDER
+
+
+def batch_prototypes(mesh: Mesh, panels, split, depth):
+    """The prototype of every piece of a batch (``correction_layout``): the
+    first piece with its layout, whose rows the others share
+    (``BlockAssembler._subrules``).  A piece split at a panel edge has one
+    half-stack, so its layout is its depth and that edge, whatever its
+    panel and chord; a piece split inside its panel is its own
+    prototype."""
+    key, _ = _layout_keys(mesh, panels, split, depth)
     _, first, layout = np.unique(key, return_index=True, return_inverse=True)
     return first[layout]
 
 
-def batch_entries(mesh: Mesh, chord_sq: float | None) -> int:
-    """Entries of the correction batch of one block, each one 8-byte value:
-    the rows of every prototype (``batch_prototypes``), order per subrule
-    point, and one kernel distance per subrule point of every piece
-    (``correction_layout``); a piece has ``_SUB_ORDER`` points per segment
-    of its present half-stacks.  Nothing of the batch is built."""
-    _, panels, split, depth, _ = correction_layout(mesh, chord_sq)
-    a, b = _half_stacks(mesh, panels, split)
-    points = (a < b).sum(axis=1) * depth * _SUB_ORDER
-    proto = np.unique(batch_prototypes(mesh, panels, split, depth))
-    return int(mesh.order * points[proto].sum() + points.sum())
+def _joint_layout(mesh: Mesh, chord_sq):
+    """``correction_layout`` of each chord of a batch (``BlockAssembler``),
+    concatenated in chord order, with each piece's chord index in front."""
+    # a star of one arm has no chord: an empty layout of the right types
+    layouts = ([correction_layout(mesh, c) for c in _chord_list(chord_sq)]
+               or [tuple(f[:0] for f in correction_layout(mesh, None))])
+    g = np.repeat(np.arange(len(layouts)), [f[0].size for f in layouts])
+    return (g, *(np.concatenate(f) for f in zip(*layouts)))
+
+
+def _chord_list(chord_sq) -> list:
+    return [None] if chord_sq is None else np.reshape(chord_sq, -1).tolist()
+
+
+def chord_entries(mesh: Mesh, chord_sq):
+    """The entries that each chord adds to the correction batch of one
+    ``BlockAssembler`` (None, a squared chord or a vector of them), in
+    chord order, each one 8-byte value: one kernel distance per subrule
+    point of each of its pieces (``correction_layout``), and the rows of
+    its prototypes (``batch_prototypes``), order per subrule point.  A
+    layout shared across chords counts with the first chord that has it, so
+    each partial sum counts the batch of the chords so far.  Nothing of the
+    batch is built, and the layouts are taken one chord at a time."""
+    seen = set()
+    for c in _chord_list(chord_sq):
+        _, panels, split, depth, _ = correction_layout(mesh, c)
+        key, points = _layout_keys(mesh, panels, split, depth)
+        own = key < 0
+        layouts, first = np.unique(key[~own], return_index=True)
+        rows = int(points[own].sum()) + sum(
+            p for k, p in zip(layouts.tolist(), points[~own][first].tolist()) if k not in seen)
+        seen.update(layouts.tolist())
+        yield int(points.sum()) + mesh.order * rows
+
+
+def batch_entries(mesh: Mesh, chord_sq) -> int:
+    """Entries of the correction batch of one ``BlockAssembler``, the sum
+    of its ``chord_entries``."""
+    return sum(chord_entries(mesh, chord_sq))
 
 
 class BlockAssembler:
-    """Assembles one M x M block of the Birman-Schwinger matrix at any kappa.
+    """Assembles M x M blocks of the Birman-Schwinger matrix at any kappa.
 
     ``chord_sq=None`` selects the regularized diagonal kernel; a positive
-    value selects the arm-pair kernel with that squared chord.  The diagonal
-    kernel is the pair kernel at chord 0, except on the self panel, where
-    the regularizer replaces it.  The near-field corrections depend on the
-    mesh and the chord only, so they are built here, once.
+    value selects the arm-pair kernel with that squared chord, and a vector
+    of them a stack of pair blocks, one per chord (a scalar is a stack of
+    one, returned as one block).  The diagonal kernel is the pair kernel at
+    chord 0, except on the self panel, where the regularizer replaces it.
+    The near-field corrections depend on the mesh and the chords only, so
+    they are built here, once, as one batch for every chord: a layout
+    shared by pieces of several chords stores its rows once.
     """
 
-    def __init__(self, mesh: Mesh, chord_sq: float | None = None):
-        if chord_sq is not None and not chord_sq > 0.0:
+    def __init__(self, mesh: Mesh, chord_sq=None):
+        c = np.zeros(1) if chord_sq is None else np.asarray(chord_sq, dtype=float)
+        if chord_sq is not None and not np.all(c > 0.0):
             raise BadParameters(f"squared chord must be positive, got {chord_sq}")
         self.mesh = mesh
         self.chord_sq = chord_sq
-        self._c = 0.0 if chord_sq is None else chord_sq
+        self._stack = np.ndim(chord_sq) > 0
+        self._c = c.reshape(-1)
         q, M = mesh.order, mesh.size
         s, w, edges = mesh.nodes, mesh.weights, mesh.edges
-        D = _rho(s[:, None], s[None, :], self._c)
+        # minus the kernel distances D of the dense part, for every chord,
+        # so that e^{-kappa D} / D is (-e^{-kappa D}) / (-D), one division
+        # of the derivative (``_block``)
+        D = _rho(s[:, None], s[None, :], self._c[:, None, None])
         if chord_sq is None:
-            np.fill_diagonal(D, 1.0)  # self-panel entries come from the batch
-        self._dist = D
+            np.fill_diagonal(D[0], 1.0)  # self-panel entries come from the batch
+        self._minus_dist = np.negative(D, out=D)
 
-        targets, panels, split, depth, is_self = correction_layout(mesh, chord_sq)
+        g, targets, panels, split, depth, is_self = _joint_layout(mesh, chord_sq)
         proto = batch_prototypes(mesh, panels, split, depth)
-        order, w_over_rho = self._subrules(targets, panels, split, depth, proto)
-        targets, panels, is_self = targets[order], panels[order], is_self[order]
+        order, w_over_rho = self._subrules(targets, panels, split, depth, proto, self._c[g])
+        g, targets, panels, is_self = g[order], targets[order], panels[order], is_self[order]
         # self panel: sum_j W_j f(t_j)/|x-t_j| integrates the kernel;
         # f(x) (ln(4 (x-a)(b-x)) - sum_j W_j/|x-t_j|) is the regularizer
         base = np.zeros((order.size, q))
@@ -326,18 +379,24 @@ class BlockAssembler:
         base[is_self, m % q] = (log_term - w_over_rho[is_self]) / w[m]
 
         # the batch maps the kernel samples at the subrule distances rho to
-        # the corrected entries flat_idx (``_apply``), base adds the regularizer
+        # the corrected entries flat_idx of the (chords, M, M) stack
+        # (``_apply``), base adds the regularizer
         cols = panels[:, None] * q + np.arange(q)
-        self._flat_idx = (targets[:, None] * M + cols).ravel()
+        self._flat_idx = ((g * M + targets)[:, None] * M + cols).ravel()
         self._base = base.ravel()
+        # the pieces of each chord, in batch order: chord k's are
+        # _by_chord[_bounds[k]:_bounds[k + 1]]
+        self._by_chord = np.argsort(g, kind="stable")
+        self._bounds = np.searchsorted(g[self._by_chord], np.arange(self._c.size + 1))
 
-    def _subrules(self, targets, panels, split, depth, proto):
+    def _subrules(self, targets, panels, split, depth, proto, chords):
         """Subrules of all pieces, one array pass per (depth, halves) group.
 
         Piece k integrates the Lagrange basis of panel panels[k] for target
         node targets[k], with two geometric half-stacks of depth[k] segments
         on [lo, t] and [t, hi], halving toward t = split[k] (in the panel); a
-        half of zero width is left out.  Sets the batch ``_batch``, its
+        half of zero width is left out.  Its kernel distances are at its own
+        squared chord chords[k].  Sets the batch ``_batch``, its
         products ``_products`` (``_apply``), the subrule points' kernel
         distances ``_rho`` and the dead points ``_dead``, and returns the
         piece order and each piece's sum of weight / rho in that order.  The
@@ -349,8 +408,8 @@ class BlockAssembler:
         panel's start e (``_half_stacks``): the distance sqrt((x - e - u)^2
         + x (e + u) c) then rounds relative to the panel width, not to x.
 
-        These rows involve neither the kernel nor the target, only the
-        subrule's layout in its panel, and both weights scale with the
+        These rows involve neither the kernel, the chord nor the target,
+        only the subrule's layout in its panel, and both weights scale with the
         panel width while the basis does not.  So only the prototypes, the
         pieces k with proto[k] == k, get rows, each stored once.  A layout
         of two or more pieces is shared: its pieces are consecutive, the
@@ -381,10 +440,11 @@ class BlockAssembler:
         order = np.lexsort((proto, ~shared, 3 * depth + halves))
         ends = np.flatnonzero(np.diff(3 * depth[order] + halves[order])) + 1
         rho_all = np.empty(int((halves * depth).sum()) * _SUB_ORDER)
+        dead_all = np.zeros(rho_all.size, dtype=bool)
         w_over_rho = np.empty(targets.size)
-        batch, products, dead_all = [], [], []
+        batch, products = [], []
         pos = start = 0  # pieces and points written so far
-        for group in np.split(order, ends):
+        for group in np.split(order, ends) if order.size else []:
             d, k = int(depth[group[0]]), int(halves[group[0]])
             r = k * d * _SUB_ORDER
             frac = _stack_fractions(d)
@@ -420,86 +480,128 @@ class BlockAssembler:
                 w_sub = (h[..., None] * w_gl).reshape(n, -1)
                 x = mesh.nodes[targets[idx], None]
                 e = mesh.edges[panels[idx], None]
-                rho = np.sqrt((x - e - t) ** 2 + x * (e + t) * self._c)
+                rho = np.sqrt((x - e - t) ** 2 + x * (e + t) * chords[idx, None])
                 dead = ~(np.repeat(seg.reshape(n, -1) > 0.0, _SUB_ORDER, axis=1) & (rho > 0.0))
                 w_sub[dead] = 0.0
                 rho[dead] = 1.0
-                dead_all.append(start + np.flatnonzero(dead))
+                dead_all[start : start + t.size] = dead.ravel()
                 own = built[idx]
-                # Lagrange basis of each prototype's panel at its subrule points
+                # Lagrange basis of each prototype's panel at its subrule
+                # points, times weight over node weight, formed in place in
+                # one array
                 p = panels[idx[own]]
-                diff = t[own, :, None] - panel_nodes[p, None, :]
-                hit = diff == 0.0
-                diff[hit] = 1.0
-                terms = bw[p, None, :] / diff
-                basis = terms / terms.sum(axis=2, keepdims=True)
-                on_node = hit.any(axis=2, keepdims=True)
-                if on_node.any():
-                    basis = np.where(on_node, hit, basis)
-                W[row : row + p.size] = (w_sub[own, :, None] * basis
-                                         / node_w[p, None, :]).transpose(0, 2, 1)
+                basis = t[own, :, None] - panel_nodes[p, None, :]
+                hit = basis == 0.0
+                basis[hit] = 1.0
+                np.divide(bw[p, None, :], basis, out=basis)
+                basis /= basis.sum(axis=2, keepdims=True)
+                np.copyto(basis, hit, where=hit.any(axis=2, keepdims=True))
+                basis *= w_sub[own, :, None]
+                basis /= node_w[p, None, :]
+                W[row : row + p.size] = basis.transpose(0, 2, 1)
                 row += p.size
                 rho_all[start : start + t.size] = rho.ravel()
                 w_over_rho[pos + i : pos + i + n] = (w_sub / rho).sum(axis=1)
                 start += t.size
             pos += group.size
         self._batch, self._products, self._rho = batch, products, rho_all
-        self._dead = np.concatenate(dead_all)
+        self._dead = np.flatnonzero(dead_all)
         return order, w_over_rho
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
+    def _apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The batch applied to values x at the subrule points, in
-        ``_flat_idx`` order; x is overwritten with 0 at the dead points.
-        Each shared layout is one matrix product, its pieces' points (copies
-        x points) against its prototype's rows; the pieces with rows of
-        their own take one batched product per group."""
+        ``_flat_idx`` order, into ``out`` if given; x is overwritten with 0
+        at the dead points.  Each shared layout is one matrix product, its
+        pieces' points (copies x points) against its prototype's rows; the
+        pieces with rows of their own take one batched product per group."""
         if self._dead.size:
             x[self._dead] = 0.0
-        out = np.empty(self._base.size)
+        if out is None:
+            out = np.empty(self._base.size)
         for Wt, cols, x_shape, rows, out_shape in self._products:
             np.matmul(x[cols].reshape(x_shape), Wt, out=out[rows].reshape(out_shape))
         return out
 
     # -- assembly ---------------------------------------------------------------
 
-    def kernel_matrix(self, kappa: float, derivative: bool = False):
-        """Corrected kernel sample matrix (without weight folding or 1/4pi);
-        with ``derivative``, also its derivative in kappa, from the same
-        exponentials: d/dkappa e^{-kappa r}/r = -e^{-kappa r}, so minus
-        e^{-kappa D} on the dense part and the batch applied to
-        -e^{-kappa rho} (the regularizer is kappa-free).  The exponentials
-        are taken in place, and the one array over the subrule points is
-        negated back and divided by rho in place once the derivative has
-        used it."""
-        K = np.multiply(self._dist, -kappa)
-        np.exp(K, out=K)
+    def _exponentials(self, kappa: float, derivative: bool):
+        """The derivative stack -e^{-kappa D} of every chord, with the
+        batch's derivative entries if ``derivative`` asks for them, and the
+        batch's corrected kernel entries, one row per piece in batch order:
+        one exp over the dense distances and one over the batch's.  By
+        d/dkappa e^{-kappa r}/r = -e^{-kappa r}, the derivative entries are
+        the batch applied to -e^{-kappa rho} (the regularizer is
+        kappa-free).  The exponentials are taken in place, and the one
+        array over the subrule points is negated back and divided by rho in
+        place once the derivative has used it.  That array is made after
+        the batch's outputs and dropped before the dense stack is made, so
+        that the stack can take its memory."""
+        d_corr = np.empty(self._base.size) if derivative else None
+        corrected = np.empty(self._base.size)
         e = np.multiply(self._rho, -kappa)
         np.exp(e, out=e)
-        dK = None
         if derivative:
-            dK = np.negative(K)
-            dK.reshape(-1)[self._flat_idx] = self._apply(np.negative(e, out=e))
+            self._apply(np.negative(e, out=e), d_corr)
             np.negative(e, out=e)
-        K /= self._dist
         e /= self._rho
-        corrected = self._apply(e)
+        self._apply(e, corrected)
+        del e
         corrected += self._base
-        K.reshape(-1)[self._flat_idx] = corrected
-        return K if dK is None else (K, dK)
+        dK = np.multiply(self._minus_dist, kappa)
+        np.exp(dK, out=dK)
+        np.negative(dK, out=dK)
+        if derivative:
+            dK.reshape(-1)[self._flat_idx] = d_corr
+        return dK, corrected.reshape(-1, self.mesh.order)
+
+    def _block(self, k: int, dK, corrected, out=None) -> np.ndarray:
+        """Kernel matrix of chord k (into ``out`` if given) from the dense
+        part of its derivative block, e^{-kappa D} / D = dK / (-D), and its
+        corrected entries (``_exponentials``)."""
+        K = np.divide(dK[k], self._minus_dist[k], out=out)
+        rows = self._by_chord[self._bounds[k] : self._bounds[k + 1]]
+        M, q = self.mesh.size, self.mesh.order
+        K.reshape(-1)[self._flat_idx.reshape(-1, q)[rows] - k * M * M] = corrected[rows]
+        return K
+
+    def kernel_blocks(self, kappa: float, derivative: bool = False):
+        """The corrected kernel matrices of the stack (without weight
+        folding or 1/4pi) as an iterator that makes each as it is read, and
+        the (chords, M, M) derivative stack in kappa if asked, else None: an
+        evaluation holds the derivative stack and one kernel matrix.  Each
+        kernel matrix is made from its block of the derivative stack, so it
+        is read before that block is changed."""
+        dK, corrected = self._exponentials(kappa, derivative)
+        blocks = (self._block(k, dK, corrected) for k in range(self._c.size))
+        return blocks, dK if derivative else None
+
+    def kernel_matrix(self, kappa: float, derivative: bool = False):
+        """Corrected kernel sample matrix (without weight folding or 1/4pi),
+        a (chords, M, M) stack for a vector of chords; with ``derivative``,
+        also its derivative in kappa (``_exponentials``)."""
+        dK, corrected = self._exponentials(kappa, derivative)
+        K = np.empty_like(dK)
+        for k in range(K.shape[0]):
+            self._block(k, dK, corrected, out=K[k])
+        if not self._stack:
+            K, dK = K[0], dK[0]
+        return (K, dK) if derivative else K
 
     def weighted_block(self, kappa: float) -> np.ndarray:
-        """Symmetric weighted block D^{1/2} K D^{1/2} / (4 pi) (``_weigh``)."""
+        """Symmetric weighted block D^{1/2} K D^{1/2} / (4 pi) (``_weigh``),
+        or stack of them."""
         return _weigh(self.kernel_matrix(kappa), self.mesh.weights)
 
 
 def _weigh(K: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """D^{1/2} K D^{1/2} / (4 pi) for D = diag(weights), symmetrized; K is
-    overwritten.  The one place where a matrix is made symmetric: once per
-    solved matrix, never on a derivative (``star_form``)."""
+    """D^{1/2} K D^{1/2} / (4 pi) for D = diag(weights), symmetrized, for
+    a block K or each block of a stack; K is overwritten.  The one place
+    where a matrix is made symmetric: once per solved matrix, never on a
+    derivative (``star_form``)."""
     sw = np.sqrt(weights)
     K *= sw[:, None] * sw[None, :]
     K /= FOUR_PI
-    B = K + K.T
+    B = K + np.swapaxes(K, -1, -2)
     B *= 0.5
     return B
 
@@ -560,7 +662,10 @@ class StarAssembler:
     """Cached-geometry assembler for the full N-arm matrix at any kappa.
 
     The diagonal block is shared by all arms; off-diagonal blocks are shared
-    across arm pairs with the same squared chord (``chord_groups``).
+    across arm pairs with the same squared chord (``chord_groups``).  The
+    star holds two correction batches: the diagonal's (``diag``) and one
+    for all its distinct pair chords (``offdiag``), which gives the pair
+    blocks as one (chords, M, M) stack in group order.
 
     ``group_counts[g]`` is n_g, the number of pairs of chord group g that
     contain one arm, when that number is the same for every arm (the star
@@ -578,7 +683,7 @@ class StarAssembler:
         self.config = config
         self.diag = BlockAssembler(mesh, chord_sq=None)
         chords, self._pairs = chord_groups(config.directions)
-        self._offdiag = [BlockAssembler(mesh, chord_sq=c) for c in chords.tolist()]
+        self.offdiag = BlockAssembler(mesh, chord_sq=chords)
         I, J, group = self._pairs
         counts = np.zeros((config.n_arms, chords.size), dtype=int)
         np.add.at(counts, (I, group), 1)
@@ -587,12 +692,14 @@ class StarAssembler:
 
     def matrix(self, kappa: float, blocks=None) -> np.ndarray:
         """The full matrix at kappa, filled from ``blocks``, (T, pair blocks
-        in group order), if given (``pieces``), else from
-        ``BlockAssembler.weighted_block``, each pair block made as it is
-        placed, so that one is held at a time."""
+        in group order), if given (``pieces``), else from the raw kernel
+        matrices, each pair block weighed as it is placed, so that one
+        weighed pair block is held at a time."""
         if blocks is None:
+            weights = self.diag.mesh.weights
+            pair_blocks, _ = self.offdiag.kernel_blocks(kappa)
             blocks = (self.diag.weighted_block(kappa),
-                      (asm.weighted_block(kappa) for asm in self._offdiag))
+                      (_weigh(B, weights) for B in pair_blocks))
         return star_matrix(self.config.n_arms, *blocks, *self._pairs)
 
     def pieces(self, kappa: float, j: int):
@@ -616,29 +723,22 @@ class StarAssembler:
         summed from the raw kernel matrices, ``K_T + sum_g n_g K_g`` in
         place, and weighed once; its derivative is the same sum of the raw
         derivatives.  Lower levels, and all levels of an irregular star,
-        come from the full matrix: each pair block is weighed as it is
-        placed, and the derivative blocks stay raw, stacked in one array.
+        come from the full matrix: each raw pair block is made and weighed
+        as it is placed (``BlockAssembler.kernel_blocks``), and the raw
+        derivative stack is the form's.
         """
         N, weights = self.config.n_arms, self.diag.mesh.weights
         S, dS = self.diag.kernel_matrix(kappa, derivative=True)
+        blocks, dK = self.offdiag.kernel_blocks(kappa, derivative=True)
         if j == 1 and self.group_counts is not None:
-            for n, asm in zip(self.group_counts.tolist(), self._offdiag):
-                B, dB = asm.kernel_matrix(kappa, derivative=True)
+            # each B is made from its dB before dB is scaled
+            for n, B, dB in zip(self.group_counts.tolist(), blocks, dK):
                 B *= n
                 dB *= n
                 S += B
                 dS += dB
-                del B, dB  # before the next chord's, or the weighing's, arrays
+                del B, dB  # before the next chord's arrays
+            del blocks, dK  # before the weighing's
             return _weigh(S, weights), star_form(weights, dS), N
-        # each pair block is placed as soon as it is made, and the raw
-        # derivative blocks share one array, so they take about the memory
-        # that the pair blocks would have held
-        d_pair_blocks = np.empty((len(self._offdiag),) + S.shape)
-
-        def pair_blocks():
-            for g, asm in enumerate(self._offdiag):
-                B, d_pair_blocks[g] = asm.kernel_matrix(kappa, derivative=True)
-                yield _weigh(B, weights)
-
-        A = self.matrix(kappa, (_weigh(S, weights), pair_blocks()))
-        return A, star_form(weights, dS, d_pair_blocks, *self._pairs), 1
+        A = self.matrix(kappa, (_weigh(S, weights), (_weigh(B, weights) for B in blocks)))
+        return A, star_form(weights, dS, dK, *self._pairs), 1

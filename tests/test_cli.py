@@ -244,6 +244,23 @@ class TestRun:
             "j": 1, "kappa": 1.5732137543713216, "energy": -2.475001516943109}
         assert doc["diagnostics"]["parity"] == "symmetric"
 
+    def test_multi_chord_outputs_pinned(self, tmp_path):
+        # perturbed octahedra have up to 15 distinct chords, built as one
+        # correction batch; 96 rows on the dense LAPACK path, so BLAS
+        # threading cannot change the bits.  Values as the per-chord
+        # batches gave them: the joint batch moves them by rounding only
+        out = tmp_path / "res.json"
+        assert run(parse_job(job_text(
+            command="verify-sharp", star={"sharp": 6}, alpha=0.0, arm_length=3.0,
+            mesh={"panels": 4, "order": 4}, verify={"scale": 0.05, "trials": 2},
+            optimize={"seed": 3}, output={"path": str(out)},
+        ))) == 0
+        doc = json.loads(out.read_text())
+        assert doc["results"]["passed"] is True
+        assert doc["results"]["sharp_energy"] == pytest.approx(-78.70730765788537, rel=1e-13)
+        assert doc["diagnostics"]["perturbed_energies"] == pytest.approx(
+            [-78.97980028278756, -78.98891978148941], rel=1e-13)
+
     def test_design_check_results(self):
         job = parse_job(job_text(command="design-check", star={"sharp": 12},
                                  design={"order": 5}))

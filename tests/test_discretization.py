@@ -9,8 +9,8 @@ from scipy.integrate import quad
 
 from starspec import discretization
 from starspec.discretization import (
-    BlockAssembler, StarAssembler, batch_entries, batch_prototypes, build_mesh, chord_groups,
-    correction_layout, star_form, star_matrix,
+    BlockAssembler, StarAssembler, batch_entries, batch_prototypes, build_mesh, chord_entries,
+    chord_groups, correction_layout, star_form, star_matrix,
 )
 from starspec.errors import BadParameters
 from starspec.geometry import chord_sq, make_star, sharp_configuration
@@ -477,6 +477,107 @@ class TestPrototypes:
                                   split > mesh.edges[pieces])
 
 
+def chord_sets(mesh):
+    """The chords 8/3, 4, 1e-3 and 0.31, and on meshes of at most 300 nodes
+    (the joint batch of 66 chords on 672 nodes stores 238 MB of dense
+    distances) a perturbed icosahedron's 66."""
+    yield np.array([8.0 / 3.0, 4.0, 1e-3, 0.31])
+    if mesh.size <= 300:
+        yield perturbed_icosahedron_chords()
+
+
+def perturbed_icosahedron_chords():
+    """The 66 distinct squared chords of a perturbed icosahedron."""
+    rng = np.random.default_rng(3)
+    dirs = sharp_configuration(12) + 0.05 * rng.standard_normal((12, 3))
+    chords, _ = chord_groups(dirs / np.linalg.norm(dirs, axis=1)[:, None])
+    assert chords.size == 66
+    return chords
+
+
+class TestJointBatch:
+    """One correction batch for all pair chords of a star: the layouts of
+    every chord, concatenated, with a layout split at a panel edge shared
+    across chords."""
+
+    @pytest.mark.parametrize("L, panels, order", GRID_MESHES)
+    def test_stack_matches_per_chord_builds(self, L, panels, order):
+        # a layout that is one piece in its chord's batch can be shared in
+        # the joint batch, where a matrix product replaces the batched one
+        # and rows come from another panel's prototype: the bounds of
+        # TestPrototypes (measured over this grid: K within 6.2e-16 of
+        # max|K|, dK within 2.6e-14 of max|dK|)
+        mesh = build_mesh(L, panels, order, 2.0)
+        r = (np.finfo(float).eps * mesh.edges[1:] / np.diff(mesh.edges)).max()
+        for chords in chord_sets(mesh):
+            joint = BlockAssembler(mesh, chords)
+            own = [BlockAssembler(mesh, c) for c in chords.tolist()]
+            for kappa in (0.0, 1e-4, 1.0, 37.5, 594.0):
+                K, dK = joint.kernel_matrix(kappa, derivative=True)
+                assert K.shape == dK.shape == (chords.size, mesh.size, mesh.size)
+                for k, asm in enumerate(own):
+                    K0, dK0 = asm.kernel_matrix(kappa, derivative=True)
+                    assert np.abs(K[k] - K0).max() <= max(1e-14, 2.0 * r) * np.abs(K0).max()
+                    assert np.abs(dK[k] - dK0).max() <= 64.0 * r * np.abs(dK0).max()
+            blocks, dK_lazy = joint.kernel_blocks(1.0, derivative=True)
+            assert np.array_equal(np.array(list(blocks)), joint.kernel_matrix(1.0))
+            assert np.array_equal(dK_lazy, joint.kernel_matrix(1.0, derivative=True)[1])
+
+    def test_scalar_chord_is_a_stack_of_one(self):
+        mesh = build_mesh(1.0, 8, 12, 2.0)
+        for kappa in (0.0, 1.0, 37.5):
+            K, dK = BlockAssembler(mesh, 0.31).kernel_matrix(kappa, derivative=True)
+            Ks, dKs = BlockAssembler(mesh, [0.31]).kernel_matrix(kappa, derivative=True)
+            assert np.array_equal(Ks, K[None]) and np.array_equal(dKs, dK[None])
+
+    @pytest.mark.parametrize("panels, order", [(24, 2), (24, 8)])
+    def test_dead_points_stay_per_piece(self, panels, order):
+        # chord 1e-30 has points on zero-width segments (TestPrototypes);
+        # chord 4.0 shares some of its layouts and has none, so a copy of
+        # a shared layout keeps its own dead points
+        mesh = build_mesh(1.0, panels, order, 16.0)
+        joint = BlockAssembler(mesh, [1e-30, 4.0])
+        single = [BlockAssembler(mesh, c) for c in (1e-30, 4.0)]
+        dead = joint._rho == 1.0
+        assert dead.sum() == sum(np.count_nonzero(asm._rho == 1.0) for asm in single) > 0
+        assert np.all(joint._apply(dead.astype(float)) == 0.0)
+        r = (np.finfo(float).eps * mesh.edges[1:] / np.diff(mesh.edges)).max()
+        for kappa in (0.0, 1.0, 37.5):
+            K, dK = joint.kernel_matrix(kappa, derivative=True)
+            for k, asm in enumerate(single):
+                K0, dK0 = asm.kernel_matrix(kappa, derivative=True)
+                assert np.abs(K[k] - K0).max() <= max(1e-14, 2.0 * r) * np.abs(K0).max()
+                assert np.abs(dK[k] - dK0).max() <= 64.0 * r * np.abs(dK0).max()
+
+    @pytest.mark.parametrize("L, panels, order", [(0.01, 3, 5), (1.0, 8, 12), (3.0, 12, 8),
+                                                  (5.0, 56, 12), (1e6, 20, 9)])
+    def test_rows_and_entries(self, L, panels, order):
+        # the joint batch stores no more prototype rows than the per-chord
+        # batches together, and fewer where chords share a layout; its
+        # parse-time count is the entries it stores, summed chord by chord
+        mesh = build_mesh(L, panels, order, 2.0)
+        for chords in chord_sets(mesh):
+            joint = BlockAssembler(mesh, chords)
+            rows = sum(W.shape[0] for W in joint._batch)
+            assert rows < sum(sum(W.shape[0] for W in BlockAssembler(mesh, c)._batch)
+                              for c in chords.tolist())
+            stored = sum(W.size for W in joint._batch) + joint._rho.size
+            assert batch_entries(mesh, chords) == stored
+            assert batch_entries(mesh, chords) < sum(batch_entries(mesh, c) for c in chords)
+            # each partial sum counts the batch of the chords so far
+            partial = np.cumsum(list(chord_entries(mesh, chords)))
+            for k in (1, 2, chords.size // 2):
+                assert partial[k - 1] == batch_entries(mesh, chords[:k])
+
+    def test_star_without_pairs(self):
+        # one arm: an empty pair batch, and the full matrix is the diagonal
+        mesh = build_mesh(1.0, 4, 4, 2.0)
+        asm = StarAssembler(make_star([(0, 0, 1)], 1.0, 0.0), mesh)
+        assert asm.offdiag.kernel_matrix(1.0).shape == (0, mesh.size, mesh.size)
+        assert batch_entries(mesh, []) == 0
+        assert np.array_equal(asm.matrix(1.0), asm.diag.weighted_block(1.0))
+
+
 class TestChordGroups:
     @pytest.mark.parametrize("angle", [1e-7, 7e-7, 1.3e-6, 0.3, 1.0, math.pi])
     def test_two_arms_keep_their_chord(self, angle):
@@ -510,7 +611,7 @@ class TestStarMatrix:
         dirs = [(0.0, 0.0, 1.0)] if N == 1 else sharp_configuration(N)
         asm = StarAssembler(make_star(dirs, 1.0, 0.0), build_mesh(1.0, 2, 4, 2.0))
         T = asm.diag.weighted_block(0.7)
-        pair_blocks = [b.weighted_block(0.7) for b in asm._offdiag]
+        pair_blocks = list(asm.offdiag.weighted_block(0.7))
         A = star_matrix(N, T, pair_blocks, *asm._pairs)
         assert np.isfinite(A).all()
         assert np.array_equal(A, block_by_block(N, T, pair_blocks, *asm._pairs))
@@ -568,7 +669,8 @@ class TestRawBlocks:
         cfg = make_star(dirs, L, 0.0)
         asm = StarAssembler(cfg, build_mesh(L, panels, order, 2.0))
         kappa, w, N = 4.68, asm.diag.mesh.weights, cfg.n_arms
-        raw = [a.kernel_matrix(kappa, derivative=True) for a in (asm.diag, *asm._offdiag)]
+        raw = [asm.diag.kernel_matrix(kappa, derivative=True),
+               *zip(*asm.offdiag.kernel_matrix(kappa, derivative=True))]
         T, *B = [symmetrized(K, w) for K, _ in raw]
         dT, *dB = [symmetrized(dK, w) for _, dK in raw]
         if asm.group_counts is None:
