@@ -26,6 +26,17 @@ safeguarded Newton iteration in ln kappa (``_solve_level``).
 Root solves stop at the rounding of kappa and of lambda_j, with no
 tolerance; only the direction search stops its solves earlier
 (``optimizer.SEARCH_KAPPA_TOL``).
+
+The evaluations of one root solve lie close together, so each top
+evaluation after the first starts from the previous top vector u: on dense
+matrices of ``_WARM_MIN`` to ``_DENSE_MAX`` rows by shifted inverse
+iteration (``_warm_top``), above them by ARPACK from u.  A Cholesky factor
+of sigma I - A exists exactly when that matrix is positive definite, so a
+factor that succeeds certifies sigma > lambda_1, and inverse iteration on
+it converges to the top eigenvector at the ratio (sigma - lambda_1) /
+(sigma - lambda_2) per solve (Parlett, *The Symmetric Eigenvalue Problem*,
+1998, ch. 4).  LAPACK's full tridiagonalization stays the cold solve and
+the fallback (``_CurveSolver``).
 """
 
 from __future__ import annotations
@@ -67,6 +78,25 @@ _NORM_CHUNK = 2**16
 #: above this dimension the top eigenvalue comes from ARPACK instead of LAPACK
 _DENSE_MAX = 1000
 
+#: from this dimension up, a top evaluation with a previous top vector tries
+#: the warm path (``_warm_top``) before LAPACK; the crossover table is in
+#: ``_CurveSolver``
+_WARM_MIN = 192
+
+#: the warm path stops once ||A x - rho x|| is within this many units of the
+#: evaluation's rounding; LAPACK's own top vectors leave 0.5 to 2.6 units
+_WARM_TOL = 8.0
+
+#: the warm path's guess of the gap lambda_1 - lambda_2, as a share of the
+#: norm bound: the sharp stars' sectors have 1/27 (tetrahedron, 56 x 12) to
+#: 1/5 (icosahedron, 16 x 12).  A gap below the guess costs a failed factor
+#: and a LAPACK solve, never a wrong value
+_WARM_GAP = 1.0 / 64.0
+
+#: most Cholesky factors of one warm solve, and inverse-iteration solves on each
+_WARM_FACTORS = 3
+_WARM_SOLVES = 3
+
 _POSITIVITY_TOL = 1e-10
 
 
@@ -97,8 +127,9 @@ class SpectralResult:
     residual: float
     #: how the ground state was solved: ``path`` is "sector" (the M x M
     #: sector matrix of an arm-regular star, whose ``group_counts`` n_g are
-    #: given), "dense" (LAPACK on the full matrix) or "arpack"; ``dim`` is
-    #: the dimension solved
+    #: given), "dense" (the full matrix) or "arpack"; ``dim`` is the
+    #: dimension solved; ``warm_evaluations`` counts the root's evaluations
+    #: solved warm, from a Cholesky factor (``_CurveSolver``)
     eigensolver: dict
     #: lambda evaluations of the ground state's root solve
     root_evaluations: int
@@ -128,6 +159,47 @@ def _norm_bound(A: np.ndarray) -> float:
     step = max(1, _NORM_CHUNK // A.shape[1])
     return max(float(np.abs(A[i : i + step]).sum(axis=1).max())
                for i in range(0, A.shape[0], step))
+
+
+def _rayleigh(A: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """Rayleigh quotient rho = x^T A x of the unit vector x and its residual
+    ||A x - rho x||."""
+    Ax = A @ x
+    rho = float(x @ Ax)
+    return rho, float(np.linalg.norm(Ax - rho * x))
+
+
+def _warm_top(A: np.ndarray, u: np.ndarray, rounding: float):
+    """Top eigenpair (value, unit vector) of the symmetric ``A`` by shifted
+    inverse iteration from the unit vector ``u``, certified by a Cholesky
+    factor, or None; ``rounding`` is the evaluation's.  ``A`` is left
+    intact.  The shift rule, the certificate and the stop are described in
+    ``_CurveSolver``."""
+    tol = _WARM_TOL * rounding
+    gap = _WARM_GAP * rounding / np.finfo(float).eps
+    n = A.shape[0]
+    shifted = np.empty_like(A)
+    x = u
+    rho, r = _rayleigh(A, x)
+    for _ in range(_WARM_FACTORS):
+        sigma = rho + max(min(r, r * r / gap), tol / 2.0)
+        np.negative(A, out=shifted)
+        shifted.flat[:: n + 1] += sigma
+        try:
+            # the transpose of the symmetric matrix is Fortran-ordered, so
+            # LAPACK factors it in place instead of in a copy
+            factor = sla.cho_factor(shifted.T, overwrite_a=True, check_finite=False)
+        except sla.LinAlgError:
+            return None
+        for _ in range(_WARM_SOLVES):
+            if r <= tol:
+                break
+            x = sla.cho_solve(factor, x, check_finite=False)
+            x /= np.linalg.norm(x)
+            rho, r = _rayleigh(A, x)
+        if r <= tol and sigma - rho <= tol:
+            return rho, x
+    return None
 
 
 def _eigh(A: np.ndarray, first: int = 1, last: int | None = 1,
@@ -180,26 +252,92 @@ class _CurveSolver:
     u, lifts u to the full matrix as tile(u, copies) / sqrt(copies) and
     keeps value, slope d lambda_j / d kappa = u^T (dA/dkappa) u
     (Hellmann-Feynman, module docstring), vector and the value's rounding,
-    eps times the ``_norm_bound`` of the matrix solved, in ``last``.  ARPACK
-    solves of the top start from the constant vector, then from the last top
-    eigenvector.
+    eps times the ``_norm_bound`` of the matrix solved, in ``last``.  The
+    rounding is computed once per evaluation and also serves the warm stop
+    below.  ARPACK solves of the top start from the constant vector, then
+    from the last top eigenvector.
+
+    Warm top solves.  From ``_WARM_MIN`` to ``_DENSE_MAX`` rows, a top
+    evaluation (j = 1) with a previous top vector u tries ``_warm_top``
+    before LAPACK.  From x = u, rho = x^T A x and r = ||A x - rho x||:
+
+    - Shift.  sigma = rho + max(min(r, r^2 / g), tol / 2), tol =
+      ``_WARM_TOL`` times the rounding.  lambda_1 - rho is at most about r
+      for a vector near the top, and about r^2 / (lambda_1 - lambda_2) once
+      it is close; g guesses that gap as ``_WARM_GAP`` of the norm bound.
+    - Certificate.  The Cholesky factor of sigma I - A exists exactly when
+      sigma > lambda_1 (up to the factor's own rounding); a factor that
+      fails ends the warm path.
+    - Iteration.  Up to ``_WARM_SOLVES`` solves on the factor, x <-
+      (sigma I - A)^{-1} x / norm, converge to the top vector at the ratio
+      (sigma - lambda_1) / (sigma - lambda_2) per solve, until r <= tol.
+    - Stop.  The pair (rho, x) is returned once r <= tol and sigma - rho
+      <= tol.  Then rho <= lambda_1 (a Rayleigh quotient) < sigma <= rho +
+      tol, so rho is the top within tol whatever the gap, and x leaves a
+      residual of at most tol.  Otherwise sigma moves to the new rho and r
+      by the shift rule, up to ``_WARM_FACTORS`` factors in all.  A shift
+      found from a converged x is rho + tol / 2, so the last factor of a
+      warm solve usually certifies a pair that needs no further solve.
+    - Fallback.  A failed factor or no certified pair after the last factor
+      gives LAPACK's solve on the intact A.  So no previous vector, not
+      even one orthogonal to the top, gives a value more than tol below
+      lambda_1, however close lambda_2 lies.
+
+    On the warm path the bits of an evaluation depend on A and on u, as
+    ARPACK's do (the same inputs give the same bits), and agree with
+    LAPACK's top within its own rounding error.  Below ``_WARM_MIN`` every
+    dense solve is LAPACK's, bitwise as before.  Crossover, ms per solve
+    (median of 21, one BLAS thread on a shared 2-vCPU machine, the
+    tetrahedron's sector at L = 5, kappa = 4.68; a factor includes forming
+    sigma I - A, a solve its Rayleigh quotient and residual; worst case: 3
+    factors and 9 solves):
+
+    ====  ==========  ======  =====  ==========
+    rows  LAPACK top  factor  solve  worst case
+    ====  ==========  ======  =====  ==========
+     120       0.622   0.149  0.044       0.844
+     144       0.913   0.217  0.051       1.105
+     168       1.187   0.260  0.052       1.252
+     192       1.558   0.336  0.062       1.569
+     288       3.503   0.887  0.126       3.795
+     480      10.616   1.992  0.259       8.302
+     672      18.542   4.711  0.485      18.501
+    ====  ==========  ======  =====  ==========
+
+    From ``_WARM_MIN`` rows up the worst case costs about one LAPACK subset
+    solve (0.8 to 1.1 times), and a typical warm solve (one factor, one
+    solve) a quarter to a third of it.  The floor also keeps small solves
+    bitwise as they were: the 15- to 96-row matrices of the direction
+    search (``optimize``), of ``verify-sharp``'s sharp star, of the root
+    finder's tests and of the pinned CLI jobs.  With the floor at one row,
+    20 tier-1 tests that compare such bits fail: 18 Brent comparisons on
+    24-row-per-arm solvers and two pinned CLI outputs.
     """
 
     def __init__(self, pieces):
         self.pieces = pieces
         self.last: _Evaluation | None = None
         self._warm: np.ndarray | None = None
+        #: top evaluations solved on the warm path
+        self.warm_evaluations = 0
 
     def lam(self, kappa: float, j: int = 1) -> float:
         """j-th largest eigenvalue of Q_kappa (j = 1 is the top); the whole
         evaluation is kept in ``last``."""
         A, form, copies = self.pieces(kappa, j)
-        vals, vecs = _eigh(A, j, j, vectors=True, v0=self._warm)
-        value, u = float(vals[0]), vecs[:, 0]
+        rounding = np.finfo(float).eps * _norm_bound(A)
+        pair = None
+        if j == 1 and self._warm is not None and _WARM_MIN <= A.shape[0] <= _DENSE_MAX:
+            pair = _warm_top(A, self._warm, rounding)
+            self.warm_evaluations += pair is not None
+        if pair is None:
+            vals, vecs = _eigh(A, j, j, vectors=True, v0=self._warm)
+            pair = float(vals[0]), vecs[:, 0]
+        value, u = pair
         if j == 1:
             self._warm = u
         self.last = _Evaluation(kappa, j, value, form(u), np.tile(u, copies) / np.sqrt(copies),
-                                np.finfo(float).eps * _norm_bound(A))
+                                rounding)
         return value
 
     def top_pair(self, kappa: float) -> tuple[float, np.ndarray]:
@@ -423,6 +561,7 @@ def principal_eigenvalue(
 
 def _ground(solver: _CurveSolver, star: StarAssembler, alpha, start=None):
     """The ground state of ``star`` on its ``solver``, with diagnostics."""
+    warm = solver.warm_evaluations
     kappa_1, energy, residual, evaluations = _solve_level(solver, alpha, 1, start)
     _, vec = solver.top_pair(kappa_1)
     positivity, symmetry, parity = _diagnostics(star.config, vec)
@@ -433,7 +572,7 @@ def _ground(solver: _CurveSolver, star: StarAssembler, alpha, start=None):
         parity=parity,
         mesh_metadata=star.diag.mesh.metadata(),
         residual=residual,
-        eigensolver=_record(star),
+        eigensolver={**_record(star), "warm_evaluations": solver.warm_evaluations - warm},
         root_evaluations=evaluations,
     )
 

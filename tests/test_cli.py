@@ -284,9 +284,10 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("star, record", [
-        ({"sharp": 4}, {"path": "sector", "dim": 48, "group_counts": [3]}),
+        ({"sharp": 4}, {"path": "sector", "dim": 48, "group_counts": [3],
+                        "warm_evaluations": 0}),
         ({"directions": [[0, 0, 1], [1, 0, 0], [0.6, 0.8, 0]]},
-         {"path": "dense", "dim": 144, "group_counts": None}),
+         {"path": "dense", "dim": 144, "group_counts": None, "warm_evaluations": 0}),
     ], ids=["sharp4", "asymmetric3"])
     def test_spectrum_eigensolver_record(self, star, record, tmp_path):
         out = tmp_path / "res.json"

@@ -328,15 +328,18 @@ class TestSectorReduction:
         mesh = ss.build_mesh(3.0, 4, 6, 2.0)
         assert StarAssembler(cfg, mesh).group_counts is None
         res = principal_eigenvalue(cfg, mesh, 0.0)
-        assert res.eigensolver == {"path": "dense", "dim": 72, "group_counts": None}
+        assert res.eigensolver == {"path": "dense", "dim": 72, "group_counts": None,
+                                  "warm_evaluations": 0}
         assert res.parity is None
 
     def test_eigensolver_record_of_regular_stars(self):
         res = principal_eigenvalue(tetra(5.0, 0.0), ss.build_mesh(5.0, 6, 8, 2.0), 0.0)
-        assert res.eigensolver == {"path": "sector", "dim": 48, "group_counts": [3]}
+        assert res.eigensolver == {"path": "sector", "dim": 48, "group_counts": [3],
+                                  "warm_evaluations": 0}
         octa = ss.make_star(ss.sharp_configuration(6), 2.0, 0.0)
         res = principal_eigenvalue(octa, ss.build_mesh(2.0, 4, 6, 2.0), 0.0)
-        assert res.eigensolver == {"path": "sector", "dim": 24, "group_counts": [4, 1]}
+        assert res.eigensolver == {"path": "sector", "dim": 24, "group_counts": [4, 1],
+                                  "warm_evaluations": 0}
 
 
 #: dense-path stars for the root-finder tests: sharp and irregular, N = 2..4
@@ -609,39 +612,229 @@ class TestSlope:
 
 class TestGroundVector:
     """The ground state's vector is the root's own evaluation: refining
-    ``ladder-tetra``'s ladder makes one eigensolve per lambda evaluation."""
+    ``ladder-tetra``'s ladder makes one eigensolve per lambda evaluation,
+    LAPACK's or a warm one (``_warm_top``)."""
 
     LADDER = (40, 48, 56)
 
     def test_one_eigensolve_per_evaluation(self, monkeypatch):
-        eigh, solves, evaluations = sla.eigh, [], []
+        eigh, warm_top = sla.eigh, spectral._warm_top
+        solves, warm, evaluations = [], [], []
         lam = _CurveSolver.lam
 
         def counting_eigh(*args, **kwargs):
             solves.append(args[0].shape[0])
             return eigh(*args, **kwargs)
 
+        def counting_warm_top(*args):
+            pair = warm_top(*args)
+            if pair is not None:
+                warm.append(args[0].shape[0])
+            return pair
+
         def counting_lam(solver, kappa, j=1):
             evaluations.append(kappa)
             return lam(solver, kappa, j)
 
         monkeypatch.setattr(sla, "eigh", counting_eigh)
+        monkeypatch.setattr(spectral, "_warm_top", counting_warm_top)
         monkeypatch.setattr(_CurveSolver, "lam", counting_lam)
         ladder = [ss.build_mesh(5.0, p, 12, 2.0) for p in self.LADDER]
         res = refine_until(tetra(5.0, 0.0), 0.0, 1e-6, ladder)
-        assert len(solves) == len(evaluations)
+        assert len(solves) + len(warm) == len(evaluations)
         assert res.root_evaluations <= 6
 
     def test_top_pair_at_root_is_a_fresh_solve(self):
+        # the root's evaluation is warm, from the top vector before it: a
+        # fresh solver seeded with that vector gives the same bits, and a
+        # cold LAPACK solve the same pair within the evaluation's rounding
         config, mesh = tetra(5.0, 0.0), ss.build_mesh(5.0, self.LADDER[0], 12, 2.0)
         solver = _star_solver(config, mesh)
+        lam, seeds = solver.lam, []
+
+        def seeded(kappa, j=1):
+            seeds.append(solver._warm)
+            return lam(kappa, j)
+
+        solver.lam = seeded
         kappa, _, _, _ = _solve_level(solver, 0.0, 1)
+        warm = solver.warm_evaluations
         kept = solver.top_pair(kappa)
         fresh_solver = _star_solver(config, mesh)
+        fresh_solver._warm = seeds[-1]
         fresh_solver.lam(kappa)
         fresh = fresh_solver.top_pair(kappa)
         assert kept[0] == fresh[0]
         assert np.array_equal(kept[1], fresh[1])
+        assert fresh_solver.warm_evaluations == 1 and warm > 0
+        cold_solver = _star_solver(config, mesh)
+        cold_solver.lam(kappa)
+        cold = cold_solver.top_pair(kappa)
+        assert cold_solver.warm_evaluations == 0
+        assert abs(kept[0] - cold[0]) <= solver.last.rounding
+        assert abs(kept[1] @ cold[1]) >= 1.0 - 1e-10
+
+
+def spectrum_matrix(values, seed):
+    """The symmetric matrix Q diag(values) Q^T, Q a random orthogonal
+    matrix; returns it with Q's columns, the eigenvectors."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(values),) * 2))
+    return (Q * values) @ Q.T, Q
+
+
+def fixed_solver(A):
+    """A solver whose every level is held by the one matrix ``A``."""
+    return _CurveSolver(lambda kappa, j: (A, lambda u: 0.0, 1))
+
+
+#: dimension of the synthetic matrices: inside the warm range
+WARM_DIM = spectral._WARM_MIN + 8
+
+#: ``REGULAR_STARS`` meshes (L, panels, order) whose sectors lie in the warm
+#: range: 192 and 288 rows
+WARM_MESHES = [(1.0, 16, 12), (5.0, 24, 12)]
+
+
+class TestWarmTop:
+    """Top evaluations from the previous top vector (``_warm_top``): the
+    same pair as LAPACK's within the evaluation's rounding, never a lower
+    eigenvalue, and LAPACK on the intact matrix where the shift is not
+    above the top."""
+
+    @staticmethod
+    def lapack_top(A):
+        vals, vecs = spectral._eigh(A, 1, 1, vectors=True)
+        return vals[0], vecs[:, 0]
+
+    @classmethod
+    def check_top(cls, A, value, x, rounding):
+        """``value`` and the unit ``x`` against LAPACK's top pair: the value
+        within ``rounding`` of the top and within twice it of LAPACK's, which
+        has an error of its own (1.06 units on the two-arm star at pi/2 on
+        16 x 12 at kappa 1.01), the top taken as the Rayleigh quotient of
+        LAPACK's vector in extended precision; the vectors parallel."""
+        top, v = cls.lapack_top(A)
+        assert abs(value - cls.accurate_top(A)) <= rounding
+        assert abs(value - top) <= 2.0 * rounding
+        assert abs(x @ v) >= 1.0 - 1e-10
+
+    @classmethod
+    def accurate_top(cls, A):
+        """The Rayleigh quotient of LAPACK's top vector in extended
+        precision: the top of ``A`` as stored, to far below its rounding."""
+        w = cls.lapack_top(A)[1].astype(np.longdouble)
+        return float(w @ (A.astype(np.longdouble) @ w) / (w @ w))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_lapack_on_synthetic_matrices(self, seed):
+        # the previous top vector is that of a nearby matrix, as on a root
+        # solve's next kappa
+        values = np.random.default_rng(seed).uniform(-2.0, 1.0, WARM_DIM)
+        values[-1] = 1.5
+        A, _ = spectrum_matrix(values, seed)
+        E, _ = spectrum_matrix(np.random.default_rng(seed + 10).uniform(-1, 1, WARM_DIM), seed)
+        u = self.lapack_top(A + 1e-4 * E)[1]
+        rounding = np.finfo(float).eps * spectral._norm_bound(A)
+        value, x = spectral._warm_top(A, u, rounding)
+        self.check_top(A, value, x, rounding)
+        assert np.linalg.norm(A @ x - value * x) <= spectral._WARM_TOL * rounding
+
+    @pytest.mark.parametrize("mesh_args", WARM_MESHES, ids=lambda m: "x".join(map(str, m)))
+    @pytest.mark.parametrize("name", sorted(REGULAR_STARS))
+    def test_matches_lapack_on_sectors(self, name, mesh_args):
+        # a cold start, then Newton-sized steps in kappa, each solved warm
+        L = mesh_args[0]
+        asm = StarAssembler(ss.make_star(REGULAR_STARS[name], L, 0.0),
+                            ss.build_mesh(*mesh_args, 2.0))
+        solver = _CurveSolver(asm.pieces)
+        assert solver.pieces(1.0, 1)[0].shape[0] >= spectral._WARM_MIN
+        kappas = [1.0, 1.01, 1.01 * (1 + 1e-5), 1.01 * (1 + 1e-5) * (1 + 1e-12)]
+        for kappa in kappas:
+            value = solver.lam(kappa)
+            self.check_top(asm.pieces(kappa, 1)[0], value, solver._warm, solver.last.rounding)
+        assert solver.warm_evaluations == len(kappas) - 1
+
+    @pytest.mark.parametrize("start", ["second", "mixed", "perturbed-second"])
+    def test_near_degenerate_top_never_gives_the_second(self, start):
+        # lambda_1 - lambda_2 = 1e-12, far above the rounding (2e-16 per
+        # unit of norm), so the second eigenvalue is no answer
+        values = np.linspace(-1.0, 0.5, WARM_DIM)
+        values[-2:] = 1.0 - 1e-12, 1.0
+        A, Q = spectrum_matrix(values, 7)
+        v1, v2 = Q[:, -1], Q[:, -2]
+        u = {"second": v2, "mixed": (v1 + v2) / np.sqrt(2.0),
+             "perturbed-second": v2 + 1e-6 * Q[:, 0]}[start]
+        rounding = np.finfo(float).eps * spectral._norm_bound(A)
+        top = self.accurate_top(A)
+        pair = spectral._warm_top(A, u / np.linalg.norm(u), rounding)
+        if pair is not None:
+            assert abs(pair[0] - top) <= rounding
+        solver = fixed_solver(A)
+        solver._warm = u / np.linalg.norm(u)
+        assert abs(solver.lam(1.0) - top) <= solver.last.rounding
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_orthogonal_start_never_gives_a_lower_eigenvalue(self, seed):
+        # the start is orthogonal to the top: a lower eigenvector itself, or
+        # a random vector with its top component removed
+        values = np.random.default_rng(seed).uniform(-1.0, 0.9, WARM_DIM)
+        values[-1] = 1.0
+        A, Q = spectrum_matrix(values, seed)
+        v1 = Q[:, -1]
+        w = np.random.default_rng(seed + 20).standard_normal(WARM_DIM)
+        w -= (w @ v1) * v1
+        for u in (Q[:, -2], Q[:, 0], w / np.linalg.norm(w)):
+            solver = fixed_solver(A)
+            solver._warm = u
+            value = solver.lam(1.0)
+            self.check_top(A, value, solver.top_pair(1.0)[1], solver.last.rounding)
+
+    def test_shift_below_the_top_falls_back_on_the_intact_matrix(self, monkeypatch):
+        # from the second eigenvector the shift lies below lambda_1, so the
+        # factor fails; the evaluation is LAPACK's, bit for bit
+        values = np.linspace(-1.0, 0.5, WARM_DIM)
+        values[-1] = 1.0
+        A, Q = spectrum_matrix(values, 3)
+        before = A.copy()
+        rounding = np.finfo(float).eps * spectral._norm_bound(A)
+        assert spectral._warm_top(A, Q[:, -2], rounding) is None
+        assert np.array_equal(A, before)
+        eigh, solves = sla.eigh, []
+
+        def counting_eigh(*args, **kwargs):
+            solves.append(args[0].shape[0])
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigh", counting_eigh)
+        solver = fixed_solver(A)
+        solver._warm = Q[:, -2]
+        value = solver.lam(1.0)
+        assert solves == [WARM_DIM] and solver.warm_evaluations == 0
+        cold = self.lapack_top(before)
+        assert value == cold[0]
+        assert np.array_equal(solver.top_pair(1.0)[1], cold[1])
+
+    def test_same_inputs_same_bits(self):
+        config = tetra(5.0, 0.0)
+        mesh = ss.build_mesh(5.0, 24, 12, 2.0)
+        asm = StarAssembler(config, mesh)
+        u = self.lapack_top(asm.pieces(4.0, 1)[0])[1]
+        pairs = []
+        for _ in range(2):
+            solver = _CurveSolver(asm.pieces)
+            solver._warm = u.copy()
+            solver.lam(4.1)
+            pairs.append(solver.top_pair(4.1))
+            assert solver.warm_evaluations == 1
+        assert pairs[0][0] == pairs[1][0]
+        assert np.array_equal(pairs[0][1], pairs[1][1])
+
+    def test_eigensolver_record_counts_warm_evaluations(self):
+        # every evaluation after the first is warm on a 288-row sector (the
+        # records of ``TestSectorReduction``'s smaller stars read 0)
+        res = principal_eigenvalue(tetra(5.0, 0.0), ss.build_mesh(5.0, 24, 12, 2.0), 0.0)
+        assert res.eigensolver["dim"] == 288
+        assert res.eigensolver["warm_evaluations"] == res.root_evaluations - 1
 
 
 class TestEigensolverFallback:
