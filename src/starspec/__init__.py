@@ -6,23 +6,11 @@ __version__ = "0.1.0"
 
 from .geometry import (
     StarConfig,
-    SharpFamily,
     chord_sq,
     congruent,
     make_star,
     sharp_configuration,
-    sharp_family,
     spherical_design_check,
-)
-from .kernels import (
-    PSI_ONE,
-    PairKernelParams,
-    arm_distance,
-    complete_monotonicity_probe,
-    green_kernel,
-    offdiag_norm_bound,
-    pair_kernel,
-    point_eigenvalue,
 )
 from .discretization import (
     BlockAssembler,
@@ -41,10 +29,12 @@ from .spectral import (
     solve_energy,
 )
 from .bounds import (
+    PSI_ONE,
     SmallAngleBound,
-    check_small_angle_scaling,
     energy_lower_bound,
     nonexistence_threshold,
+    offdiag_norm_bound,
+    point_eigenvalue,
     scaled_coupling,
     segment_existence_length,
     small_angle_bounds,
@@ -65,24 +55,18 @@ __all__ = [
     "Mesh",
     "OptResult",
     "OptSettings",
-    "PairKernelParams",
-    "SharpFamily",
     "SmallAngleBound",
     "SpectralResult",
     "StarAssembler",
     "StarConfig",
-    "arm_distance",
     "build_mesh",
     "chord_sq",
-    "check_small_angle_scaling",
-    "complete_monotonicity_probe",
     "congruent",
     "count_bound_states",
     "default_ladder",
     "default_mesh",
     "energy_lower_bound",
     "gauge_embed",
-    "green_kernel",
     "kernel_sum_compare",
     "lambda_curve",
     "make_star",
@@ -90,14 +74,12 @@ __all__ = [
     "objective",
     "offdiag_norm_bound",
     "optimize",
-    "pair_kernel",
     "point_eigenvalue",
     "principal_eigenvalue",
     "refine_until",
     "scaled_coupling",
     "segment_existence_length",
     "sharp_configuration",
-    "sharp_family",
     "small_angle_bounds",
     "solve_energy",
     "spherical_design_check",

@@ -1,30 +1,96 @@
 """Closed-form spectral thresholds and two-sided small-angle estimates.
 
 Pure formulas from the scaling relation and the segment existence bound,
-two bounds proven from the star alone (the weak-coupling nonexistence
-threshold and a lower bound on every energy, both from ``pair_bound``), and
-the small-angle sandwich of a two-arm star, whose upper side is asymptotic
-and whose lower side is proven; plus a measurement that fits the
-small-angle divergence exponent of the computed ground state.
+the 2D point-interaction eigenvalue and the norm bound for the interaction
+between two arms at a given angle, two bounds proven from the star alone
+(the weak-coupling nonexistence threshold and a lower bound on every energy,
+both from ``pair_bound``), and the small-angle sandwich of a two-arm star,
+whose upper side is asymptotic and whose lower side is proven.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, exp, inf, isfinite, log, pi, sin, sqrt
+from math import exp, inf, isfinite, log, pi, sin, sqrt
 
 import numpy as np
 
-from .discretization import Mesh, build_mesh
 from .errors import DegenerateAngle, DomainError
-from .geometry import StarConfig, make_star
-from .kernels import PSI_ONE, offdiag_norm_bound, point_eigenvalue
-from .spectral import refine_until
+from .geometry import StarConfig
 
-#: fitted-exponent acceptance window: between the two theoretical rates
-#: (1-cos phi)^{-1/2} and (1-cos phi)^{-1}, widened by 0.1 on each side
-EXPONENT_WINDOW = (0.4, 1.1)
+#: digamma at 1, i.e. minus the Euler-Mascheroni constant
+PSI_ONE = -0.5772156649015329
+
+
+def point_eigenvalue(alpha: float) -> float:
+    """The single negative eigenvalue of the 2D point interaction.
+
+    -4 e^{2(-2 pi alpha + psi(1))}; also the essential-spectrum threshold of
+    infinite stars.  Strictly increasing in alpha.
+    """
+    return -4.0 * exp(2.0 * (-2.0 * pi * alpha + PSI_ONE))
+
+
+def _tau_peak(t: np.ndarray, phi: float, h: float) -> np.ndarray:
+    # u = phi sinh(t) spreads the peak of width phi at u = 0 over t ~ 1
+    u = phi * np.sinh(t)
+    s, c = np.sin(0.5 * u), np.cos(u)
+    return phi * np.cosh(t) / np.sqrt(c * (2.0 * s * s + h * c))
+
+
+def _tau_tail(w: np.ndarray, h: float) -> np.ndarray:
+    # pi/2 - u = w^2 removes the inverse-square-root endpoint singularity
+    v = w * w
+    s, c = np.sin(0.25 * pi - 0.5 * v), np.sin(v)
+    return 2.0 * w / np.sqrt(c * (2.0 * s * s + h * c))
+
+
+#: nodes and weights of the 32-point Gauss-Legendre rule on [-1, 1]
+_GAUSS_32 = np.polynomial.legendre.leggauss(32)
+
+
+def _gauss(f, b: np.ndarray, panels: int) -> np.ndarray:
+    """Integrals of f over [0, b] by ``_GAUSS_32`` on each of ``panels``
+    equal panels, for the ends ``b`` of shape (n, 1, 1) at once; f takes
+    the points, of shape (n, panels, 32)."""
+    x, w = _GAUSS_32
+    h = 0.5 * b / panels
+    mid = h * (2.0 * np.arange(panels)[:, None] + 1.0)
+    return h.ravel() * (f(mid + h * x) * w).reshape(b.shape[0], panels * x.size).sum(axis=1)
+
+
+def offdiag_norm_bound(phi: float | np.ndarray) -> float | np.ndarray:
+    """Norm bound tau(phi) for the interaction of two arms at angle phi; an
+    array of angles gives the array of their bounds, in one pass per panel
+    count of the rule below.
+
+    tau(phi) = (sqrt(2)/4 pi) * I_phi with
+    I_phi = int_0^{pi/2} dtheta / sqrt(sin 2theta (1 - cos phi sin 2theta)).
+    Continuously decreasing on (0, pi], with tau(phi) = ln(1/phi)/(2 pi) + 0.330953...
+    as phi -> 0.
+
+    Folding v = 2 theta about pi/2 and putting u = pi/2 - v gives
+    I_phi = int_0^{pi/2} du / sqrt(cos u (2 sin^2(u/2) + 2 sin^2(phi/2) cos u)),
+    free of the cancellation in 1 - cos phi sin v.  Split at u = pi/4, its
+    peak of width phi at u = 0 and its endpoint singularity at u = pi/2 get
+    one substitution each, after which both integrands are smooth: a fixed
+    Gauss-Legendre rule gives them to rounding, the peak on one panel per 4
+    units of t (asinh(pi/(4 phi)) grows like ln(1/phi)), the tail on one.
+    """
+    phis = np.asarray(phi, dtype=float)
+    if not np.all((0.0 < phis) & (phis <= pi)):
+        raise DomainError(f"angle must be in (0, pi], got {phi}")
+    p = phis.reshape(-1, 1, 1)
+    h = 2.0 * np.sin(0.5 * p) ** 2
+    t_max = np.arcsinh(0.25 * pi / p)
+    panels = np.ceil(t_max / 4.0).ravel()
+    tau = _gauss(lambda w: _tau_tail(w, h), np.full_like(p, sqrt(0.25 * pi)), 1)
+    for n in np.unique(panels).tolist():
+        k = panels == n
+        tau[k] += _gauss(lambda t: _tau_peak(t, p[k], h[k]), t_max[k], int(n))
+    tau *= sqrt(2.0) / (4.0 * pi)
+    return float(tau[0]) if phis.ndim == 0 else tau.reshape(phis.shape)
 
 
 def scaled_coupling(alpha: float, zeta: float) -> float:
@@ -164,70 +230,3 @@ def small_angle_bounds(alpha: float, L: float, phi: float, k: int) -> SmallAngle
                     / sqrt(2.0 * sin(0.5 * phi) ** 2) + (pi * k / L) ** 2, what)
     lower = _finite(lambda: point_eigenvalue(alpha - offdiag_norm_bound(phi)), what)
     return SmallAngleBound(lower=lower, upper=upper, k=k, phi=phi)
-
-
-@dataclass(frozen=True)
-class SmallAngleScalingReport:
-    """Fit of the small-angle divergence of the computed ground state."""
-
-    phi_grid: tuple[float, ...]
-    energies: tuple[float, ...]
-    exponent: float
-    fit_points: int
-    upper_bounds: tuple[float, ...]
-    upper_ok: bool
-    passes: bool
-
-
-def _two_arm_star(phi: float, L: float, alpha: float) -> StarConfig:
-    return make_star([(0.0, 0.0, 1.0), (sin(phi), 0.0, cos(phi))], L, alpha)
-
-
-def check_small_angle_scaling(
-    alpha: float,
-    L: float,
-    phi_grid,
-    mesh_ladder: list[Mesh] | None = None,
-    e_tol: float = 1e-3,
-) -> SmallAngleScalingReport:
-    """Fit p in |E_1| ~ (1-cos phi)^{-p} over the last grid decade.
-
-    For each angle, the ground state is converged on the mesh ladder; the
-    exponent is fit on the grid points whose 1-cos phi lies within a factor
-    10 of the smallest.  Passes iff p falls in the window [0.4, 1.1] spanned
-    by the two theoretical rates.  Small angles concentrate the state at the
-    vertex, so the default ladder is deeply vertex-graded.
-    """
-    phis = [float(p) for p in phi_grid]
-    if mesh_ladder is None:
-        mesh_ladder = [build_mesh(L, p, 12, 2.0) for p in (24, 32, 40)]
-    energies = []
-    for phi in phis:
-        cfg = _two_arm_star(phi, L, alpha)
-        res = refine_until(cfg, alpha, e_tol, mesh_ladder)
-        energies.append(res.ground_energy)
-
-    gaps = np.array([2.0 * sin(0.5 * p) ** 2 for p in phis])
-    es = np.abs(np.array(energies))
-    sel = gaps <= 10.0 * gaps.min()
-    if sel.sum() < 2:
-        idx = np.argsort(gaps)
-        sel = np.zeros_like(sel)
-        sel[idx[:2]] = True
-    x = np.log(gaps[sel])
-    y = np.log(es[sel])
-    slope = float(np.polyfit(x, y, 1)[0])
-    p_fit = -slope
-
-    uppers = [small_angle_bounds(alpha, L, phi, 1).upper for phi in phis]
-    upper_ok = all(e <= u + 1e-12 for e, u in zip(energies, uppers))
-    passes = EXPONENT_WINDOW[0] <= p_fit <= EXPONENT_WINDOW[1]
-    return SmallAngleScalingReport(
-        phi_grid=tuple(phis),
-        energies=tuple(energies),
-        exponent=p_fit,
-        fit_points=int(sel.sum()),
-        upper_bounds=tuple(uppers),
-        upper_ok=upper_ok,
-        passes=passes,
-    )

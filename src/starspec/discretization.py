@@ -192,6 +192,12 @@ def build_mesh(L: float, panels: int, order: int, grading: float) -> Mesh:
         raise BadParameters(
             "mesh grading too deep for float resolution (duplicate nodes)"
         )
+    panel_nodes = nodes.reshape(panels, order)
+    gap = min((panel_nodes - edges[:-1, None]).min(), (edges[1:, None] - panel_nodes).min())
+    if gap <= 0.0 or gap * gap < np.finfo(float).tiny:
+        # the self-panel regularizer ln(4 (x-a)(b-x)) and the kernel's
+        # 1/r need the squared node-edge distances as normal floats
+        raise BadParameters(f"arm length {L} is too small: squared distances underflow")
     return Mesh(
         nodes=nodes,
         weights=weights,

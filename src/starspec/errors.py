@@ -29,10 +29,6 @@ class SizeMismatch(ValidationError):
     """Two direction sets have different cardinality."""
 
 
-class ZeroDistance(ValidationError):
-    """Kernel evaluated at zero separation."""
-
-
 class DomainError(ValidationError):
     """Argument outside the function's domain."""
 
@@ -43,10 +39,6 @@ class BadParameters(ValidationError):
 
 class DegenerateAngle(ValidationError):
     """A pairwise angle is zero where a positive angle is required."""
-
-
-class GridTooCoarse(StarSpecError):
-    """Finite differences on the supplied grid are dominated by rounding."""
 
 
 class NumericalError(StarSpecError):

@@ -25,25 +25,6 @@ from .errors import (
 UNIT_NORM_TOL = 1e-9
 COINCIDENCE_TOL = 1e-9
 
-#: number of distinct pairwise inner products per sharp configuration
-SHARP_DISTINCT_PRODUCTS = {2: 1, 3: 1, 4: 1, 6: 2, 12: 3}
-
-
-@dataclass(frozen=True)
-class SharpFamily:
-    """Characterizing data of one sharp configuration.
-
-    ``inner_products`` is the full multiset of pairwise inner products,
-    sorted ascending, with one entry per unordered pair.
-    """
-
-    n_points: int
-    inner_products: tuple[float, ...]
-
-    @property
-    def design_order(self) -> int:
-        return 2 * SHARP_DISTINCT_PRODUCTS[self.n_points] - 1
-
 
 @dataclass(frozen=True)
 class StarConfig:
@@ -166,12 +147,6 @@ def sharp_configuration(N: int) -> np.ndarray:
             f"no sharp configuration for N={N}; valid: {', '.join(map(str, SHARP_SIZES))}"
         )
     return _SHARP_COORDS[N].copy()
-
-
-def sharp_family(N: int) -> SharpFamily:
-    """Inner-product multiset data of the sharp configuration with N points."""
-    pts = sharp_configuration(N)
-    return SharpFamily(n_points=N, inner_products=tuple(_pair_products(pts)))
 
 
 def _pair_products(points: np.ndarray) -> np.ndarray:

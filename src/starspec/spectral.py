@@ -434,11 +434,12 @@ def _solve_level(
     Newton's next step is within the rounding of kappa (``_ROUNDING_STEP``);
     once lambda_j - alpha is within the rounding of the eigenvalue itself
     (the evaluation's ``rounding``), at kappa > 0 only, since a crossing at
-    0 is no root; or, for a ``kappa_tol`` > 0 (the search's
-    ``SEARCH_KAPPA_TOL``), once the Newton step that reached it moved kappa
-    by at most ``kappa_tol`` relative, so by Newton's quadratic convergence
-    it lies far closer than that to the root, or once the bracket is
-    narrower than ``kappa_tol`` relative.
+    0 is no root; once the bracket is narrower than the larger of
+    ``kappa_tol`` and the rounding of kappa, relative, so that a noisy curve
+    whose Newton steps never settle still ends; or, for a ``kappa_tol`` > 0
+    (the search's ``SEARCH_KAPPA_TOL``), once the Newton step that reached
+    it moved kappa by at most ``kappa_tol`` relative, so by Newton's
+    quadratic convergence it lies far closer than that to the root.
     """
     lo, hi = 0.0, math.inf  # f(lo) > 0 >= f(hi) once evaluated
     k = start or 0.0
@@ -456,7 +457,8 @@ def _solve_level(
         else:
             hi = k
         target = _newton_target(k, f, slope)
-        if (abs(target - k) <= _ROUNDING_STEP * k or hi - lo <= kappa_tol * lo
+        if (abs(target - k) <= _ROUNDING_STEP * k
+                or hi - lo <= max(kappa_tol, _ROUNDING_STEP) * lo
                 or k > 0.0 and abs(f) <= rounding
                 or prev is not None and abs(k - prev) <= kappa_tol * k):
             return k, -k * k, abs(f), evaluations

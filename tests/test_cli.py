@@ -283,6 +283,18 @@ class TestRun:
         assert run(job) == 3
         assert not out.exists()
 
+    def test_tiny_arm_length_has_no_bound_state(self, tmp_path):
+        # an arm far shorter than 1, but above the mesh's limit, runs
+        # without a float warning
+        out = tmp_path / "res.json"
+        job = parse_job(job_text(**dict(MINIMAL_SPECTRUM, arm_length=1e-100),
+                                 output={"path": str(out)}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(job) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["results"]["levels"], doc["diagnostics"]["bound_states"]) == ([], 0)
+
     @pytest.mark.parametrize("star, record", [
         ({"sharp": 4}, {"path": "sector", "dim": 48, "group_counts": [3],
                         "warm_evaluations": 0}),
@@ -620,6 +632,7 @@ BAD_INPUTS = {
 INVALID_JOBS = {
     "mesh.grading 1e300": dict(MINIMAL_SPECTRUM, mesh={"grading": 1e300}),
     "arm_length 1e308": dict(MINIMAL_SPECTRUM, arm_length=1e308),
+    "arm_length 1e-160": dict(MINIMAL_SPECTRUM, arm_length=1e-160),
     "design-check non-unit directions": {
         "command": "design-check", "star": {"directions": [[0, 0, 0], [0, 0, 2]]}},
     "bounds with phi, small-angle lower bound overflows": dict(

@@ -60,6 +60,15 @@ class TestBuildMesh:
             build_mesh(1.0, 8, 12, 0.5)
 
 
+    def test_tiny_arm_length(self):
+        # the node-edge distances of the default mesh's innermost panel are
+        # about 1e-8 L: their squares leave the normal floats below 1e-151
+        for L in (1e-100, 1e-150):
+            assert build_mesh(L, 8, 12, 2.0).nodes[0] ** 2 >= np.finfo(float).tiny
+        for L in (1e-152, 1e-160, 1e-300):
+            with pytest.raises(BadParameters, match="too small"):
+                build_mesh(L, 8, 12, 2.0)
+
 def quadratic_form(block, mesh, f):
     u = np.sqrt(mesh.weights) * f(mesh.nodes)
     return float(u @ block @ u)

@@ -1,6 +1,7 @@
 """Static checks of the package source, by the standard library's ``ast``:
-no module imports a name it does not use, and no private module-level name
-or method is left without a reference in the package."""
+no module imports a name it does not use, no private module-level name or
+method is left without a reference in the package, and the closed-form
+modules import nothing from the solver."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,25 @@ def test_no_unreferenced_private_names(module):
         if name.split(".")[-1] not in referenced
     ]
     assert unreferenced == []
+
+
+#: the closed-form modules, and the solver modules they must not import
+FORMULA_MODULES = ["bounds.py", "errors.py", "geometry.py"]
+SOLVER_MODULES = {"spectral", "discretization", "optimizer", "cli"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, relatively or absolutely."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("starspec").lstrip(".")
+            names |= {base} if base else {a.name for a in node.names}
+    return {name.removeprefix("starspec.") for name in names}
+
+
+@pytest.mark.parametrize("module", FORMULA_MODULES)
+def test_formulas_import_no_solver(module):
+    assert imported_modules(parse(module)) & SOLVER_MODULES == set()

@@ -10,7 +10,6 @@ from starspec import optimizer
 from starspec.cli import parse_job, run
 from starspec.discretization import BlockAssembler
 from starspec.errors import AllStartsFailed, SizeMismatch
-from starspec.kernels import arm_distance, green_kernel
 from starspec.optimizer import (
     MIN_PAIR_ANGLE,
     OptSettings,
@@ -116,11 +115,8 @@ class TestSearchAssembly:
             assert np.array_equal(A[i * M:(i + 1) * M, i * M:(i + 1) * M], T)
             for j in range(i + 1, N):
                 c = float(f"{ss.chord_sq(dirs[i], dirs[j]):.12e}")  # chord_groups key
-                expected = np.array([
-                    [green_kernel(kappa, arm_distance(s[a], s[b], c))
-                     * math.sqrt(w[a] * w[b]) for b in range(M)]
-                    for a in range(M)
-                ])
+                r = np.sqrt((s[:, None] - s) ** 2 + s[:, None] * s * c)
+                expected = np.exp(-kappa * r) / (4.0 * math.pi * r) * np.sqrt(np.outer(w, w))
                 block = A[i * M:(i + 1) * M, j * M:(j + 1) * M]
                 assert np.allclose(block, expected, rtol=1e-13, atol=0.0)
 

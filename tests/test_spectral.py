@@ -10,11 +10,11 @@ from scipy.optimize import brentq
 
 import starspec as ss
 import starspec.spectral as spectral
+from starspec.bounds import point_eigenvalue
 from starspec.discretization import StarAssembler
 from starspec.errors import (
     BadParameters, DomainError, EigensolveFailure, NoCrossing, NotConverged,
 )
-from starspec.kernels import point_eigenvalue
 from starspec.spectral import (
     _CurveSolver,
     _diagnostics,
@@ -483,6 +483,24 @@ class TestSolveLevel:
         assert abs(kappa - r) <= 2e-14 * r
         if norm:
             assert residual <= norm * np.finfo(float).eps
+
+    def test_noisy_curve_without_tolerance_closes_its_bracket(self):
+        # the same noisy curve with no tolerance and no eigenvalue rounding,
+        # as every solve but the search's: Newton's steps never settle, and
+        # the solve ends once the bracket is as narrow as the rounding of
+        # kappa, before any kappa is evaluated twice
+        r = 4.0871306207032605
+        calls = []
+
+        def lam(kappa, j=1):
+            calls.append(kappa)
+            solver.last = SimpleNamespace(slope=-0.04, rounding=0.0)
+            return 0.04 * (r - kappa) + 5e-15 * (-1) ** len(calls)
+
+        solver = SimpleNamespace(lam=lam)
+        kappa, _, _, evaluations = _solve_level(solver, 0.0, 1, 4.4)
+        assert evaluations == len(calls) == len(set(calls)) == 12
+        assert abs(kappa - r) <= 2e-14 * r
 
     def test_eigenvalue_rounding_never_stops_at_zero(self):
         # the excess at kappa = 0 is within the rounding, but a crossing at
