@@ -1,11 +1,11 @@
 """Closed-form spectral thresholds and two-sided small-angle estimates.
 
-Pure formulas from the scaling relation and the segment existence bound,
-the 2D point-interaction eigenvalue and the norm bound for the interaction
-between two arms at a given angle, two bounds proven from the star alone
-(the weak-coupling nonexistence threshold and a lower bound on every energy,
-both from ``pair_bound``), and the small-angle sandwich of a two-arm star,
-whose upper side is asymptotic and whose lower side is proven.
+Pure formulas from the segment existence bound, the 2D point-interaction
+eigenvalue and the norm bound for the interaction between two arms at a
+given angle, two bounds proven from the star alone (the weak-coupling
+nonexistence threshold and a lower bound on every energy, both from
+``pair_bound``), and the small-angle sandwich of a two-arm star, whose
+upper side is asymptotic and whose lower side is proven.
 """
 
 from __future__ import annotations
@@ -93,18 +93,6 @@ def offdiag_norm_bound(phi: float | np.ndarray) -> float | np.ndarray:
     return float(tau[0]) if phis.ndim == 0 else tau.reshape(phis.shape)
 
 
-def scaled_coupling(alpha: float, zeta: float) -> float:
-    """Coupling constant after scaling lengths by zeta: alpha - ln(zeta)/(2 pi).
-
-    A star with arm length zeta*L and coupling alpha is unitarily equivalent
-    (up to the energy factor zeta^-2) to the star with arm length L and this
-    coupling: E(alpha, zeta L) = zeta^-2 E(scaled_coupling(alpha, zeta), L).
-    """
-    if zeta <= 0:
-        raise DegenerateAngle(f"scale factor must be positive, got {zeta}")
-    return alpha - log(zeta) / (2.0 * pi)
-
-
 def segment_existence_length(alpha: float) -> float:
     """Arm length guaranteeing a nonempty discrete spectrum for one segment.
 
@@ -144,7 +132,9 @@ def pair_bound(config: StarConfig) -> float:
       The eigenvalue curves decrease in kappa, so none reaches a coupling
       at or above ln(L)/(2 pi) + lambda_max(P): the nonexistence threshold.
       One arm gives ln(L)/(2 pi), and scaling the arms by zeta adds
-      ln(zeta)/(2 pi), as ``scaled_coupling`` requires.
+      ln(zeta)/(2 pi), as the scaling law requires: a star of arm length
+      zeta L at coupling alpha has zeta^-2 times the energies of the star
+      of arm length L at coupling alpha - ln(zeta)/(2 pi).
     - At kappa > 0, t = (psi(1) - ln(kappa/2))/(2 pi), the line bound.  On
       a segment the self term f(x)^2 f.p. int_0^L e^{-kappa|x-s|}/|x-s| ds
       is the line's finite part 2 (psi(1) - ln(kappa/2)) less the kernel

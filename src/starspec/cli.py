@@ -24,7 +24,7 @@ from .bounds import (
     energy_lower_bound, nonexistence_threshold, segment_existence_length, small_angle_bounds,
 )
 from .discretization import batch_entries, build_mesh, chord_entries, chord_groups
-from .errors import NumericalError, ParseError, ValidationError
+from .errors import NoCrossing, NumericalError, ParseError, ValidationError
 from .geometry import (
     SHARP_SIZES, make_star, sharp_configuration, spherical_design_check, unit_directions,
 )
@@ -32,7 +32,7 @@ from .optimizer import (
     LOCAL_MAX_MESH, MIN_PAIR_ANGLE, SEARCH_MESH, OptSettings, optimize, verify_sharp_local_max,
 )
 from .spectral import (
-    DEFAULT_GRADING, DEFAULT_ORDER, DEFAULT_PANELS, bound_states,
+    DEFAULT_GRADING, DEFAULT_ORDER, DEFAULT_PANELS, bound_states, principal_eigenvalue,
 )
 
 COMMANDS = ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds", "design-check")
@@ -408,8 +408,11 @@ def _run_sweep(job: JobSpec) -> list[tuple[float, float | None, float]]:
         dirs = [(0.0, 0.0, 1.0), (math.sin(phi), 0.0, math.cos(phi))]
         config = make_star(dirs, L, alpha)
         upper = small_angle_bounds(alpha, L, phi, 1).upper
-        _, res = bound_states(config, mesh, alpha, 1)
-        rows.append((float(phi), None if res is None else res.ground_energy, upper))
+        try:
+            energy = principal_eigenvalue(config, mesh, alpha).ground_energy
+        except NoCrossing:
+            energy = None
+        rows.append((float(phi), energy, upper))
     return rows
 
 

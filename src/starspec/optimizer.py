@@ -53,7 +53,7 @@ import numpy as np
 from .discretization import (
     FOUR_PI, BlockAssembler, Mesh, _weigh, build_mesh, chord_groups, star_form, star_matrix,
 )
-from .errors import AllStartsFailed, BracketFailure, DomainError, NoCrossing
+from .errors import AllStartsFailed, BracketFailure, DomainError, NoCrossing, SizeMismatch
 from .geometry import SHARP_SIZES, congruent, make_star, sharp_configuration
 from .spectral import _CurveSolver, _eigh, _solve_level, _star_solver
 
@@ -526,8 +526,6 @@ def kernel_sum_compare(config_a, config_b, kappa: float, sample_pairs) -> Kernel
     a = np.atleast_2d(np.asarray(config_a, float))
     b = np.atleast_2d(np.asarray(config_b, float))
     if a.shape[0] != b.shape[0]:
-        from .errors import SizeMismatch
-
         raise SizeMismatch(f"direction sets have sizes {a.shape[0]} and {b.shape[0]}")
     iu = np.triu_indices(a.shape[0], k=1)
     xa = 2.0 - 2.0 * (a @ a.T)[iu]

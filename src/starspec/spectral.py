@@ -49,17 +49,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .discretization import Mesh, StarAssembler, build_mesh
+from .discretization import Mesh, StarAssembler
 from .errors import (
     BadParameters,
     BracketFailure,
-    DomainError,
     EigensolveFailure,
     NoCrossing,
     NotConverged,
 )
 from .geometry import StarConfig
 
+#: the mesh of a CLI job that gives none
 DEFAULT_PANELS = 8
 DEFAULT_ORDER = 12
 DEFAULT_GRADING = 2.0
@@ -98,14 +98,6 @@ _WARM_FACTORS = 3
 _WARM_SOLVES = 3
 
 _POSITIVITY_TOL = 1e-10
-
-
-def default_mesh(L: float) -> Mesh:
-    return build_mesh(L, DEFAULT_PANELS, DEFAULT_ORDER, DEFAULT_GRADING)
-
-
-def default_ladder(L: float) -> list[Mesh]:
-    return [build_mesh(L, p, DEFAULT_ORDER, DEFAULT_GRADING) for p in (8, 16, 32)]
 
 
 @dataclass(frozen=True)
@@ -202,15 +194,15 @@ def _warm_top(A: np.ndarray, u: np.ndarray, rounding: float):
     return None
 
 
-def _eigh(A: np.ndarray, first: int = 1, last: int | None = 1,
-          vectors: bool = False, v0: np.ndarray | None = None):
-    """The ``first``-th to ``last``-th largest eigenvalues of ``A`` (all for
-    ``last=None``), ascending, with eigenvectors if asked.  ARPACK gives the
-    top one alone above ``_DENSE_MAX``, from ``v0`` or else the constant
-    vector, not ARPACK's random one, so that runs repeat bitwise; LAPACK
-    gives everything else."""
+def _eigh(A: np.ndarray, j: int | None = 1, vectors: bool = False,
+          v0: np.ndarray | None = None):
+    """The ``j``-th largest eigenvalue of ``A`` as a one-element array (all
+    eigenvalues, ascending, for ``j=None``), with eigenvectors if asked.
+    ARPACK gives the top (j = 1) above ``_DENSE_MAX``, from ``v0`` or else
+    the constant vector, not ARPACK's random one, so that runs repeat
+    bitwise; LAPACK gives everything else."""
     n = A.shape[0]
-    if n > _DENSE_MAX and first == last == 1:
+    if n > _DENSE_MAX and j == 1:
         import scipy.sparse.linalg as spla  # its only user; a slow import
 
         try:
@@ -221,21 +213,21 @@ def _eigh(A: np.ndarray, first: int = 1, last: int | None = 1,
         return (vals, vecs) if vectors else vals
     try:
         kw = dict(eigvals_only=not vectors, check_finite=False)
-        if last is None:
+        if j is None:
             return sla.eigh(A, **kw)
-        lo, hi = n - last, n - first + 1
+        lo = n - j
         try:
-            out = sla.eigh(A, subset_by_index=[lo, hi - 1], **kw)
+            out = sla.eigh(A, subset_by_index=[lo, lo], **kw)
         except sla.LinAlgError:
             out = None
-        if out is not None and len(out[0] if vectors else out) == hi - lo:
+        if out is not None and len(out[0] if vectors else out) == 1:
             return out
         # the subset driver (evr) fails on some tiny, nearly scalar
         # matrices: "Internal Error." for values alone, no eigenpair with
         # vectors; the full driver (evd) does not.  A is intact, since it
         # was not handed over for overwriting
         out = sla.eigh(A, driver="evd", **kw)
-        return (out[0][lo:hi], out[1][:, lo:hi]) if vectors else out[lo:hi]
+        return (out[0][lo:lo + 1], out[1][:, lo:lo + 1]) if vectors else out[lo:lo + 1]
     except sla.LinAlgError as exc:
         raise EigensolveFailure(str(exc)) from exc
 
@@ -331,7 +323,7 @@ class _CurveSolver:
             pair = _warm_top(A, self._warm, rounding)
             self.warm_evaluations += pair is not None
         if pair is None:
-            vals, vecs = _eigh(A, j, j, vectors=True, v0=self._warm)
+            vals, vecs = _eigh(A, j, vectors=True, v0=self._warm)
             pair = float(vals[0]), vecs[:, 0]
         value, u = pair
         if j == 1:
@@ -371,28 +363,6 @@ def _integer(name: str, value) -> int:
 
 def _star_solver(config: StarConfig, mesh: Mesh) -> _CurveSolver:
     return _CurveSolver(StarAssembler(config, mesh).pieces)
-
-
-def lambda_curve(
-    config: StarConfig, mesh: Mesh, kappa: float, count: int = 1
-) -> np.ndarray:
-    """Top ``count`` eigenvalues of the assembled operator, descending."""
-    n = config.n_arms * mesh.size
-    count = _integer("count", count)
-    if not 1 <= count <= n:
-        raise BadParameters(f"count must lie in [1, {n}] (N * M), got {count}")
-    A = StarAssembler(config, mesh).matrix(kappa)
-    return _eigh(A, 1, count)[::-1]
-
-
-def count_bound_states(config: StarConfig, mesh: Mesh, alpha: float) -> int:
-    """Number of eigenvalues of Q at kappa = 0 that exceed alpha.
-
-    Every such curve is strictly decreasing and crosses alpha at exactly
-    one kappa > 0, and no other curve crosses it there, so this is the
-    exact number of bound states of the discrete operator.
-    """
-    return bound_states(config, mesh, alpha, 0)[0]
 
 
 def _solve_level(
@@ -496,26 +466,9 @@ def _newton_target(k: float, f: float, slope: float) -> float:
         return float(k * np.exp(-f / d))
 
 
-def solve_energy(
-    config: StarConfig,
-    mesh: Mesh,
-    alpha: float,
-    j: int = 1,
-) -> tuple[float, float]:
-    """Solve lambda_j(kappa) = alpha for level j; returns (kappa_j, E_j).
-    Level j > 1 is solved after the levels above it (``bound_states``)."""
-    j = _integer("j", j)
-    if j < 1:
-        raise DomainError(f"level index j must be >= 1, got {j}")
-    if j > 1:
-        count, res = bound_states(config, mesh, alpha, j)
-        if count < j:
-            raise NoCrossing(
-                f"level {j} does not cross alpha={alpha} at this discretization"
-            )
-        return res.levels[-1].kappa, res.levels[-1].energy
-    solver = _star_solver(config, mesh)
-    kappa_1, energy, _, _ = _solve_level(solver, alpha, 1)
+def solve_energy(config: StarConfig, mesh: Mesh, alpha: float) -> tuple[float, float]:
+    """Solve lambda_1(kappa) = alpha for the ground state; returns (kappa_1, E_1)."""
+    kappa_1, energy, _, _ = _solve_level(_star_solver(config, mesh), alpha, 1)
     return kappa_1, energy
 
 
@@ -546,17 +499,14 @@ def _diagnostics(config: StarConfig, vec: np.ndarray):
 def principal_eigenvalue(
     config: StarConfig,
     mesh: Mesh,
-    alpha: float | None = None,
+    alpha: float,
 ) -> SpectralResult:
-    """Ground-state energy with eigenvector diagnostics.
+    """Ground-state energy at coupling ``alpha`` with eigenvector diagnostics.
 
-    ``alpha`` defaults to the star's own coupling.  Diagnostics: positivity
-    of the sign-fixed ground eigenvector, the maximum relative deviation of
-    per-arm eigenvector slices from their mean, and (for N = 2) the parity
-    of the ground state under arm exchange.
+    Diagnostics: positivity of the sign-fixed ground eigenvector, the
+    maximum relative deviation of per-arm eigenvector slices from their
+    mean, and (for N = 2) the parity of the ground state under arm exchange.
     """
-    if alpha is None:
-        alpha = config.coupling
     star = StarAssembler(config, mesh)
     return _ground(_CurveSolver(star.pieces), star, alpha)
 
@@ -585,14 +535,15 @@ def bound_states(
     alpha: float,
     levels: int = 1,
 ) -> tuple[int, SpectralResult | None]:
-    """On one solver: the exact level count (``count_bound_states``)
-    and, if ``levels`` >= 1 and a level crosses, the ground state with its
-    diagnostics (``principal_eigenvalue``) followed by levels 2..``levels``,
-    each bracketed from above by the crossing of the level before it; else
-    None in its place.  ``levels`` is checked before the count."""
+    """On one solver: the exact level count, the number of eigenvalues of Q
+    at kappa = 0 above alpha (module docstring), and, if ``levels`` >= 1
+    and a level crosses, the ground state with its diagnostics
+    (``principal_eigenvalue``) followed by levels 2..``levels``, each
+    bracketed from above by the crossing of the level before it; else None
+    in its place.  ``levels`` is checked before the count."""
     levels = _integer("levels", levels)
     star = StarAssembler(config, mesh)
-    count = int(np.sum(_eigh(star.matrix(0.0), last=None) > alpha))
+    count = int(np.sum(_eigh(star.matrix(0.0), None) > alpha))
     wanted = min(levels, count)
     if wanted < 1:
         return count, None
@@ -611,7 +562,7 @@ def refine_until(
     config: StarConfig,
     alpha: float,
     e_tol: float,
-    mesh_ladder: list[Mesh] | None = None,
+    mesh_ladder: list[Mesh],
 ) -> SpectralResult:
     """Repeat the ground-state solve on successively refined meshes.
 
@@ -620,8 +571,6 @@ def refine_until(
     energies, their deltas, and the observed convergence order
     log2(|delta_prev| / |delta_last|).
     """
-    if mesh_ladder is None:
-        mesh_ladder = default_ladder(config.arm_length)
     if len(mesh_ladder) == 0:
         raise NotConverged("empty mesh ladder")
 

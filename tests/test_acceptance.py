@@ -18,18 +18,25 @@ import sympy
 
 import starspec as ss
 from starspec.bounds import small_angle_bounds
+from starspec.discretization import BlockAssembler
+from starspec.geometry import spherical_design_check
 from starspec.optimizer import (
     OptSettings,
     kernel_sum_compare,
     optimize,
     verify_sharp_local_max,
 )
-from starspec.spectral import principal_eigenvalue
+from starspec.spectral import bound_states, principal_eigenvalue
 
 
 def report(num: int, ok: bool, detail: str) -> bool:
     print(f"\nACCEPTANCE {num:02d} [{'PASS' if ok else 'FAIL'}] {detail}", flush=True)
     return ok
+
+
+def default_mesh(L):
+    """8 panels of order 12, grading 2."""
+    return ss.build_mesh(L, 8, 12, 2.0)
 
 
 def antipodal(L, alpha):
@@ -63,12 +70,12 @@ def test_02_scaling_covariance():
     for n, L in ((2, 6.0), (4, 5.0)):
         dirs = ss.sharp_configuration(n)
         alpha = 0.0
-        a_prime = ss.scaled_coupling(alpha, 2.0)
+        a_prime = alpha - math.log(2.0) / (2.0 * math.pi)
         e_base = principal_eigenvalue(
-            ss.make_star(dirs, L, a_prime), ss.default_mesh(L), a_prime
+            ss.make_star(dirs, L, a_prime), default_mesh(L), a_prime
         ).ground_energy
         e_zoom = principal_eigenvalue(
-            ss.make_star(dirs, 2 * L, alpha), ss.default_mesh(2 * L), alpha
+            ss.make_star(dirs, 2 * L, alpha), default_mesh(2 * L), alpha
         ).ground_energy
         rels.append(abs(e_base - 4.0 * e_zoom) / abs(e_base))
     elapsed = time.time() - t0
@@ -126,11 +133,11 @@ def test_03_L_monotonicity():
 def test_04_segment_existence_corollary():
     t0 = time.time()
     # total length 12 exceeds the alpha=0 guarantee 2 pi e^{-psi(1)} ~ 11.19
-    n_long = ss.count_bound_states(antipodal(6.0, 0.0), ss.default_mesh(6.0), 0.0)
+    n_long = bound_states(antipodal(6.0, 0.0), default_mesh(6.0), 0.0, 0)[0]
     # total length 1 at alpha=1 lies in the provably void region
-    n_short = ss.count_bound_states(
-        ss.make_star([(0, 0, 1)], 1.0, 1.0), ss.default_mesh(1.0), 1.0
-    )
+    n_short = bound_states(
+        ss.make_star([(0, 0, 1)], 1.0, 1.0), default_mesh(1.0), 1.0, 0
+    )[0]
     elapsed = time.time() - t0
     ok = n_long >= 1 and n_short == 0 and elapsed < 10.0
     assert report(
@@ -169,7 +176,7 @@ def test_05_diagonal_block_bound():
             ) / (4.0 * math.pi)
             for panels in (8, 16):
                 mesh = ss.build_mesh(L, panels, 12, 2.0)
-                top = float(sla.eigvalsh(ss.BlockAssembler(mesh).weighted_block(kappa))[-1])
+                top = float(sla.eigvalsh(BlockAssembler(mesh).weighted_block(kappa))[-1])
                 if not lower <= top < upper:
                     violations.append((L, kappa, panels, lower, top, upper))
     elapsed = time.time() - t0
@@ -266,11 +273,12 @@ def test_08_small_angle_behavior():
     t0 = time.time()
     ladder = [ss.build_mesh(1.0, p, 12, 2.0) for p in (24, 32)]
     energies, exponent, upper_ok = small_angle_fit(0.0, 1.0, [0.2, 0.1, 0.05], ladder, 1e-3)
-    count = ss.count_bound_states(
+    count = bound_states(
         ss.make_star([(0, 0, 1), (math.sin(0.05), 0, math.cos(0.05))], 1.0, 0.0),
         ladder[-1],
         0.0,
-    )
+        0,
+    )[0]
     elapsed = time.time() - t0
     ok = (
         upper_ok
@@ -303,11 +311,11 @@ def test_09_eigenvector_diagnostics():
         ss.build_mesh(2.0, 8, 12, 2.0), 0.0,
     )
     checks["octa symmetric"] = octa.arm_symmetry_residual < 1e-8
-    anti = principal_eigenvalue(antipodal(6.0, 0.0), ss.default_mesh(6.0), 0.0)
+    anti = principal_eigenvalue(antipodal(6.0, 0.0), default_mesh(6.0), 0.0)
     checks["antipodal positive"] = anti.ground_vector_positivity
     checks["antipodal parity"] = anti.parity == "symmetric"
     pair = principal_eigenvalue(
-        ss.make_star([(0, 0, 1), (1, 0, 0)], 50.0, 0.0), ss.default_mesh(50.0), 0.0
+        ss.make_star([(0, 0, 1), (1, 0, 0)], 50.0, 0.0), default_mesh(50.0), 0.0
     )
     checks["right-angle positive"] = pair.ground_vector_positivity
     checks["right-angle parity"] = pair.parity == "symmetric"
@@ -321,10 +329,10 @@ def test_09_eigenvector_diagnostics():
 
 def test_10_design_checks():
     t0 = time.time()
-    octa_ok, _ = ss.spherical_design_check(ss.sharp_configuration(6), 3)
-    octa_bad, octa_dev = ss.spherical_design_check(ss.sharp_configuration(6), 4)
-    icosa_ok, _ = ss.spherical_design_check(ss.sharp_configuration(12), 5)
-    icosa_bad, icosa_dev = ss.spherical_design_check(ss.sharp_configuration(12), 6)
+    octa_ok, _ = spherical_design_check(ss.sharp_configuration(6), 3)
+    octa_bad, octa_dev = spherical_design_check(ss.sharp_configuration(6), 4)
+    icosa_ok, _ = spherical_design_check(ss.sharp_configuration(12), 5)
+    icosa_bad, icosa_dev = spherical_design_check(ss.sharp_configuration(12), 6)
     elapsed = time.time() - t0
     ok = (
         octa_ok and not octa_bad and octa_dev > 1e-10

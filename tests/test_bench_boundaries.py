@@ -1,6 +1,7 @@
 """The benchmark still works with the program: its span boundaries name
 attributes of the program, the wrapped objectives return what the spans
-read, and its self-test passes.
+read, its self-test passes, and the ladder workload's library calls solve
+to its pinned energy.
 
 ``bench/spans.py`` wraps each boundary through ``__dict__`` lookups, so a
 renamed function or method would make ``bench/run.py --trace 1`` fail only
@@ -17,17 +18,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import starspec
 from starspec.optimizer import _WarmObjective, objective, search_mesh
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-SPANS = BENCH / "spans.py"
+
+
+def load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_boundaries():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.BOUNDARIES
+    return load_bench("spans").BOUNDARIES
 
 
 @pytest.mark.parametrize(
@@ -60,3 +65,12 @@ def test_objective_boundaries_return_floats(params, sentinel):
     for value in (objective(params, 3, 5.0, 0.0, mesh), warm.negative(np.array(params))):
         assert type(value) is float
         assert math.isinf(value) is sentinel
+
+
+def test_ladder_workload_runs_and_checks(tmp_path):
+    # the library calls of ``ladder-tetra`` as the benchmark makes them,
+    # positional arguments included; its check pins the energy to 1e-12
+    workload = load_bench("workloads").LadderTetra(str(tmp_path))
+    state = workload.setup(starspec, workload.default_seed)
+    result = workload.run(starspec, state)
+    assert workload.check(starspec, result) == result.ground_energy

@@ -19,27 +19,15 @@ from starspec.bounds import (
     offdiag_norm_bound,
     pair_bound,
     point_eigenvalue,
-    scaled_coupling,
     segment_existence_length,
     small_angle_bounds,
 )
 from starspec.errors import DegenerateAngle, DomainError
+from starspec.discretization import BlockAssembler
 from starspec.geometry import StarConfig
 from starspec.spectral import bound_states
 
 FOUR_PI = 4.0 * math.pi
-
-
-class TestScaledCoupling:
-    def test_identity(self):
-        assert scaled_coupling(0.37, 1.0) == 0.37
-
-    def test_log_cancels(self):
-        assert scaled_coupling(2.0, math.exp(2 * math.pi)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_value(self):
-        assert scaled_coupling(0.0, 2.0) == pytest.approx(-math.log(2) / (2 * math.pi), rel=1e-14)
-        assert scaled_coupling(0.0, 2.0) == pytest.approx(-0.110318, abs=1e-6)
 
 
 class TestSegmentExistenceLength:
@@ -225,13 +213,13 @@ class TestNonexistenceThreshold:
             [(0, 0, 1), (math.sin(2.0), 0, math.cos(2.0))], 1.0, 0.0
         )
         alpha = nonexistence_threshold(cfg)
-        assert ss.count_bound_states(cfg, ss.default_mesh(1.0), alpha) == 0
+        assert bound_states(cfg, ss.build_mesh(1.0, 8, 12, 2.0), alpha, 0)[0] == 0
 
     def test_existence_at_1p1_times_guarantee(self):
         # a segment 10% longer than the guarantee has a bound state
         total = 1.1 * segment_existence_length(0.0)
         cfg = ss.make_star([(0, 0, 1)], total, 0.0)
-        assert ss.count_bound_states(cfg, ss.default_mesh(total), 0.0) >= 1
+        assert bound_states(cfg, ss.build_mesh(total, 8, 12, 2.0), 0.0, 0)[0] >= 1
 
 
 def constant_trial_coupling(config) -> float:
@@ -287,8 +275,8 @@ class TestThresholdBracket:
         assert lower < upper
         for panels in (8, 16):
             mesh = ss.build_mesh(L, panels, 12, 2.0)
-            assert ss.count_bound_states(config, mesh, upper) == 0
-            assert ss.count_bound_states(config, mesh, lower - 1e-9) >= 1
+            assert bound_states(config, mesh, upper, 0)[0] == 0
+            assert bound_states(config, mesh, lower - 1e-9, 0)[0] >= 1
 
     @pytest.mark.parametrize("L", [0.5, 1.0, 4.0, 10.0])
     @pytest.mark.parametrize("star", sorted(BRACKET_STARS))
@@ -339,7 +327,7 @@ class TestEnergyLowerBound:
                 continue
             line = (PSI_ONE - math.log(kappa / 2)) / (2 * math.pi)
             mesh = ss.build_mesh(L, 16, 12, 2.0)
-            top = float(sla.eigvalsh(ss.BlockAssembler(mesh).weighted_block(kappa))[-1])
+            top = float(sla.eigvalsh(BlockAssembler(mesh).weighted_block(kappa))[-1])
             assert top < line
 
     @settings(max_examples=40, deadline=None, derandomize=True)

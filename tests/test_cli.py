@@ -519,6 +519,32 @@ class TestOneSolverPerStar:
         assert run(job) == 0
         assert len(calls) == 3
 
+    def test_sweep_takes_no_full_eigendecomposition(self, tmp_path, monkeypatch):
+        # the CSV prints no level count, so no angle solves the whole
+        # spectrum at kappa = 0; an angle whose level does not cross gets an
+        # empty E_1 (at alpha = 0.3 only the narrowest pair, phi = 0.05,
+        # has a level)
+        import scipy.linalg as sla
+
+        eigh, full = sla.eigh, []
+
+        def counting_eigh(*args, **kwargs):
+            full.append("subset_by_index" not in kwargs)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigh", counting_eigh)
+        for alpha, crossing in ((0.0, 12), (0.3, 1)):
+            out = tmp_path / f"sweep{alpha}.csv"
+            assert run(parse_job(job_text(
+                command="sweep-angle", alpha=alpha, arm_length=1.0,
+                sweep={"phi_min": 0.05, "phi_max": math.pi, "count": 12},
+                output={"path": str(out)},
+            ))) == 0
+            rows = out.read_text().strip().splitlines()[1:]
+            assert len(rows) == 12
+            assert sum(row.split(",")[1] != "" for row in rows) == crossing
+        assert full.count(True) == 0
+
 
 #: settings that a command accepts in a group it reads but does not read
 #: itself: (document, the key the error names)

@@ -1,14 +1,17 @@
 """Static checks of the package source, by the standard library's ``ast``:
 no module imports a name it does not use, no private module-level name or
-method is left without a reference in the package, and the closed-form
-modules import nothing from the solver."""
+method is left without a reference in the package, the closed-form
+modules import nothing from the solver, and the package exports exactly
+the names its library callers use."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "starspec"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "starspec"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
@@ -110,3 +113,27 @@ def imported_modules(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("module", FORMULA_MODULES)
 def test_formulas_import_no_solver(module):
     assert imported_modules(parse(module)) & SOLVER_MODULES == set()
+
+
+def readme_library_names() -> set[str]:
+    """The ``ss.<name>`` uses in the code block of README's Library usage."""
+    section = (ROOT / "README.md").read_text().split("## Library usage", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    return set(re.findall(r"\bss\.(\w+)", block))
+
+
+def bench_library_names() -> set[str]:
+    """The ``starspec.<name>`` reads in ``bench/*.py``."""
+    names = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "starspec"):
+                names.add(node.attr)
+    return names
+
+
+def test_public_names_have_callers():
+    # the CLI imports from the modules themselves, so the package namespace
+    # serves README's library example and the benchmark alone
+    assert exported(parse("__init__.py")) == readme_library_names() | bench_library_names()

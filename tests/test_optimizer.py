@@ -10,6 +10,7 @@ from starspec import optimizer
 from starspec.cli import parse_job, run
 from starspec.discretization import BlockAssembler
 from starspec.errors import AllStartsFailed, SizeMismatch
+from starspec.geometry import chord_sq, congruent
 from starspec.optimizer import (
     MIN_PAIR_ANGLE,
     OptSettings,
@@ -48,8 +49,8 @@ class TestGaugeEmbed:
         shifted[2] += 2 * math.pi
         a = gauge_embed(params, 3)
         b = gauge_embed(shifted, 3)
-        ga = sorted(ss.chord_sq(a[i], a[j]) for i in range(3) for j in range(i + 1, 3))
-        gb = sorted(ss.chord_sq(b[i], b[j]) for i in range(3) for j in range(i + 1, 3))
+        ga = sorted(chord_sq(a[i], a[j]) for i in range(3) for j in range(i + 1, 3))
+        gb = sorted(chord_sq(b[i], b[j]) for i in range(3) for j in range(i + 1, 3))
         assert np.allclose(ga, gb, atol=1e-12)
 
 
@@ -114,7 +115,7 @@ class TestSearchAssembly:
         for i in range(N):
             assert np.array_equal(A[i * M:(i + 1) * M, i * M:(i + 1) * M], T)
             for j in range(i + 1, N):
-                c = float(f"{ss.chord_sq(dirs[i], dirs[j]):.12e}")  # chord_groups key
+                c = float(f"{chord_sq(dirs[i], dirs[j]):.12e}")  # chord_groups key
                 r = np.sqrt((s[:, None] - s) ** 2 + s[:, None] * s * c)
                 expected = np.exp(-kappa * r) / (4.0 * math.pi * r) * np.sqrt(np.outer(w, w))
                 block = A[i * M:(i + 1) * M, j * M:(j + 1) * M]
@@ -275,7 +276,7 @@ class TestGradientSearch:
     def test_confirming_step_is_short(self, N, params, monkeypatch):
         # the gradient vanishes at the sharp configuration, so an outer step
         # from it only confirms the fixed point
-        assert ss.congruent(gauge_embed(params, N), ss.sharp_configuration(N))
+        assert congruent(gauge_embed(params, N), ss.sharp_configuration(N))
         seen = []
         negative = _WarmObjective.negative
 
@@ -291,7 +292,7 @@ class TestGradientSearch:
         assert seen and set(seen) <= set(kappas)
         for kappa in set(seen):
             assert seen.count(kappa) <= 2
-        assert ss.congruent(gauge_embed(x, N), ss.sharp_configuration(N))
+        assert congruent(gauge_embed(x, N), ss.sharp_configuration(N))
 
     def test_first_trial_in_sentinel_region(self, monkeypatch):
         # arm 2 sits 0.002 rad from arm 1, and arm 3 where the capped first

@@ -27,7 +27,6 @@ from hypothesis import example, given, settings, strategies as st
 from starspec.bounds import nonexistence_threshold
 from starspec.discretization import StarAssembler, build_mesh
 from starspec.geometry import make_star, sharp_configuration
-from starspec.spectral import lambda_curve
 
 TOL = 1e-12
 
@@ -66,7 +65,8 @@ def mesh_params():
 
 
 def top(directions, L, kappa, params):
-    return lambda_curve(make_star(directions, L, 0.0), build_mesh(L, *params), kappa)[0]
+    A = StarAssembler(make_star(directions, L, 0.0), build_mesh(L, *params)).matrix(kappa)
+    return np.linalg.eigvalsh(A)[-1]
 
 
 def close(a, b):

@@ -11,18 +11,14 @@ from scipy.optimize import brentq
 import starspec as ss
 import starspec.spectral as spectral
 from starspec.bounds import point_eigenvalue
-from starspec.discretization import StarAssembler
-from starspec.errors import (
-    BadParameters, DomainError, EigensolveFailure, NoCrossing, NotConverged,
-)
+from starspec.discretization import BlockAssembler, StarAssembler
+from starspec.errors import BadParameters, EigensolveFailure, NoCrossing, NotConverged
 from starspec.spectral import (
     _CurveSolver,
     _diagnostics,
     _solve_level,
     _star_solver,
-    count_bound_states,
-    default_ladder,
-    lambda_curve,
+    bound_states,
     principal_eigenvalue,
     refine_until,
     solve_energy,
@@ -41,42 +37,38 @@ def tetra(L, alpha):
     return ss.make_star(ss.sharp_configuration(4), L, alpha)
 
 
+def default_mesh(L):
+    """8 panels of order 12, grading 2."""
+    return ss.build_mesh(L, 8, 12, 2.0)
+
+
+def top_eigenvalues(config, mesh, kappa, count=1):
+    """The top ``count`` eigenvalues of the star's matrix at kappa, descending."""
+    A = StarAssembler(config, mesh).matrix(kappa)
+    n = A.shape[0]
+    return sla.eigvalsh(A, subset_by_index=[n - count, n - 1])[::-1]
+
+
 class TestLambdaCurve:
     def test_single_arm_matches_diag_spectrum(self):
-        import scipy.linalg as sla
-
         mesh = ss.build_mesh(1.0, 6, 8, 2.0)
         cfg = segment(1.0, 0.0)
-        top3 = lambda_curve(cfg, mesh, 1.0, count=3)
-        T = ss.BlockAssembler(mesh).weighted_block(1.0)
+        top3 = top_eigenvalues(cfg, mesh, 1.0, count=3)
+        T = BlockAssembler(mesh).weighted_block(1.0)
         assert np.allclose(top3, sla.eigvalsh(T)[-3:][::-1], atol=1e-14)
 
-    @pytest.mark.parametrize("count", [0, 97])
-    def test_count_outside_the_spectrum(self, count):
-        # the antipodal pair on an 8x6 mesh has N * M = 96 rows
-        mesh = ss.build_mesh(1.0, 8, 6, 2.0)
-        with pytest.raises(BadParameters, match=r"count must lie in \[1, 96\]"):
-            lambda_curve(antipodal(1.0, 0.0), mesh, 1.0, count=count)
-
-    def test_count_of_the_whole_spectrum(self):
-        mesh = ss.build_mesh(1.0, 8, 6, 2.0)
-        vals = lambda_curve(antipodal(1.0, 0.0), mesh, 1.0, count=96)
-        assert np.all(np.diff(vals) <= 0.0) and vals.size == 96
-
     def test_decreasing_in_kappa(self):
-        mesh = ss.default_mesh(1.0)
+        mesh = default_mesh(1.0)
         cfg = antipodal(1.0, 0.0)
-        vals = [lambda_curve(cfg, mesh, k)[0] for k in (0.1, 1.0, 10.0)]
+        vals = [top_eigenvalues(cfg, mesh, k)[0] for k in (0.1, 1.0, 10.0)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_antipodal_symmetric_sector_matches_segment_block(self):
-        import scipy.linalg as sla
-
         mesh = ss.build_mesh(0.5, 8, 12, 2.0)
         cfg = antipodal(0.5, 0.0)
-        lam_star = lambda_curve(cfg, mesh, 1.0)[0]
+        lam_star = top_eigenvalues(cfg, mesh, 1.0)[0]
         mesh2 = ss.build_mesh(1.0, 8, 12, 2.0)
-        T = ss.BlockAssembler(mesh2).weighted_block(1.0)
+        T = BlockAssembler(mesh2).weighted_block(1.0)
         lam_seg = sla.eigvalsh(T)[-1]
         assert lam_star == pytest.approx(lam_seg, abs=1e-5)
 
@@ -85,39 +77,30 @@ class TestCountBoundStates:
     def test_long_segment_has_state(self):
         # guarantee length at alpha=0 is about 11.19; total length 12 works
         cfg = antipodal(6.0, 0.0)
-        assert count_bound_states(cfg, ss.default_mesh(6.0), 0.0) >= 1
+        assert bound_states(cfg, default_mesh(6.0), 0.0, 0)[0] >= 1
 
     def test_short_weak_segment_has_none(self):
         cfg = segment(1.0, 1.0)
-        assert count_bound_states(cfg, ss.default_mesh(1.0), 1.0) == 0
+        assert bound_states(cfg, default_mesh(1.0), 1.0, 0)[0] == 0
 
 
 class TestSolveEnergy:
     def test_residual_small(self):
         cfg = antipodal(6.0, 0.0)
-        mesh = ss.default_mesh(6.0)
-        kappa_1, e_1 = solve_energy(cfg, mesh, 0.0, 1)
+        mesh = default_mesh(6.0)
+        kappa_1, e_1 = solve_energy(cfg, mesh, 0.0)
         assert e_1 == pytest.approx(-kappa_1 * kappa_1, rel=1e-15)
         # Birman-Schwinger consistency: the curve reproduces alpha there
-        lam = lambda_curve(cfg, mesh, kappa_1)[0]
+        lam = top_eigenvalues(cfg, mesh, kappa_1)[0]
         assert abs(lam - 0.0) < 1e-9
 
     def test_no_crossing(self):
         cfg = segment(1.0, 1.0)
         with pytest.raises(NoCrossing):
-            solve_energy(cfg, ss.default_mesh(1.0), 1.0, 1)
-
-    @pytest.mark.parametrize("j", [0, -3])
-    def test_level_index_below_one(self, j):
-        mesh = ss.build_mesh(2.0, 4, 6, 2.0)
-        with pytest.raises(DomainError, match="level index"):
-            solve_energy(tetra(2.0, 0.0), mesh, 0.0, j)
+            solve_energy(cfg, default_mesh(1.0), 1.0)
 
     @pytest.mark.parametrize("name, solve", [
-        ("count", lambda cfg, mesh: lambda_curve(cfg, mesh, 1.0, count=2.5)),
-        ("j", lambda cfg, mesh: solve_energy(cfg, mesh, 0.0, j=1.5)),
-        ("j", lambda cfg, mesh: solve_energy(cfg, mesh, 0.0, j=np.float64(2.0))),
-        ("levels", lambda cfg, mesh: spectral.bound_states(cfg, mesh, 0.0, levels=2.5)),
+        ("levels", lambda cfg, mesh: bound_states(cfg, mesh, 0.0, levels=2.5)),
     ])
     def test_non_integer_level_arguments(self, name, solve, monkeypatch):
         calls = []
@@ -129,19 +112,14 @@ class TestSolveEnergy:
 
     def test_numpy_integer_level_arguments(self):
         cfg, mesh = tetra(2.0, 0.0), ss.build_mesh(2.0, 4, 6, 2.0)
-        assert np.array_equal(lambda_curve(cfg, mesh, 1.0, count=np.int64(2)),
-                              lambda_curve(cfg, mesh, 1.0, count=2))
-        assert solve_energy(cfg, mesh, 0.0, j=np.int32(2)) == solve_energy(cfg, mesh, 0.0, j=2)
-        count, res = spectral.bound_states(cfg, mesh, 0.0, levels=np.int64(2))
+        count, res = bound_states(cfg, mesh, 0.0, levels=np.int64(2))
         assert count >= 2 and len(res.levels) == 2
 
     def test_level_ordering(self):
         cfg = antipodal(6.0, -0.05)
-        mesh = ss.default_mesh(6.0)
-        n = count_bound_states(cfg, mesh, -0.05)
+        n, res = bound_states(cfg, default_mesh(6.0), -0.05, 2)
         assert n >= 2
-        _, e1 = solve_energy(cfg, mesh, -0.05, 1)
-        _, e2 = solve_energy(cfg, mesh, -0.05, 2)
+        e1, e2 = (level.energy for level in res.levels)
         assert e1 < e2 < 0.0
 
     def test_scaling_covariance_both_directions(self):
@@ -150,13 +128,9 @@ class TestSolveEnergy:
         for zeta in (0.5, 2.0):
             alpha = 0.0
             L = 6.0
-            a_scaled = ss.scaled_coupling(alpha, zeta)
-            _, e_base = solve_energy(
-                antipodal(L, a_scaled), ss.default_mesh(L), a_scaled, 1
-            )
-            _, e_zoom = solve_energy(
-                antipodal(zeta * L, alpha), ss.default_mesh(zeta * L), alpha, 1
-            )
+            a_scaled = alpha - math.log(zeta) / (2 * math.pi)
+            _, e_base = solve_energy(antipodal(L, a_scaled), default_mesh(L), a_scaled)
+            _, e_zoom = solve_energy(antipodal(zeta * L, alpha), default_mesh(zeta * L), alpha)
             assert e_base == pytest.approx(zeta**2 * e_zoom, rel=1e-9)
 
     def test_L_monotone_where_resolvable(self):
@@ -166,14 +140,14 @@ class TestSolveEnergy:
         mesh_for = lambda L: ss.build_mesh(L, 16, 12, 2.0)
         es = []
         for L in (0.25, 0.5, 1.0):
-            _, e = solve_energy(tetra(L, 0.0), mesh_for(L), 0.0, 1)
+            _, e = solve_energy(tetra(L, 0.0), mesh_for(L), 0.0)
             es.append(e)
         assert es[0] > es[1] > es[2]
 
 
 class TestPrincipalEigenvalue:
     def test_diagnostics_on_tetrahedron(self):
-        res = principal_eigenvalue(tetra(5.0, 0.0), ss.default_mesh(5.0), 0.0)
+        res = principal_eigenvalue(tetra(5.0, 0.0), default_mesh(5.0), 0.0)
         assert res.ground_vector_positivity
         assert res.arm_symmetry_residual < 1e-8
         assert res.residual < 1e-9
@@ -181,18 +155,18 @@ class TestPrincipalEigenvalue:
 
     def test_right_angle_pair_parity(self):
         cfg = ss.make_star([(0, 0, 1), (1, 0, 0)], 50.0, 0.0)
-        res = principal_eigenvalue(cfg, ss.default_mesh(50.0), 0.0)
+        res = principal_eigenvalue(cfg, default_mesh(50.0), 0.0)
         assert res.parity == "symmetric"
         assert res.ground_vector_positivity
 
     def test_large_arm_below_point_interaction_threshold(self):
         cfg = ss.make_star([(0, 0, 1), (1, 0, 0)], 50.0, 0.0)
-        res = principal_eigenvalue(cfg, ss.default_mesh(50.0), 0.0)
+        res = principal_eigenvalue(cfg, default_mesh(50.0), 0.0)
         assert res.ground_energy < point_eigenvalue(0.0)
 
     def test_angle_optimality_for_two_arms(self):
         # straightening the pair raises the ground level: E(pi) maximal
-        mesh = ss.default_mesh(6.0)
+        mesh = default_mesh(6.0)
         energies = []
         for phi in (2.0, 2.5, 3.0, math.pi):
             cfg = ss.make_star(
@@ -216,7 +190,7 @@ class TestRefineUntil:
             refine_until(tetra(5.0, 0.0), 0.0, 1e-6, ladder)
 
     def test_single_level_ladder_warns(self):
-        ladder = [ss.default_mesh(6.0)]
+        ladder = [default_mesh(6.0)]
         with pytest.warns(UserWarning):
             res = refine_until(antipodal(6.0, 0.0), 0.0, 1e-6, ladder)
         assert not res.mesh_metadata["converged"]
@@ -241,10 +215,6 @@ class TestRefineUntil:
         finally:
             gc.enable()
         assert len(rungs) == 3
-
-    def test_default_ladder_shape(self):
-        meshes = default_ladder(2.0)
-        assert [m.panels for m in meshes] == [8, 16, 32]
 
 
 def two_arms(phi):
@@ -561,12 +531,12 @@ class TestNearThreshold:
         config = ss.make_star(dirs, L, 0.0)
         mesh = ss.build_mesh(L, panels, order, 2.0)
         assert spectral._record(StarAssembler(config, mesh))["path"] == path
-        return config, mesh, lambda_curve(config, mesh, 0.0, count=2)
+        return config, mesh, top_eigenvalues(config, mesh, 0.0, count=2)
 
     def test_crossing_just_below_threshold(self, star):
         config, mesh, lam0 = star
         alpha = lam0[0] - 1e-7
-        assert count_bound_states(config, mesh, alpha) == 1
+        assert bound_states(config, mesh, alpha, 0)[0] == 1
         kappa, energy = solve_energy(config, mesh, alpha)
         assert 0.0 < kappa < 1e-4
         assert energy == -kappa * kappa
@@ -576,7 +546,7 @@ class TestNearThreshold:
     def test_no_crossing_just_above_threshold(self, star):
         config, mesh, lam0 = star
         alpha = lam0[0] + 1e-9
-        assert count_bound_states(config, mesh, alpha) == 0
+        assert bound_states(config, mesh, alpha, 0)[0] == 0
         with pytest.raises(NoCrossing):
             solve_energy(config, mesh, alpha)
 
@@ -584,12 +554,15 @@ class TestNearThreshold:
     def test_count_agrees_with_root_solve(self, star, j):
         config, mesh, lam0 = star
         for alpha in (lam0[j - 1] - 1e-7, lam0[j - 1] + 1e-9):
+            # level j's root solve starts at level j - 1's crossing
+            solver, kappa = _star_solver(config, mesh), None
             try:
-                solve_energy(config, mesh, alpha, j)
+                for level in range(1, j + 1):
+                    kappa, _, _, _ = _solve_level(solver, alpha, level, kappa)
                 crosses = True
             except NoCrossing:
                 crosses = False
-            assert (count_bound_states(config, mesh, alpha) >= j) == crosses
+            assert (bound_states(config, mesh, alpha, 0)[0] >= j) == crosses
 
 
 #: ``NEAR_THRESHOLD`` and a two-arm star: (directions, L, panels, order, path)
@@ -721,7 +694,7 @@ class TestWarmTop:
 
     @staticmethod
     def lapack_top(A):
-        vals, vecs = spectral._eigh(A, 1, 1, vectors=True)
+        vals, vecs = spectral._eigh(A, 1, vectors=True)
         return vals[0], vecs[:, 0]
 
     @classmethod
@@ -871,7 +844,7 @@ class TestEigensolverFallback:
             want = np.linalg.eigvalsh(A)[::-1]
             # values alone, as the search's fixed-kappa calls solve them
             for j in (1, 2):
-                value = spectral._eigh(A, j, j)[0]
+                value = spectral._eigh(A, j)[0]
                 assert value == pytest.approx(want[j - 1], rel=1e-14, abs=0)
             assert solver.lam(kappa, 2) == pytest.approx(want[1], rel=1e-14, abs=0)
             assert solver.lam(kappa) == pytest.approx(want[0], rel=1e-14, abs=0)
@@ -910,7 +883,7 @@ class TestExcitedLevels:
 
         _CurveSolver.lam = counting
         try:
-            _, res = spectral.bound_states(tetra(5.0, 0.0), ss.default_mesh(5.0), 0.0, 5)
+            _, res = bound_states(tetra(5.0, 0.0), default_mesh(5.0), 0.0, 5)
         finally:
             _CurveSolver.lam = lam
         return res, calls
