@@ -28,12 +28,8 @@ from .errors import NoCrossing, NumericalError, ParseError, ValidationError
 from .geometry import (
     SHARP_SIZES, make_star, sharp_configuration, spherical_design_check, unit_directions,
 )
-from .optimizer import (
-    LOCAL_MAX_MESH, MIN_PAIR_ANGLE, SEARCH_MESH, OptSettings, optimize, verify_sharp_local_max,
-)
-from .spectral import (
-    DEFAULT_GRADING, DEFAULT_ORDER, DEFAULT_PANELS, bound_states, principal_eigenvalue,
-)
+from .optimizer import MIN_PAIR_ANGLE, SEARCH_MESH, OptSettings, optimize, verify_sharp_local_max
+from .spectral import bound_states, principal_eigenvalue
 
 COMMANDS = ("spectrum", "sweep-angle", "optimize", "verify-sharp", "bounds", "design-check")
 
@@ -52,47 +48,46 @@ MAX_BATCH_ENTRIES = 180_000_000
 #: arms per star, for every command: ``bounds`` and ``design-check`` build no
 #: matrix, but their work on the arm pairs grows as the square of this
 MAX_ARMS = 256
-MAX_PANELS = 128
-MAX_ORDER = 16
-MAX_DESIGN_ORDER = 64
-MAX_SWEEP_COUNT = 10_000
-#: optimizer starts and perturbed stars per job: each costs a search or a
-#: solve, and ``verify-sharp`` at scale 0 repeats the sharp energy per trial
-MAX_STARTS = 10_000
-MAX_TRIALS = 10_000
+#: the mesh of ``verify-sharp`` when the job gives none
+LOCAL_MAX_MESH = {"panels": 12, "order": 8, "grading": 2.0}
 
 #: the commands that solve on a mesh
 _SOLVES = ("spectrum", "sweep-angle", "optimize", "verify-sharp")
+#: the least positive float: the lower end of a key that must be positive
+_POSITIVE = math.ulp(0.0)
 #: the job schema: group -> {key: (kind, default, the commands that read
-#: it)}; no other command may carry the key, and a command carries a group
-#: if it reads one of its keys.  A None default means "not given".  The
-#: parsed job lists its groups in this order.
+#: it, least, greatest)}; no other command may carry the key, and a command
+#: carries a group if it reads one of its keys.  A None default means "not
+#: given".  A number given outside [least, greatest] is rejected: the caps
+#: bound the work of a job (each optimizer start costs a search, each trial
+#: a solve, and ``verify-sharp`` at scale 0 repeats the sharp energy per
+#: trial).  The parsed job lists its groups in this order.
 _GROUPS = {
     "mesh": {
-        "panels": (int, DEFAULT_PANELS, _SOLVES),
-        "order": (int, DEFAULT_ORDER, _SOLVES),
-        "grading": (float, DEFAULT_GRADING, _SOLVES),
+        "panels": (int, 8, _SOLVES, 2, 128),
+        "order": (int, 12, _SOLVES, 2, 16),
+        "grading": (float, 2.0, _SOLVES, 1.0, math.inf),
     },
-    "solver": {"levels": (int, 1, ("spectrum",))},
+    "solver": {"levels": (int, 1, ("spectrum",), 1, math.inf)},
     "optimize": {
-        "starts": (int, OptSettings.starts, ("optimize",)),
-        "seed": (int, OptSettings.seed, ("optimize", "verify-sharp")),
+        "starts": (int, OptSettings.starts, ("optimize",), 1, 10_000),
+        "seed": (int, OptSettings.seed, ("optimize", "verify-sharp"), 0, math.inf),
     },
     "sweep": {
-        "phi_min": (float, None, ("sweep-angle",)),
-        "phi_max": (float, None, ("sweep-angle",)),
-        "count": (int, None, ("sweep-angle",)),
+        "phi_min": (float, None, ("sweep-angle",), _POSITIVE, math.pi),
+        "phi_max": (float, None, ("sweep-angle",), _POSITIVE, math.pi),
+        "count": (int, None, ("sweep-angle",), 1, 10_000),
     },
     "verify": {
-        "scale": (float, 0.05, ("verify-sharp",)),
-        "trials": (int, 20, ("verify-sharp",)),
+        "scale": (float, 0.05, ("verify-sharp",), 0.0, math.inf),
+        "trials": (int, 20, ("verify-sharp",), 1, 10_000),
     },
     "bounds": {
-        "phi": (float, None, ("bounds",)),
-        "k": (int, 1, ("bounds",)),
+        "phi": (float, None, ("bounds",), _POSITIVE, math.pi),
+        "k": (int, 1, ("bounds",), 1, math.inf),
     },
-    "design": {"order": (int, 3, ("design-check",))},
-    "output": {"format": (str, None, COMMANDS), "path": (str, None, COMMANDS)},
+    "design": {"order": (int, 3, ("design-check",), 1, 64)},
+    "output": {"path": (str, None, COMMANDS, None, None)},
 }
 
 
@@ -128,7 +123,7 @@ def _group(raw: dict, name: str, command: str) -> dict:
     schema = _GROUPS[name]
     _require_keys(given, schema, f"'{name}'")
     out = {}
-    for key, (kind, default, readers) in schema.items():
+    for key, (kind, default, readers, least, greatest) in schema.items():
         if command not in readers:
             if key in given:
                 raise ParseError(f"'{name}.{key}' is only valid for "
@@ -147,6 +142,9 @@ def _group(raw: dict, name: str, command: str) -> dict:
             v = float(v)
         elif v is not None and not isinstance(v, str):  # null: not given
             raise ParseError(f"'{name}.{key}' must be a string, got {v!r}")
+        if kind is not str and not least <= v <= greatest:
+            most = f" and at most {greatest}" if greatest < math.inf else ""
+            raise ParseError(f"'{name}.{key}' must be at least {least}{most}, got {v}")
         out[key] = v
     return out
 
@@ -202,7 +200,7 @@ def parse_job(document: str) -> JobSpec:
     if doc.get("arm_length", 1) <= 0:
         raise ParseError(f"'arm_length' must be positive, got {doc['arm_length']}")
     for name, schema in _GROUPS.items():
-        readers = {c for _, _, cs in schema.values() for c in cs}
+        readers = {c for _, _, cs, _, _ in schema.values() for c in cs}
         if command in readers:
             doc[name] = _group(raw, name, command)
         elif name in raw:
@@ -212,46 +210,17 @@ def parse_job(document: str) -> JobSpec:
         # without a mesh group these commands solve on their own coarse mesh
         doc["mesh"] = dict(SEARCH_MESH if command == "optimize" else LOCAL_MAX_MESH)
 
-    mesh, solver, opt = doc.get("mesh"), doc.get("solver"), doc.get("optimize")
-    if mesh and not (2 <= mesh["panels"] <= MAX_PANELS and 2 <= mesh["order"] <= MAX_ORDER
-                     and mesh["grading"] >= 1):
-        raise ParseError(f"invalid mesh parameters: {mesh} (panels and order from 2 "
-                         f"to {MAX_PANELS} and {MAX_ORDER}, grading >= 1)")
-    if solver and solver["levels"] < 1:
-        raise ParseError(f"invalid solver parameters: {solver}")
-    if opt and not (1 <= opt.get("starts", 1) <= MAX_STARTS and opt["seed"] >= 0):
-        raise ParseError(f"invalid optimize parameters: {opt} (at most {MAX_STARTS} "
-                         f"starts, seed >= 0)")
     if command == "sweep-angle":
         sweep = doc["sweep"]
         if "star" in doc:
             raise ParseError("sweep-angle runs a two-arm star; 'star' must be omitted")
         if None in sweep.values():
             raise ParseError("sweep-angle needs 'sweep' with phi_min, phi_max and count")
-        if not (0 < sweep["phi_min"] <= sweep["phi_max"] <= math.pi
-                and 1 <= sweep["count"] <= MAX_SWEEP_COUNT):
-            raise ParseError(f"invalid sweep grid: {sweep} (at most {MAX_SWEEP_COUNT} angles)")
-    if command == "verify-sharp":
-        if "sharp" not in doc.get("star", {}):
-            raise ParseError("verify-sharp requires star.sharp")
-        if doc["verify"]["scale"] < 0 or not 1 <= doc["verify"]["trials"] <= MAX_TRIALS:
-            raise ParseError(f"invalid verify parameters: {doc['verify']} "
-                             f"(at most {MAX_TRIALS} trials)")
-    if command == "bounds":
-        if doc["bounds"]["k"] < 1:
-            raise ParseError(f"'bounds.k' must be at least 1, got {doc['bounds']['k']}")
-        phi = doc["bounds"]["phi"]
-        if phi is not None and not 0 < phi <= math.pi:
-            raise ParseError(f"'bounds.phi' must lie in (0, pi], got {phi}")
-    if command == "design-check" and not 1 <= doc["design"]["order"] <= MAX_DESIGN_ORDER:
-        raise ParseError(f"'design.order' must lie in [1, {MAX_DESIGN_ORDER}]")
-
-    fmt = "csv" if command == "sweep-angle" else "json"
-    if doc["output"]["format"] not in (None, "", fmt):
-        raise ParseError(f"{command} writes {fmt} output only, "
-                         f"got 'output.format' {doc['output']['format']!r}")
-    doc["output"]["format"] = fmt
-
+        if sweep["phi_min"] > sweep["phi_max"]:
+            raise ParseError(f"'sweep.phi_min' {sweep['phi_min']} exceeds "
+                             f"'sweep.phi_max' {sweep['phi_max']}")
+    if command == "verify-sharp" and "sharp" not in doc.get("star", {}):
+        raise ParseError("verify-sharp requires star.sharp")
     if command != "sweep-angle" and "star" not in doc:
         raise ParseError(f"{command} requires a 'star'")
     if command == "design-check":
@@ -259,6 +228,7 @@ def parse_job(document: str) -> JobSpec:
             raise ParseError("design-check reads neither 'alpha' nor 'arm_length'")
     elif "alpha" not in doc or "arm_length" not in doc:
         raise ParseError(f"{command} requires 'alpha' and 'arm_length'")
+    mesh = doc.get("mesh")
     if mesh:
         arms = 2 if command == "sweep-angle" else _n_arms(doc["star"])
         rows = arms * mesh["panels"] * mesh["order"]
@@ -279,37 +249,34 @@ def _batch_entries(doc: dict):
     (``batch_entries``): the diagonal block's, then the pair batch of all
     distinct pair chords.  A chord's share of a batch grows as the chord
     shrinks.  The chords of a ``spectrum`` star are known, so its pair
-    batch is counted exactly, and a sweep's smallest is at phi_min.
+    batch is counted exactly, and so is a sweep's at its smallest angle,
+    phi_min.
     ``optimize`` and ``verify-sharp`` build stars with up to N(N-1)/2
     distinct chords: a search star's are no smaller than ``MIN_PAIR_ANGLE``
     allows, a perturbed star's lie near the sharp star's.  For those, N(N-1)/2
     times the largest one-chord batch bounds the pair batch: a joint batch
     is the one-chord batches of its chords with the rows of layouts shared
     across chords stored once, so sharing only removes rows.  A
-    ``spectrum`` star's pair batch comes chord by chord
+    ``spectrum`` or sweep star's pair batch comes chord by chord
     (``chord_entries``), so a check of the running sum stops at the first
     chord that crosses the bound.  Nothing for a mesh or star that the run
     rejects before it builds a batch."""
     command, L = doc["command"], doc["arm_length"]
     try:
         mesh = _job_mesh(doc, L)
-        if command == "sweep-angle":
-            n_pairs, chords = 1, [2.0 - 2.0 * math.cos(doc["sweep"]["phi_min"])]
-        elif command == "optimize":
+        if command == "optimize":
             N = _n_arms(doc["star"])
             n_pairs, chords = N * (N - 1) // 2, [4.0 * math.sin(MIN_PAIR_ANGLE / 2) ** 2]
         else:
-            star = doc["star"]
-            dirs = unit_directions(
-                sharp_configuration(star["sharp"]) if "sharp" in star else star["directions"]
-            )
+            dirs = unit_directions(_two_arms(doc["sweep"]["phi_min"]) if command == "sweep-angle"
+                                   else _directions(doc["star"]))
             chords = chord_groups(dirs)[0].tolist()
             N = dirs.shape[0]
             n_pairs = N * (N - 1) // 2
     except ValidationError:
         return
     yield batch_entries(mesh, None)
-    if command == "spectrum":
+    if command in ("spectrum", "sweep-angle"):
         yield from chord_entries(mesh, chords)
     elif chords:
         yield n_pairs * max(batch_entries(mesh, c) for c in chords)
@@ -367,10 +334,17 @@ def _n_arms(star: dict) -> int:
     return star.get("sharp") or len(star["directions"])
 
 
+def _directions(star: dict):
+    return sharp_configuration(star["sharp"]) if "sharp" in star else star["directions"]
+
+
 def _job_star(doc: dict):
-    star = doc["star"]
-    dirs = sharp_configuration(star["sharp"]) if "sharp" in star else star["directions"]
-    return make_star(dirs, doc["arm_length"], doc["alpha"])
+    return make_star(_directions(doc["star"]), doc["arm_length"], doc["alpha"])
+
+
+def _two_arms(phi: float) -> list:
+    """The directions of a sweep's two-arm star at angle phi."""
+    return [(0.0, 0.0, 1.0), (math.sin(phi), 0.0, math.cos(phi))]
 
 
 def _job_mesh(doc: dict, L: float):
@@ -405,8 +379,7 @@ def _run_sweep(job: JobSpec) -> list[tuple[float, float | None, float]]:
     mesh = _job_mesh(doc, L)
     rows = []
     for phi in phis:
-        dirs = [(0.0, 0.0, 1.0), (math.sin(phi), 0.0, math.cos(phi))]
-        config = make_star(dirs, L, alpha)
+        config = make_star(_two_arms(phi), L, alpha)
         upper = small_angle_bounds(alpha, L, phi, 1).upper
         try:
             energy = principal_eigenvalue(config, mesh, alpha).ground_energy

@@ -74,7 +74,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParameters
-from .geometry import StarConfig, chord_sq as _chord_sq
+from .geometry import StarConfig, pair_chords
 
 FOUR_PI = 4.0 * math.pi
 
@@ -360,7 +360,6 @@ class BlockAssembler:
         if chord_sq is not None and not np.all(c > 0.0):
             raise BadParameters(f"squared chord must be positive, got {chord_sq}")
         self.mesh = mesh
-        self.chord_sq = chord_sq
         self._stack = np.ndim(chord_sq) > 0
         self._c = c.reshape(-1)
         q, M = mesh.order, mesh.size
@@ -617,9 +616,10 @@ def chord_groups(directions: np.ndarray):
     significant digits (pairs with one key share a block), and the pairs as
     (I, J, group): pair k joins arms I[k] < J[k] and has chord
     ``chords[group[k]]``.  Rounding to significant digits, not decimals,
-    keeps the chord of near-coincident arms positive."""
+    keeps the chord of near-coincident arms positive, and ``pair_chords``
+    keeps its digits."""
     I, J = np.triu_indices(directions.shape[0], k=1)
-    keys = [float(f"{_chord_sq(directions[i], directions[j]):.12e}") for i, j in zip(I, J)]
+    keys = [float(f"{c:.12e}") for c in pair_chords(directions).tolist()]
     chords, group = np.unique(keys, return_inverse=True)
     return chords, (I, J, group)
 

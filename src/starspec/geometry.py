@@ -40,10 +40,9 @@ class StarConfig:
 
     def pair_angles(self) -> np.ndarray:
         """Angles between all unordered pairs of arms (i < j, row-major),
-        radians; from the chords 2 sin(phi/2), which keep their relative
-        accuracy at the smallest angles ``make_star`` admits."""
-        i, j = np.triu_indices(self.n_arms, k=1)
-        chords = np.linalg.norm(self.directions[i] - self.directions[j], axis=1)
+        radians; from the chords 2 sin(phi/2) (``pair_chords``), which keep
+        their relative accuracy at the smallest angles ``make_star`` admits."""
+        chords = np.sqrt(pair_chords(self.directions))
         return 2.0 * np.arcsin(np.minimum(0.5 * chords, 1.0))
 
 
@@ -73,19 +72,23 @@ def make_star(directions, L: float, alpha: float) -> StarConfig:
     than 1e-9) are rejected.
     """
     dirs = unit_directions(directions)
-    n = dirs.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(dirs[i] - dirs[j]) < COINCIDENCE_TOL:
-                raise CoincidentArms(f"arms {i} and {j} coincide")
+    close = np.flatnonzero(pair_chords(dirs) < COINCIDENCE_TOL**2)
+    if close.size:
+        i, j = np.triu_indices(dirs.shape[0], k=1)
+        raise CoincidentArms(f"arms {i[close[0]]} and {j[close[0]]} coincide")
     if not np.isfinite(L) or L <= 0:
         raise NonpositiveLength(f"arm length must be positive and finite, got {L}")
     return StarConfig(directions=dirs, arm_length=float(L), coupling=float(alpha))
 
 
-def chord_sq(dir_i, dir_j) -> float:
-    """Squared chord distance |d_i - d_j|^2 = 2 - 2 <d_i, d_j> between unit vectors."""
-    return float(2.0 - 2.0 * np.dot(np.asarray(dir_i, float), np.asarray(dir_j, float)))
+def pair_chords(directions: np.ndarray) -> np.ndarray:
+    """Squared chords |d_i - d_j|^2 of all unordered pairs of directions (i
+    < j, row-major), summed from the differences, which keep their relative
+    accuracy: 2 - 2 <d_i, d_j> cancels, to 8e-8 relative at 1e-5 rad and to
+    0 at 1e-8 rad."""
+    i, j = np.triu_indices(directions.shape[0], k=1)
+    diff = directions[i] - directions[j]
+    return (diff * diff).sum(axis=1)
 
 
 def _icosahedron() -> np.ndarray:

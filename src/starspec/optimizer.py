@@ -54,16 +54,14 @@ from .discretization import (
     FOUR_PI, BlockAssembler, Mesh, _weigh, build_mesh, chord_groups, star_form, star_matrix,
 )
 from .errors import AllStartsFailed, BracketFailure, DomainError, NoCrossing, SizeMismatch
-from .geometry import SHARP_SIZES, congruent, make_star, sharp_configuration
+from .geometry import SHARP_SIZES, congruent, make_star, pair_chords, sharp_configuration
 from .spectral import _CurveSolver, _eigh, _solve_level, _star_solver
 
 SENTINEL = float("-inf")
 MIN_PAIR_ANGLE = 1e-3
 CONGRUENCE_TOL = 5e-3
-#: the panels, order and grading of ``search_mesh`` and of the default mesh
-#: of ``verify_sharp_local_max``
+#: the panels, order and grading of ``search_mesh``
 SEARCH_MESH = {"panels": 3, "order": 5, "grading": 2.0}
-LOCAL_MAX_MESH = {"panels": 12, "order": 8, "grading": 2.0}
 #: root tolerance of the fixed-kappa search; the scoring ``objective`` and
 #: ``verify_sharp_local_max`` solve with none (``spectral._solve_level``)
 SEARCH_KAPPA_TOL = 1e-6
@@ -105,10 +103,6 @@ class OptResult:
     #: the crossings kappa_0 >= kappa_1 >= ... of each start's accepted outer
     #: steps at the search tolerance; empty for a start without a crossing
     search_kappas: tuple[tuple[float, ...], ...]
-
-    @property
-    def n_arms(self) -> int:
-        return self.best_directions.shape[0]
 
 
 def search_mesh(L: float) -> Mesh:
@@ -160,9 +154,7 @@ def _gauge_pullback(params, G: np.ndarray) -> np.ndarray:
 
 
 def _min_pair_angle(dirs: np.ndarray) -> float:
-    g = dirs @ dirs.T
-    iu = np.triu_indices(dirs.shape[0], k=1)
-    return float(np.arccos(np.clip(g[iu], -1.0, 1.0)).min())
+    return 2.0 * math.asin(min(1.0, 0.5 * math.sqrt(pair_chords(dirs).min())))
 
 
 def objective(
@@ -456,8 +448,8 @@ def verify_sharp_local_max(
     alpha: float,
     scale: float,
     trials: int,
-    seed: int = 0,
-    mesh: Mesh | None = None,
+    seed: int,
+    mesh: Mesh,
 ) -> SharpLocalMaxReport:
     """Check that the sharp configuration beats random nearby perturbations.
 
@@ -468,8 +460,6 @@ def verify_sharp_local_max(
     A zero scale compares the configuration against itself and is flagged
     degenerate (vacuous pass).
     """
-    if mesh is None:
-        mesh = build_mesh(L, **LOCAL_MAX_MESH)
     sharp = sharp_configuration(N)
     # each solver is dropped as soon as its energy is known, so no two
     # stars' correction batches are held at once
@@ -527,9 +517,7 @@ def kernel_sum_compare(config_a, config_b, kappa: float, sample_pairs) -> Kernel
     b = np.atleast_2d(np.asarray(config_b, float))
     if a.shape[0] != b.shape[0]:
         raise SizeMismatch(f"direction sets have sizes {a.shape[0]} and {b.shape[0]}")
-    iu = np.triu_indices(a.shape[0], k=1)
-    xa = 2.0 - 2.0 * (a @ a.T)[iu]
-    xb = 2.0 - 2.0 * (b @ b.T)[iu]
+    xa, xb = pair_chords(a), pair_chords(b)
     st = np.asarray(sample_pairs, dtype=float)
     s, t = st[:, 0], st[:, 1]
     sq = ((s - t) ** 2)[:, None]

@@ -59,11 +59,6 @@ from .errors import (
 )
 from .geometry import StarConfig
 
-#: the mesh of a CLI job that gives none
-DEFAULT_PANELS = 8
-DEFAULT_ORDER = 12
-DEFAULT_GRADING = 2.0
-
 #: most lambda evaluations of one root solve
 _MAX_EVALUATIONS = 100
 

@@ -207,7 +207,8 @@ def test_06_sharp_configuration_optimality():
     lines.append(f"N=6:{'ok' if res6.congruent_to_sharp else 'MISS'} ({t6:.0f}s)")
 
     t12 = time.time()
-    rep12 = verify_sharp_local_max(12, 3.0, 0.0, scale=0.05, trials=20, seed=3)
+    rep12 = verify_sharp_local_max(12, 3.0, 0.0, scale=0.05, trials=20, seed=3,
+                                   mesh=ss.build_mesh(3.0, 12, 8, 2.0))
     t12 = time.time() - t12
     ok = ok and rep12.passed and t12 < 1200.0
     lines.append(f"N=12 local max:{'ok' if rep12.passed else 'MISS'} ({t12:.0f}s)")

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from starspec import discretization
 from starspec.cli import (
-    COMMANDS, MAX_BATCH_ENTRIES, MAX_STARTS, MAX_TRIALS, main, parse_job, render_json, run,
+    _GROUPS, COMMANDS, MAX_BATCH_ENTRIES, main, parse_job, render_json, run,
 )
 from starspec.discretization import build_mesh
 from starspec.errors import ParseError
@@ -70,7 +70,7 @@ class TestParseJob:
         assert job.doc["star"] == {"sharp": 4}
         assert job.doc["mesh"] == {"panels": 8, "order": 12, "grading": 2.0}
         assert job.doc["solver"] == {"levels": 1}
-        assert job.doc["output"] == {"format": "json", "path": None}
+        assert job.doc["output"] == {"path": None}
         # spectrum reads no search settings, so it takes and echoes none
         assert "optimize" not in job.doc
 
@@ -109,7 +109,6 @@ class TestParseJob:
         job = parse_job(job_text(command="sweep-angle", alpha=0.0, arm_length=1.0,
                                  sweep={"phi_min": 0.5, "phi_max": 3.0, "count": 3}))
         assert job.doc["sweep"]["count"] == 3
-        assert job.doc["output"]["format"] == "csv"
 
     def test_sweep_star_conflict(self):
         with pytest.raises(ParseError):
@@ -227,7 +226,7 @@ class TestRun:
         ))) == 0
         assert out.read_text() == (
             "phi,E_1,E_1_plus_bound\n"
-            "0.050000000000000003,-506.82277335059564,-10.143382549462128\n"
+            "0.050000000000000003,-506.82277335039294,-10.143382549462128\n"
             "0.82289816339744837,-2.8704823999405127,1.6791868350486259\n"
             "1.5957963267948967,-1.2924715687012438,2.0270587454748181\n"
             "2.368694490192345,-0.95814738696312496,2.1270657181795465\n"
@@ -411,7 +410,7 @@ ECHOES = {
         **MINIMAL_SPECTRUM,
         "mesh": {"panels": 8, "order": 12, "grading": 2.0},
         "solver": {"levels": 1},
-        "output": {"format": "json", "path": None},
+        "output": {"path": None},
     }),
     "optimize": (
         {"command": "optimize", "star": {"sharp": 2}, "alpha": 0, "arm_length": 5,
@@ -419,7 +418,7 @@ ECHOES = {
         {"command": "optimize", "star": {"sharp": 2}, "alpha": 0, "arm_length": 5,
          "mesh": {"panels": 3, "order": 5, "grading": 2.0},
          "optimize": {"starts": 1, "seed": 0},
-         "output": {"format": "json", "path": None}},
+         "output": {"path": None}},
     ),
     "verify-sharp": (
         {"command": "verify-sharp", "star": {"sharp": 2}, "alpha": -0.5, "arm_length": 3.0,
@@ -428,7 +427,7 @@ ECHOES = {
          "mesh": {"panels": 12, "order": 8, "grading": 2.0},
          "optimize": {"seed": 0},
          "verify": {"scale": 0.05, "trials": 1},
-         "output": {"format": "json", "path": None}},
+         "output": {"path": None}},
     ),
     "bounds": (
         {"command": "bounds", "star": {"directions": [[0, 0, 1], [1, 0, 0]]},
@@ -436,13 +435,13 @@ ECHOES = {
         {"command": "bounds", "star": {"directions": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]},
          "alpha": 0.25, "arm_length": 2,
          "bounds": {"phi": None, "k": 1},
-         "output": {"format": "json", "path": None}},
+         "output": {"path": None}},
     ),
     "design-check": (
         {"command": "design-check", "star": {"sharp": 6}},
         {"command": "design-check", "star": {"sharp": 6},
          "design": {"order": 3},
-         "output": {"format": "json", "path": None}},
+         "output": {"path": None}},
     ),
 }
 
@@ -562,8 +561,9 @@ NOT_READ = {
 }
 KEYS_NOT_READ = {case: doc for case, (doc, _) in NOT_READ.items()}
 
-#: documents carrying the removed root tolerance, or a solver group where the
-#: command reads none: (document, the name the error gives)
+#: documents carrying the removed root tolerance or output format, or a
+#: solver group where the command reads none: (document, the name the error
+#: gives)
 SWEEP = {"command": "sweep-angle", "alpha": 0.0, "arm_length": 1.0,
          "sweep": {"phi_min": 0.5, "phi_max": 1.0, "count": 2}}
 REMOVED = {
@@ -573,6 +573,8 @@ REMOVED = {
                 dict(MINIMAL_SPECTRUM, command="verify-sharp"))
 }
 REMOVED["sweep-angle with a solver group"] = (dict(SWEEP, solver={}), "'solver'")
+REMOVED["spectrum with output.format"] = (dict(MINIMAL_SPECTRUM, output={"format": "json"}),
+                                          "format")
 
 #: job documents that must be rejected with exit status 2, one per input
 BAD_INPUTS = {
@@ -621,6 +623,7 @@ BAD_INPUTS = {
     "direction coordinate NaN": dict(
         MINIMAL_SPECTRUM, star={"directions": [[0, 0, 1], [float("nan"), 0, 0]]}),
     "output.path integer": dict(MINIMAL_SPECTRUM, output={"path": 7}),
+    # not a key: the command fixes the format
     "output.format integer": dict(MINIMAL_SPECTRUM, output={"format": 7}),
     "bounds.phi 0": dict(MINIMAL_SPECTRUM, command="bounds", bounds={"phi": 0.0}),
     "bounds.phi above pi": dict(MINIMAL_SPECTRUM, command="bounds", bounds={"phi": 3.2}),
@@ -633,6 +636,7 @@ BAD_INPUTS = {
         star={"directions": [[0, 0, 1]] * 171}),
     "design.order above the cap": {
         "command": "design-check", "star": {"sharp": 4}, "design": {"order": 65}},
+    # not a key: sweep-angle writes CSV
     "sweep-angle with json output": {
         "command": "sweep-angle", "alpha": 0.0, "arm_length": 1.0,
         "sweep": {"phi_min": 1.0, "phi_max": 1.0, "count": 1},
@@ -680,6 +684,82 @@ INVALID_JOBS = {
 }
 
 
+#: a minimal valid document of each command
+MINIMAL_DOCUMENTS = {
+    "spectrum": MINIMAL_SPECTRUM,
+    "sweep-angle": SWEEP,
+    "optimize": dict(MINIMAL_SPECTRUM, command="optimize"),
+    "verify-sharp": dict(MINIMAL_SPECTRUM, command="verify-sharp"),
+    "bounds": dict(MINIMAL_SPECTRUM, command="bounds"),
+    "design-check": {"command": "design-check", "star": {"sharp": 4}},
+}
+#: (group, key) of every key with a range in the job schema
+RANGED_KEYS = [(group, key) for group, keys in _GROUPS.items()
+               for key, (kind, *_) in keys.items() if kind is not str]
+
+
+def with_key(group, key, value):
+    """The minimal document of the first command that reads ``group.key``,
+    with the key set to ``value``."""
+    doc = MINIMAL_DOCUMENTS[_GROUPS[group][key][2][0]]
+    return dict(doc, **{group: dict(doc.get(group, {}), **{key: value})})
+
+
+class TestSchemaRanges:
+    """Every key's range in ``_GROUPS``: both ends parse, one step past
+    either end exits 2 with an error that names the key."""
+
+    @pytest.mark.parametrize("group, key", RANGED_KEYS, ids=[".".join(k) for k in RANGED_KEYS])
+    def test_ends_parse(self, group, key):
+        _, _, _, least, greatest = _GROUPS[group][key]
+        for value in (least, greatest):
+            if math.isinf(value):
+                continue
+            doc = with_key(group, key, value)
+            if key.startswith("phi_"):  # keep phi_min <= phi_max
+                doc["sweep"].update(phi_min=value, phi_max=value)
+            assert parse_job(json.dumps(doc)).doc[group][key] == value
+
+    @pytest.mark.parametrize("group, key", RANGED_KEYS, ids=[".".join(k) for k in RANGED_KEYS])
+    def test_one_step_outside_exits_2(self, group, key, tmp_path, capsys):
+        kind, _, _, least, greatest = _GROUPS[group][key]
+        if kind is int:
+            outside = [least - 1, greatest + 1]
+        else:
+            outside = [math.nextafter(least, -math.inf), math.nextafter(greatest, math.inf)]
+        bad = tmp_path / "bad.json"
+        for value in outside:
+            if math.isinf(value):
+                continue
+            bad.write_text(json.dumps(with_key(group, key, value)))
+            assert main(["--job", str(bad)]) == 2
+            assert f"'{group}.{key}' must be at least" in capsys.readouterr().err
+
+
+class TestNearCoincidentArms:
+    """Two arms 1e-8 rad apart: their squared chord, 1e-16, is kept from the
+    differences of the directions (2 - 2 <d_i, d_j> rounds to 0 there)."""
+
+    def test_spectrum_has_a_level(self, tmp_path):
+        out = tmp_path / "res.json"
+        job = parse_job(job_text(
+            command="spectrum", star={"directions": [[0, 0, 1], [1e-8, 0, 1]]},
+            alpha=0.0, arm_length=1.0, mesh={"panels": 4, "order": 6}))
+        assert run(job, out_path=str(out)) == 0
+        levels = json.loads(out.read_text())["results"]["levels"]
+        assert len(levels) == 1 and levels[0]["energy"] < 0.0
+
+    def test_sweep_has_a_level(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        job = parse_job(job_text(
+            command="sweep-angle", alpha=0.0, arm_length=1.0,
+            sweep={"phi_min": 1e-8, "phi_max": 1e-8, "count": 1},
+            mesh={"panels": 4, "order": 6}))
+        assert run(job, out_path=str(out)) == 0
+        (row,) = out.read_text().strip().splitlines()[1:]
+        assert float(row.split(",")[1]) < 0.0
+
+
 class TestMain:
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_input_exit_2(self, case, tmp_path, capsys):
@@ -714,8 +794,9 @@ class TestMain:
         assert not (tmp_path / "out.json").exists()
 
     def test_start_and_trial_caps(self):
-        at_cap = [dict(MINIMAL_SPECTRUM, command="optimize", optimize={"starts": MAX_STARTS}),
-                  dict(MINIMAL_SPECTRUM, command="verify-sharp", verify={"trials": MAX_TRIALS})]
+        starts, trials = _GROUPS["optimize"]["starts"][4], _GROUPS["verify"]["trials"][4]
+        at_cap = [dict(MINIMAL_SPECTRUM, command="optimize", optimize={"starts": starts}),
+                  dict(MINIMAL_SPECTRUM, command="verify-sharp", verify={"trials": trials})]
         for doc in at_cap:
             parse_job(json.dumps(doc))
         for case in ("optimize.starts above the cap", "verify.trials above the cap"):

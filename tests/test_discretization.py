@@ -13,7 +13,7 @@ from starspec.discretization import (
     chord_groups, correction_layout, star_form, star_matrix,
 )
 from starspec.errors import BadParameters
-from starspec.geometry import chord_sq, make_star, sharp_configuration
+from starspec.geometry import make_star, pair_chords, sharp_configuration
 
 FOUR_PI = 4.0 * math.pi
 EPS = np.finfo(float).eps
@@ -587,22 +587,32 @@ class TestJointBatch:
         assert np.array_equal(asm.matrix(1.0), asm.diag.weighted_block(1.0))
 
 
+def two_arms(angle):
+    return np.array([[0.0, 0.0, 1.0], [math.sin(angle), 0.0, math.cos(angle)]])
+
+
 class TestChordGroups:
     @pytest.mark.parametrize("angle", [1e-7, 7e-7, 1.3e-6, 0.3, 1.0, math.pi])
     def test_two_arms_keep_their_chord(self, angle):
-        dirs = np.array([[0.0, 0.0, 1.0], [math.sin(angle), 0.0, math.cos(angle)]])
-        chords, _ = chord_groups(dirs)
-        exact = chord_sq(dirs[0], dirs[1])
+        chords, _ = chord_groups(two_arms(angle))
+        exact = 4.0 * math.sin(angle / 2) ** 2
         assert chords.size == 1 and chords[0] > 0.0
         assert abs(chords[0] - exact) <= 1e-12 * exact
+
+    def test_keys_keep_thirteen_digits_down_to_1e_8(self):
+        # 2 - 2 <d_i, d_j> keeps no digit at 1e-8 rad; the key, rounded to
+        # 13 significant digits, is off by at most half a unit of the last
+        for angle in np.geomspace(1e-8, math.pi, 60):
+            chords, _ = chord_groups(two_arms(angle))
+            exact = 4.0 * math.sin(angle / 2) ** 2
+            assert abs(chords[0] - exact) <= 5.01e-13 * exact, angle
 
     def test_sharp_configurations_share_chords(self):
         for n, distinct in ((3, 1), (4, 1), (6, 2), (12, 3)):
             dirs = sharp_configuration(n)
             chords, (I, J, group) = chord_groups(dirs)
             assert chords.size == distinct
-            for i, j, g in zip(I, J, group):
-                exact = chord_sq(dirs[i], dirs[j])
+            for exact, g in zip(pair_chords(dirs), group):
                 assert abs(chords[g] - exact) <= 1e-12 * exact
 
 

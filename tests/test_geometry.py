@@ -9,9 +9,9 @@ from starspec.errors import (
     UnsupportedN,
 )
 from starspec.geometry import (
-    chord_sq,
     congruent,
     make_star,
+    pair_chords,
     sharp_configuration,
     spherical_design_check,
 )
@@ -53,6 +53,11 @@ class TestMakeStar:
             make_star([], 1.0, 0.0)
 
 
+def chord_sq(a, b) -> float:
+    """The squared chord of one pair, from ``pair_chords``."""
+    return float(pair_chords(np.array([a, b], dtype=float))[0])
+
+
 class TestChordSq:
     def test_antipodal(self):
         assert chord_sq((0, 0, 1), (0, 0, -1)) == pytest.approx(4.0, abs=1e-15)
@@ -74,6 +79,17 @@ class TestChordSq:
             R = random_rotation(rng)
             assert chord_sq(a, b) == pytest.approx(chord_sq(b, a), abs=1e-15)
             assert chord_sq(R @ a, R @ b) == pytest.approx(chord_sq(a, b), abs=1e-12)
+
+    def test_pairs_in_row_major_order(self):
+        dirs = np.random.default_rng(4).standard_normal((5, 3))
+        expected = [np.sum((dirs[i] - dirs[j]) ** 2) for i in range(5) for j in range(i + 1, 5)]
+        assert np.array_equal(pair_chords(dirs), expected)
+
+    @pytest.mark.parametrize("angle", [1e-8, 1e-5, 0.05])
+    def test_keeps_its_digits_at_small_angles(self, angle):
+        # 2 - 2 <d_i, d_j> is 0 at 1e-8 rad and 8e-8 off at 1e-5
+        c = chord_sq((0, 0, 1), (np.sin(angle), 0, np.cos(angle)))
+        assert c == pytest.approx(4.0 * np.sin(angle / 2) ** 2, rel=1e-15)
 
 
 # inner-product multisets characterizing the five sharp configurations

@@ -10,7 +10,7 @@ from starspec import optimizer
 from starspec.cli import parse_job, run
 from starspec.discretization import BlockAssembler
 from starspec.errors import AllStartsFailed, SizeMismatch
-from starspec.geometry import chord_sq, congruent
+from starspec.geometry import congruent, pair_chords
 from starspec.optimizer import (
     MIN_PAIR_ANGLE,
     OptSettings,
@@ -49,9 +49,7 @@ class TestGaugeEmbed:
         shifted[2] += 2 * math.pi
         a = gauge_embed(params, 3)
         b = gauge_embed(shifted, 3)
-        ga = sorted(chord_sq(a[i], a[j]) for i in range(3) for j in range(i + 1, 3))
-        gb = sorted(chord_sq(b[i], b[j]) for i in range(3) for j in range(i + 1, 3))
-        assert np.allclose(ga, gb, atol=1e-12)
+        assert np.allclose(np.sort(pair_chords(a)), np.sort(pair_chords(b)), atol=1e-12)
 
 
 class TestObjective:
@@ -112,10 +110,11 @@ class TestSearchAssembly:
         assert np.array_equal(A, A.T)
         T = BlockAssembler(mesh, None).weighted_block(kappa)
         s, w = mesh.nodes, mesh.weights
+        chords = iter(pair_chords(dirs).tolist())
         for i in range(N):
             assert np.array_equal(A[i * M:(i + 1) * M, i * M:(i + 1) * M], T)
             for j in range(i + 1, N):
-                c = float(f"{chord_sq(dirs[i], dirs[j]):.12e}")  # chord_groups key
+                c = float(f"{next(chords):.12e}")  # chord_groups key
                 r = np.sqrt((s[:, None] - s) ** 2 + s[:, None] * s * c)
                 expected = np.exp(-kappa * r) / (4.0 * math.pi * r) * np.sqrt(np.outer(w, w))
                 block = A[i * M:(i + 1) * M, j * M:(j + 1) * M]
@@ -354,7 +353,7 @@ class TestFixedKappaFact:
 
 class TestVerifySharpLocalMax:
     def test_zero_scale_degenerate(self):
-        rep = verify_sharp_local_max(4, 2.0, 0.0, scale=0.0, trials=3,
+        rep = verify_sharp_local_max(4, 2.0, 0.0, scale=0.0, trials=3, seed=0,
                                      mesh=search_mesh(2.0))
         assert rep.degenerate and rep.passed
 
